@@ -9,6 +9,15 @@ width D so downstream widths stay level-independent:
     f_k      = sum_i softmax_i(logits) * (W_val src_i)
     out_k    = P [tgt_k, f_k] + b
 
+Because the score is linear in the pair, its target term tgt_k . w[D:] is
+the same for every source i and cancels in the softmax over i.  The
+attention row, and so the pooled evidence f_k, is therefore the same for
+every target k: each target receives one evidence vector per graph, and
+only the projection P mixes it with the target itself.  `enhance_batch`
+computes that row once (logits src_i . w[:D]); w[D:] stays a stored
+parameter with zero gradient.  Whether a target-dependent score would serve
+the paper better is ROADMAP open item 5 (cross-space fidelity).
+
 visual_to_semantic reads sources from the visual graph and targets from the
 semantic one; semantic_to_visual is the mirror.  Sources and targets must
 come from the same frame (object level) or the same video (frame level),
@@ -37,16 +46,19 @@ def init_cross_space_params(rng: np.random.Generator, dim: int, dtype) -> dict:
 
 
 def enhance_batch(source: Tensor, target: Tensor, params: dict):
-    """Returns (enhanced [B,K,D], attention [B,K,K], pooled evidence [B,K,D])."""
+    """Returns (enhanced [B,K,D], attention [B,K,K], pooled evidence [B,K,D]).
+
+    attention and pooled evidence are broadcast views of one row per graph.
+    """
     if source.shape != target.shape:
         raise ValueError(f"source/target shape mismatch: {source.shape} vs {target.shape}")
     B, K, D = source.shape
-    src_b = tt.broadcast_to(tt.reshape(source, (B, 1, K, D)), (B, K, K, D))
-    tgt_b = tt.broadcast_to(tt.reshape(target, (B, K, 1, D)), (B, K, K, D))
-    pair = tt.concat([src_b, tgt_b], axis=-1)
-    logits = tt.reshape(tt.linear(pair, params["attn_w"]), (B, K, K))
-    attn = tt.softmax(logits, axis=2)
-    pooled = tt.matmul(attn, tt.linear(source, params["value_w"]))
+    # The target term tgt_k . w[D:] cancels in the softmax (module docstring).
+    logits = tt.reshape(tt.linear(source, params["attn_w"][:D]), (B, 1, K))
+    weights = tt.softmax(logits, axis=2)
+    evidence = tt.matmul(weights, tt.linear(source, params["value_w"]))
+    attn = tt.broadcast_to(weights, (B, K, K))
+    pooled = tt.broadcast_to(evidence, (B, K, D))
     enhanced = tt.linear(tt.concat([target, pooled], axis=-1), params["proj_w"], params["proj_b"])
     return enhanced, attn, pooled
 

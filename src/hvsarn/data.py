@@ -237,7 +237,10 @@ def segment_to_frame_indices(segment: GroundTruthSegment, num_frames: int) -> tu
 
 
 def frame_pair_to_fractions(i: int, j: int, num_frames: int) -> tuple[float, float]:
-    """Inverse of the frame quantization: candidate (i, j), i < j exclusive-end."""
+    """Inverse of the frame quantization: candidate (i, j), i < j exclusive-end.
+
+    Also applies elementwise to integer index arrays.
+    """
     return i / num_frames, (j + 1) / num_frames
 
 

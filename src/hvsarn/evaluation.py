@@ -44,10 +44,11 @@ def temporal_iou(a, b) -> float:
     return inter / union
 
 
-def _top_segments(prediction) -> list[tuple[float, float]]:
+def _top_segments(prediction, n: int) -> list[tuple[float, float]]:
+    """The first n candidates as (start, end); only those are converted."""
     if isinstance(prediction, SegmentPrediction):
-        return [(s, e) for s, e, _ in prediction.top_segments]
-    return [(_as_interval(seg)) for seg in prediction]
+        return [(s, e) for s, e, _ in prediction.top_segments[:n]]
+    return [_as_interval(seg) for seg in prediction[:n]]
 
 
 def recall_hits(predictions, truths, n: int, m: float) -> list[bool]:
@@ -60,7 +61,7 @@ def recall_hits(predictions, truths, n: int, m: float) -> list[bool]:
         raise ValueError(f"n must be >= 1, got {n}")
     hits = []
     for prediction, truth in zip(predictions, truths):
-        candidates = _top_segments(prediction)[:n]
+        candidates = _top_segments(prediction, n)
         hits.append(any(temporal_iou(c, truth) >= m for c in candidates))
     return hits
 

@@ -117,10 +117,12 @@ def neighbor_context(nodes: Tensor, params: dict):
     B, K, D = nodes.shape
     if K == 1:
         return Tensor(np.zeros((B, 1, D), dtype=nodes.dtype)), None
-    target = tt.broadcast_to(tt.reshape(nodes, (B, K, 1, D)), (B, K, K, D))
-    source = tt.broadcast_to(tt.reshape(nodes, (B, 1, K, D)), (B, K, K, D))
-    pair = tt.concat([target, source], axis=-1)
-    hidden = tt.tanh(tt.linear(pair, p["mlp_w1"], p["mlp_b1"]))
+    # linear([v_k, v_i]) = v_k W1[:D] + b1 + v_i W1[D:]: two [B,K,D] maps,
+    # broadcast-added, instead of one [B,K,K,2D] concat and matmul.
+    w1 = p["mlp_w1"]
+    target = tt.reshape(tt.linear(nodes, w1[:D], p["mlp_b1"]), (B, K, 1, D))
+    source = tt.reshape(tt.linear(nodes, w1[D:]), (B, 1, K, D))
+    hidden = tt.tanh(target + source)
     logits = tt.reshape(tt.linear(hidden, p["mlp_w2"], p["mlp_b2"]), (B, K, K))
     mask = np.full((K, K), 0.0, dtype=nodes.dtype)
     np.fill_diagonal(mask, _MASK_VALUE)

@@ -4,9 +4,12 @@ The head concatenates per-frame visual/semantic vectors, runs a Bi-GRU over
 time, and maps each frame to a start logit and an end logit.  Candidate
 segments are every frame pair (i, j) with i < j, scored by
 softmax(start)[i] * softmax(end)[j], emitted in descending score with ties
-broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  Training
-minimizes cross-entropy of the start/end distributions at the ground-truth
-frame indices.
+broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  The
+ranking is vectorized: the upper-triangle pairs come from `np.triu_indices`
+and one `np.lexsort` on (-score, i, j) orders them, in float64 throughout.
+Training minimizes cross-entropy of the start/end distributions at the
+ground-truth frame indices; it needs only the logits (`span_logits`), not
+the ranking.
 """
 
 from __future__ import annotations
@@ -59,24 +62,24 @@ def enumerate_segments(
     T = start_logits.shape[0]
     s = _np_softmax(np.asarray(start_logits, dtype=np.float64))
     e = _np_softmax(np.asarray(end_logits, dtype=np.float64))
-    ranked = sorted(
-        ((float(s[i] * e[j]), i, j) for i in range(T - 1) for j in range(i + 1, T)),
-        key=lambda item: (-item[0], item[1], item[2]),
-    )
-    if max_segments is not None:
-        ranked = ranked[:max_segments]
-    out = []
-    for score, i, j in ranked:
-        lo, hi = frame_pair_to_fractions(i, j, T)
-        out.append((lo, hi, score))
-    return out
+    i, j = np.triu_indices(T, k=1)
+    score = s[i] * e[j]
+    order = np.lexsort((j, i, -score))[:max_segments]
+    lo, hi = frame_pair_to_fractions(i[order], j[order], T)
+    return list(zip(lo.tolist(), hi.tolist(), score[order].tolist()))
+
+
+def span_logits(contextual: Tensor, params: dict) -> tuple[Tensor, Tensor]:
+    """Start and end logits per frame, each [T]."""
+    T = contextual.shape[0]
+    start_logits = tt.reshape(tt.linear(contextual, params["start"]["w"], params["start"]["b"]), (T,))
+    end_logits = tt.reshape(tt.linear(contextual, params["end"]["w"], params["end"]["b"]), (T,))
+    return start_logits, end_logits
 
 
 def predict(contextual: Tensor, params: dict, max_segments: int | None = None) -> SegmentPrediction:
     """Score start/end per frame and enumerate ranked candidate segments."""
-    T = contextual.shape[0]
-    start_logits = tt.reshape(tt.linear(contextual, params["start"]["w"], params["start"]["b"]), (T,))
-    end_logits = tt.reshape(tt.linear(contextual, params["end"]["w"], params["end"]["b"]), (T,))
+    start_logits, end_logits = span_logits(contextual, params)
     segments = enumerate_segments(start_logits.data, end_logits.data, max_segments)
     return SegmentPrediction(start_logits=start_logits, end_logits=end_logits, top_segments=segments)
 

@@ -23,7 +23,13 @@ from .hierarchy import (
     init_level_params,
     object_level_pass,
 )
-from .localization import SegmentPrediction, fuse_and_contextualize, init_head_params, predict
+from .localization import (
+    SegmentPrediction,
+    fuse_and_contextualize,
+    init_head_params,
+    predict,
+    span_logits,
+)
 from .localization import loss as span_loss
 from .params import flatten
 from .tensor import Tensor
@@ -84,17 +90,23 @@ class Model:
             frames = frame_level_pass(frames, sentence, self.params["frame_level"], cfg)
         return frames
 
-    def forward(self, video: VideoSample, query: QuerySample) -> SegmentPrediction:
+    def _contextualize(self, video: VideoSample, query: QuerySample) -> Tensor:
+        """Per-frame head Bi-GRU states [T, hidden], the input to the span head."""
         encoded, enc_query = self.encode(video, query)
         frames = self.frame_features(encoded, enc_query.sentence)
-        contextual = fuse_and_contextualize(frames, self.params["head"])
+        return fuse_and_contextualize(frames, self.params["head"])
+
+    def forward(self, video: VideoSample, query: QuerySample) -> SegmentPrediction:
+        contextual = self._contextualize(video, query)
         return predict(contextual, self.params["head"], self.config.max_segments)
 
     def loss(self, video: VideoSample, query: QuerySample) -> Tensor:
         if video.annotation is None:
             raise ValueError(f"sample {video.video_id} has no annotation; cannot compute loss")
-        prediction = self.forward(video, query)
-        return span_loss(prediction, video.annotation, video.num_frames)
+        # The loss reads only the logits, so the candidate ranking is skipped.
+        start, end = span_logits(self._contextualize(video, query), self.params["head"])
+        logits_only = SegmentPrediction(start_logits=start, end_logits=end, top_segments=[])
+        return span_loss(logits_only, video.annotation, video.num_frames)
 
 
 def head_input_width(config: ModelConfig) -> int:

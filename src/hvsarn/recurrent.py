@@ -7,9 +7,14 @@ Update convention (documented here once; the verification oracles restate it):
     g_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
     h_t = (1 - z_t) * h_{t-1} + z_t * g_t
 
-The initial state is zero.  A bidirectional pass runs one GRU left-to-right
-and an independently parameterized one right-to-left and concatenates the
-per-position states, so the output width is twice the hidden size.
+The initial state is zero.  The stored per-gate (w, u, b) are fused at run
+time: the input terms Wz x_t + bz, Wr x_t + br, Wh x_t + bh of every step
+come from one [N, In] @ [In, 3H] projection, and Uz h_{t-1}, Ur h_{t-1}
+from one [1, H] @ [H, 2H] product per step.
+
+A bidirectional pass runs one GRU left-to-right and an independently
+parameterized one right-to-left and concatenates the per-position states,
+so the output width is twice the hidden size.
 """
 
 from __future__ import annotations
@@ -43,26 +48,20 @@ def gru_sequence(x: Tensor, params: dict, reverse: bool = False):
     """Run the GRU over x [N, In]; returns (states [N, H], final state [1, H])."""
     n = x.shape[0]
     hidden = params["update"]["u"].shape[0]
+    gates = [params[name] for name in ("update", "reset", "cand")]
+    w = tt.concat([p["w"] for p in gates], axis=1)
+    b = tt.concat([p["b"] for p in gates], axis=0)
+    proj = tt.linear(x, w, b)
+    proj_zr, proj_g = proj[:, : 2 * hidden], proj[:, 2 * hidden :]
+    u_zr = tt.concat([gates[0]["u"], gates[1]["u"]], axis=1)
+    u_g = gates[2]["u"]
     h = Tensor(np.zeros((1, hidden), dtype=x.dtype))
     order = range(n - 1, -1, -1) if reverse else range(n)
     states: list[Tensor | None] = [None] * n
     for t in order:
-        xt = tt.reshape(x[t], (1, -1))
-        z = tt.sigmoid(
-            tt.linear(xt, params["update"]["w"])
-            + tt.linear(h, params["update"]["u"])
-            + params["update"]["b"]
-        )
-        r = tt.sigmoid(
-            tt.linear(xt, params["reset"]["w"])
-            + tt.linear(h, params["reset"]["u"])
-            + params["reset"]["b"]
-        )
-        g = tt.tanh(
-            tt.linear(xt, params["cand"]["w"])
-            + tt.linear(r * h, params["cand"]["u"])
-            + params["cand"]["b"]
-        )
+        zr = tt.sigmoid(proj_zr[t : t + 1] + tt.matmul(h, u_zr))
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        g = tt.tanh(proj_g[t : t + 1] + tt.matmul(r * h, u_g))
         h = (1.0 - z) * h + z * g
         states[t] = h
     return tt.concat(states, axis=0), h

@@ -346,9 +346,11 @@ def take(a: Tensor, idx) -> Tensor:
     out_data = a.data[idx]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        a._accumulate(full)
+        # Scatter straight into a.grad: per-step row takes of an [N, ...]
+        # tensor would otherwise cost O(N) each, O(N^2) over a sequence.
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)
 
     return Tensor._result(out_data, (a,), backward)
 

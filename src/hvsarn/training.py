@@ -224,32 +224,37 @@ def load_checkpoint(in_dir: str) -> TrainState:
     state.step = int(manifest["step"])
 
     named = model.named_parameters()
+    # Optimizer moments mirror the parameter tree, so every group is checked
+    # against the same names and shapes.
+    loaded: dict[str, dict[str, np.ndarray]] = {
+        "params": {},
+        "adam_m": state.moments_m,
+        "adam_v": state.moments_v,
+    }
     seen: set[str] = set()
     for entry in manifest["tensors"]:
         full_name = entry["name"]
         shape = tuple(entry["shape"])
         arr = read_blob(os.path.join(in_dir, entry["file"]), shape, code, field=full_name)
         prefix, _, name = full_name.partition("/")
-        if prefix == "params":
-            if name not in named:
-                raise FormatError(f"{in_dir}: checkpoint has unknown parameter {name!r}")
-            if named[name].data.shape != shape:
-                raise FormatError(
-                    f"{in_dir}: parameter {name!r} has shape {shape}, "
-                    f"expected {named[name].data.shape}"
-                )
-            named[name].data = arr
-        elif prefix == "adam_m":
-            state.moments_m[name] = arr
-        elif prefix == "adam_v":
-            state.moments_v[name] = arr
-        else:
+        if prefix not in loaded:
             raise FormatError(f"{in_dir}: unknown tensor group {prefix!r}")
+        what = "parameter" if prefix == "params" else "optimizer entry"
+        if name not in named:
+            raise FormatError(f"{in_dir}: checkpoint has unknown {what} {full_name!r}")
+        expected = named[name].data.shape
+        if shape != expected:
+            raise FormatError(
+                f"{in_dir}: {what} {full_name!r} has shape {shape}, expected {expected}"
+            )
+        loaded[prefix][name] = arr
         seen.add(full_name)
 
-    missing = [f"params/{k}" for k in named if f"params/{k}" not in seen]
+    missing = [f"{group}/{k}" for group in loaded for k in named if f"{group}/{k}" not in seen]
     if missing:
         raise FormatError(f"{in_dir}: checkpoint is missing tensors {missing[:4]}")
+    for name, arr in loaded["params"].items():
+        named[name].data = arr
     return state
 
 

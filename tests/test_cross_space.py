@@ -40,6 +40,20 @@ def test_semantic_to_visual_matches_oracle():
         np.testing.assert_allclose(out.data, ref, atol=1e-10)
 
 
+def test_enhance_batch_matches_oracle_per_graph_at_scale():
+    rng = np.random.default_rng(17)
+    B, K, D = 2, 9, 5
+    params = init_cross_space_params(rng, D, np.float64)
+    source = rng.normal(size=(B, K, D))
+    target = rng.normal(size=(B, K, D))
+    enhanced, attn, pooled = enhance_batch(Tensor(source), Tensor(target), params["v2s"])
+    assert enhanced.shape == pooled.shape == (B, K, D) and attn.shape == (B, K, K)
+    p = as_np(params)["v2s"]
+    for b in range(B):
+        ref = cross_space_oracle(source[b], target[b], p)
+        np.testing.assert_allclose(enhanced.data[b], ref, atol=1e-10)
+
+
 def test_directions_have_independent_parameters():
     params, visual, semantic = make_instance(3)
     a = visual_to_semantic(Tensor(visual), Tensor(semantic), params).data

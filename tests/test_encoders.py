@@ -56,6 +56,17 @@ def test_gru_reverse_runs_right_to_left():
     np.testing.assert_allclose(states.data[0], ref_final, atol=1e-10)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_matches_oracle_at_length_40(reverse):
+    rng = np.random.default_rng(40)
+    params = init_gru_params(rng, 7, 5, np.float64)
+    x = rng.normal(size=(40, 7))
+    states, final = gru_sequence(Tensor(x), params, reverse=reverse)
+    ref_states, ref_final = gru_sequence_oracle(x, as_np(params), reverse=reverse)
+    np.testing.assert_allclose(states.data, ref_states, atol=1e-10)
+    np.testing.assert_allclose(final.data[0], ref_final, atol=1e-10)
+
+
 def test_bigru_concatenates_directions():
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -61,6 +61,19 @@ def test_write_matches_oracle_many_seeds():
         np.testing.assert_allclose(out.data[0], ref, atol=1e-10)
 
 
+def test_write_batch_matches_oracle_per_graph_at_scale():
+    rng = np.random.default_rng(41)
+    B, K, D = 3, 12, 6
+    params = init_graph_memory_params(rng, D, np.float64)
+    q = rng.normal(size=(B, D))
+    nodes = rng.normal(size=(B, K, D))
+    out, attn = write_batch(Tensor(q), Tensor(nodes), params)
+    assert out.shape == (B, K, D) and attn.shape == (B, K, K)
+    p = as_np(params)["write"]
+    for b in range(B):
+        np.testing.assert_allclose(out.data[b], write_oracle(q[b], nodes[b], p), atol=1e-10)
+
+
 def test_multi_step_reason_matches_oracle():
     for seed in range(5):
         params, q, nodes = make_instance(seed, K=3)

@@ -45,6 +45,35 @@ def test_enumeration_matches_oracle():
             np.testing.assert_allclose(score, rscore, atol=1e-12)
 
 
+def test_enumeration_matches_oracle_for_every_length_up_to_40():
+    rng = np.random.default_rng(2)
+    for T in range(2, 41):
+        start = rng.normal(size=T)
+        end = rng.normal(size=T)
+        got = enumerate_segments(start, end)
+        want = span_enumeration_oracle(start, end)
+        assert len(got) == T * (T - 1) // 2
+        assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+        np.testing.assert_allclose([s for _, _, s in got], [s for _, _, s in want], atol=1e-12)
+
+
+def test_uniform_logits_tie_order_at_t24():
+    T = 24
+    segs = enumerate_segments(np.zeros(T), np.zeros(T))
+    pairs = [(round(lo * T), round(hi * T) - 1) for lo, hi, _ in segs]
+    assert pairs == [(i, j) for i in range(T) for j in range(i + 1, T)]
+    assert segs == span_enumeration_oracle(np.zeros(T), np.zeros(T))
+
+
+def test_max_segments_is_a_prefix_of_the_full_ranking():
+    rng = np.random.default_rng(8)
+    start, end = rng.normal(size=12), rng.normal(size=12)
+    start[3] = start[5]  # equal start scores force (i, j) tie-breaks
+    full = enumerate_segments(start, end)
+    for m in (0, 1, 7, 65, 66, 100):
+        assert enumerate_segments(start, end, max_segments=m) == full[:m]
+
+
 def test_two_frame_video_has_single_candidate():
     segs = enumerate_segments(np.zeros(2), np.zeros(2))
     assert segs == [(0.0, 1.0, segs[0][2])]

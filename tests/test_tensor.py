@@ -132,6 +132,20 @@ def test_take_scalar_and_fancy():
     fd_check(lambda a: tt.take(a, (np.array([0, 0, 4]),)), x)  # repeated rows accumulate
 
 
+def test_take_overlapping_slices_and_repeated_index_share_one_gradient():
+    # Several takes (overlapping slices, a repeated fancy index twice) and a
+    # direct use all write into the same gradient buffer.
+    x = RNG.normal(size=(5, 3))
+    idx = np.array([0, 2, 2, 4, 0])
+
+    def fn(a):
+        b = tt.tanh(a)
+        rows = tt.tsum(b[idx] * a[idx], axis=0)
+        return a[1:4] * a[0:3] + b[2:5] + rows + a[1:4, 1:2] + tt.tsum(a * a)
+
+    fd_check(fn, x)
+
+
 def test_reshape_swapaxes_broadcast():
     x = RNG.normal(size=(2, 6))
     fd_check(lambda a: tt.reshape(a, (3, 4)), x)

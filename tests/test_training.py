@@ -261,6 +261,73 @@ def test_load_rejects_missing_tensor(tmp_path):
         load_checkpoint(str(out))
 
 
+def saved_checkpoint(tmp_path):
+    out = tmp_path / "ckpt"
+    save_checkpoint(str(out), trained_state(tmp_path))
+    return out
+
+
+def first_entry(manifest, group):
+    return next(t for t in manifest["tensors"] if t["name"].startswith(group + "/"))
+
+
+@pytest.mark.parametrize("group", ["adam_m", "adam_v"])
+def test_load_rejects_unknown_optimizer_entry(tmp_path, group):
+    out = saved_checkpoint(tmp_path)
+
+    def rename(m):
+        first_entry(m, group)["name"] = f"{group}/not_a_real_tensor"
+
+    corrupt_manifest(out, rename)
+    with pytest.raises(FormatError, match=f"unknown optimizer entry '{group}/not_a_real_tensor'"):
+        load_checkpoint(str(out))
+
+
+@pytest.mark.parametrize("group", ["adam_m", "adam_v"])
+def test_load_rejects_misshaped_optimizer_entry(tmp_path, group):
+    out = saved_checkpoint(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    entry = next(
+        t
+        for t in manifest["tensors"]
+        if t["name"].startswith(group + "/") and len(t["shape"]) == 2
+    )
+    entry["shape"] = [int(np.prod(entry["shape"]))]  # same bytes, wrong shape
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"optimizer entry '{entry['name']}' has shape"):
+        load_checkpoint(str(out))
+
+
+@pytest.mark.parametrize("group", ["adam_m", "adam_v"])
+def test_load_rejects_missing_optimizer_entry(tmp_path, group):
+    out = saved_checkpoint(tmp_path)
+    dropped = {}
+
+    def drop(m):
+        entry = first_entry(m, group)
+        dropped["name"] = entry["name"]
+        m["tensors"].remove(entry)
+
+    corrupt_manifest(out, drop)
+    with pytest.raises(FormatError, match="missing tensors") as err:
+        load_checkpoint(str(out))
+    assert dropped["name"] in str(err.value)
+
+
+def test_checkpoint_restores_both_moment_trees_bit_exactly(tmp_path):
+    state = trained_state(tmp_path)
+    out = tmp_path / "ckpt"
+    save_checkpoint(str(out), state)
+    loaded = load_checkpoint(str(out))
+    trees = ((state.moments_m, loaded.moments_m), (state.moments_v, loaded.moments_v))
+    for saved, restored in trees:
+        assert sorted(restored) == sorted(saved)
+        assert any(np.any(arr != 0.0) for arr in saved.values())
+        for name, arr in saved.items():
+            assert restored[name].dtype == arr.dtype
+            np.testing.assert_array_equal(restored[name], arr)
+
+
 # -- gradcheck ----------------------------------------------------------------
 
 
