@@ -18,10 +18,10 @@ computes that row once (logits src_i . w[:D]); w[D:] stays a stored
 parameter with zero gradient.  Whether a target-dependent score would serve
 the paper better is ROADMAP open item 5 (cross-space fidelity).
 
-visual_to_semantic reads sources from the visual graph and targets from the
-semantic one; semantic_to_visual is the mirror.  Sources and targets must
-come from the same frame (object level) or the same video (frame level),
-so both node sets share K.
+The "v2s" direction reads sources from the visual graph and targets from
+the semantic one; "s2v" is the mirror.  Sources and targets must come from
+the same frame (object level) or the same video (frame level), so both
+node sets share K.
 """
 
 from __future__ import annotations
@@ -62,20 +62,3 @@ def enhance_batch(source: Tensor, target: Tensor, params: dict):
     enhanced = tt.linear(tt.concat([target, pooled], axis=-1), params["proj_w"], params["proj_b"])
     return enhanced, attn, pooled
 
-
-def _single(fn_source: Tensor, fn_target: Tensor, params: dict) -> Tensor:
-    K, D = fn_source.shape
-    enhanced, _, _ = enhance_batch(
-        tt.reshape(fn_source, (1, K, D)), tt.reshape(fn_target, (1, K, D)), params
-    )
-    return tt.reshape(enhanced, (K, D))
-
-
-def visual_to_semantic(visual_nodes: Tensor, semantic_nodes: Tensor, params: dict) -> Tensor:
-    """Enhance semantic nodes with attention-pooled visual evidence."""
-    return _single(visual_nodes, semantic_nodes, params["v2s"])
-
-
-def semantic_to_visual(semantic_nodes: Tensor, visual_nodes: Tensor, params: dict) -> Tensor:
-    """Enhance visual nodes with attention-pooled semantic evidence."""
-    return _single(semantic_nodes, visual_nodes, params["s2v"])

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import FormatError, atomic_write_json, read_blob, read_json, write_blob
+from .fileio import FormatError, atomic_write_json, read_blob, read_json, require_keys, write_blob
 
 REASONER_KINDS = ("graph_memory", "gcn", "gcn_fusion", "self_attention", "memory_network")
 DIFFICULTIES = ("separable", "noisy")
@@ -145,8 +145,14 @@ class ModelConfig:
 
     `use_visual_graph` / `use_semantic_graph` gate the graph-memory reasoning
     in each space; with both off the encoder features flow straight through
-    fusion and the head (the "no reasoning" ablation).  `reasoning_steps=0`
-    likewise disables reasoning while keeping all parameters in place.
+    fusion and the head (the "no reasoning" ablation).
+
+    The switches also decide which parameter groups `build_model` creates:
+    `use_object_level` builds `object_level` and `fusion`, `use_frame_level`
+    builds `frame_level`; within a level, `use_visual_graph` builds `visual`
+    and `use_semantic_graph` builds `semantic` plus the cross-space `cross`
+    (at frame level only with `cross_space_at_frame_level`).
+    `reasoning_steps=0` disables reasoning but keeps the reasoner parameters.
     """
 
     hidden_size: int = 32
@@ -286,8 +292,13 @@ def load_sample(path: str | Path) -> Sample:
     """Read and validate one sample directory; raises FormatError naming the field."""
     path = Path(path)
     manifest = read_json(path / "manifest.json")
-    for key in ("video_id", "query_id", "T", "K", "N", "D_in", "D_sem", "D_w", "tensors"):
-        _require(key in manifest, f"manifest.json: missing key {key!r}")
+    require_keys(
+        manifest,
+        ("video_id", "query_id", "T", "K", "N", "D_in", "D_sem", "D_w", "tensors"),
+        "manifest.json",
+    )
+    for entry in manifest["tensors"]:
+        require_keys(entry, ("name", "shape", "file"), "manifest.json: tensors entry")
     entries = {e["name"]: e for e in manifest["tensors"]}
     for name in _TENSOR_FIELDS:
         _require(name in entries, f"manifest.json: tensors missing entry {name!r}")
@@ -307,6 +318,8 @@ def load_sample(path: str | Path) -> Sample:
         )
         arrays[name] = read_blob(path / entry["file"], shape, "<f4", name)
     ann = manifest.get("annotation")
+    if ann is not None:
+        require_keys(ann, ("start", "end"), "manifest.json: annotation")
     annotation = None if ann is None else GroundTruthSegment(ann["start"], ann["end"])
     video = VideoSample(
         video_id=manifest["video_id"],
@@ -470,19 +483,3 @@ def load_dataset(data_dir: str | Path) -> list[Sample]:
         raise FormatError(f"{data_dir}: no samples found (no dataset.json, no */manifest.json)")
     return [load_sample(d) for d in dirs]
 
-
-def convert_external_dataset(src_dir: str | Path, out_dir: str | Path) -> None:
-    """Convert externally extracted features into sample directories.
-
-    Expected source layout: one subdirectory per query with precomputed
-    region features (`object_features` [T,K,D_in], `boxes` [T,K,4]), class
-    and attribute word vectors (`semantic_embeddings` [T,K,D_sem]), query
-    token vectors (`token_embeddings` [N,D_w]), and a {start,end} annotation
-    in seconds plus the video duration for normalization.  Each becomes one
-    `save_sample` directory.
-
-    TODO(datasets): wire up a concrete extractor dump format once one is in use.
-    """
-    raise NotImplementedError(
-        "no extractor dump format is wired up; see the docstring for the expected layout"
-    )

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from .data import GroundTruthSegment, ModelConfig
+from .graph_memory import BASELINE_KINDS
 from .localization import SegmentPrediction
 
 DEFAULT_METRIC_GRID: tuple[tuple[int, float], ...] = (
@@ -143,11 +144,7 @@ STANDARD_ABLATIONS: tuple[str, ...] = (
     "no_visual_graph",
     "no_semantic_graph",
     "no_reasoning",
-    "gcn",
-    "gcn_fusion",
-    "self_attention",
-    "memory_network",
-)
+) + BASELINE_KINDS
 
 
 def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
@@ -168,7 +165,7 @@ def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
     elif name == "no_reasoning":
         d["use_visual_graph"] = False
         d["use_semantic_graph"] = False
-    elif name in ("gcn", "gcn_fusion", "self_attention", "memory_network"):
+    elif name in BASELINE_KINDS:
         d["reasoner_kind"] = name
     else:
         raise ValueError(f"unknown ablation {name!r}; expected one of {STANDARD_ABLATIONS}")

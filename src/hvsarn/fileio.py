@@ -21,6 +21,15 @@ class FormatError(Exception):
     """A stored sample/checkpoint violates the on-disk contract."""
 
 
+def require_keys(obj, keys, where: str) -> None:
+    """Raise FormatError unless `obj` is a JSON object holding every key."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"{where}: missing key {key!r}")
+
+
 def atomic_write_json(path: Path | str, obj) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")

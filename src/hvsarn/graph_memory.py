@@ -31,11 +31,10 @@ leave the controller untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as tt
+from .data import REASONER_KINDS
 from .params import weight, zeros
 from .tensor import Tensor
 
@@ -72,21 +71,6 @@ def init_graph_memory_params(rng: np.random.Generator, dim: int, dtype) -> dict:
             "gate_b": zeros((d,), dtype),
         },
     }
-
-
-@dataclass
-class GraphMemoryState:
-    """Controller state [D] plus node representations [K, D] at step `step`."""
-
-    controller: Tensor
-    nodes: Tensor
-    step: int = 0
-
-    def __post_init__(self):
-        if self.controller.ndim != 1:
-            raise ValueError(f"controller must be a vector, got shape {self.controller.shape}")
-        if self.nodes.ndim != 2 or self.nodes.shape[0] < 1:
-            raise ValueError(f"nodes must be [K, D] with K >= 1, got shape {self.nodes.shape}")
 
 
 def read_batch(controller: Tensor, nodes: Tensor, params: dict):
@@ -158,42 +142,9 @@ def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int
     return controller, nodes
 
 
-# -- single-graph views ------------------------------------------------------
-
-
-def _batched(state: GraphMemoryState):
-    K, D = state.nodes.shape
-    return tt.reshape(state.controller, (1, D)), tt.reshape(state.nodes, (1, K, D))
-
-
-def read(state: GraphMemoryState, params: dict):
-    """One read step; returns (content [D], new_controller [D])."""
-    controller, nodes = _batched(state)
-    content, new_controller, _ = read_batch(controller, nodes, params)
-    return tt.reshape(content, (-1,)), tt.reshape(new_controller, (-1,))
-
-
-def write(state: GraphMemoryState, controller_new: Tensor, params: dict) -> Tensor:
-    """One synchronous write step; returns nodes_new [K, D]."""
-    _, nodes = _batched(state)
-    nodes_new, _ = write_batch(tt.reshape(controller_new, (1, -1)), nodes, params)
-    return tt.reshape(nodes_new, state.nodes.shape)
-
-
-def reason(state: GraphMemoryState, params: dict, num_steps: int) -> GraphMemoryState:
-    """Run `num_steps` read/write alternations; num_steps=0 returns the input."""
-    controller, nodes = _batched(state)
-    controller, nodes = reason_batch(controller, nodes, params, num_steps)
-    return GraphMemoryState(
-        controller=tt.reshape(controller, state.controller.shape),
-        nodes=tt.reshape(nodes, state.nodes.shape),
-        step=state.step + num_steps,
-    )
-
-
 # -- ablation reasoners --------------------------------------------------------
 
-BASELINE_KINDS = ("gcn", "gcn_fusion", "self_attention", "memory_network")
+BASELINE_KINDS = tuple(k for k in REASONER_KINDS if k != "graph_memory")
 
 
 def init_baseline_params(rng: np.random.Generator, kind: str, dim: int, dtype) -> dict:
@@ -228,20 +179,10 @@ def _neighbor_mean(nodes: Tensor) -> Tensor:
     return (total - nodes) * (1.0 / (K - 1))
 
 
-def _activate(x: Tensor, activation: str) -> Tensor:
-    if activation == "tanh":
-        return tt.tanh(x)
-    if activation == "identity":
-        return x
-    raise ValueError(f"unknown activation: {activation!r}")
-
-
-def baseline_step(
-    kind: str, nodes: Tensor, controller: Tensor, params: dict, activation: str = "tanh"
-):
+def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict):
     """One layer of a drop-in ablation reasoner; returns (nodes_new, attn | None).
 
-    gcn            mean over neighbors, then an affine map and activation.
+    gcn            mean over neighbors, then an affine map and tanh.
     gcn_fusion     gcn over nodes concatenated with the (broadcast) controller.
     self_attention residual single-head attention over the node set.
     memory_network per-node gated update from the controller; no edges.
@@ -249,12 +190,12 @@ def baseline_step(
     B, K, D = nodes.shape
     if kind == "gcn":
         neigh = _neighbor_mean(nodes)
-        return _activate(tt.linear(neigh, params["w"], params["b"]), activation), None
+        return tt.tanh(tt.linear(neigh, params["w"], params["b"])), None
     if kind == "gcn_fusion":
         ctrl = tt.broadcast_to(tt.reshape(controller, (B, 1, D)), (B, K, D))
         ext = tt.concat([nodes, ctrl], axis=-1)
         neigh = _neighbor_mean(ext)
-        return _activate(tt.linear(neigh, params["w"], params["b"]), activation), None
+        return tt.tanh(tt.linear(neigh, params["w"], params["b"])), None
     if kind == "self_attention":
         q = tt.linear(nodes, params["wq"])
         k = tt.linear(nodes, params["wk"])
@@ -269,17 +210,6 @@ def baseline_step(
         gate = tt.sigmoid(tt.linear(nodes, params["gate_wv"]) + q_g + params["gate_b"])
         return gate * nodes + (1.0 - gate) * candidate, None
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
-
-
-def baseline_reasoner(
-    kind: str, nodes: Tensor, controller: Tensor, params: dict, activation: str = "tanh"
-) -> Tensor:
-    """Single-layer baseline on one graph: nodes [K, D], controller [D]."""
-    K, D = nodes.shape
-    out, _ = baseline_step(
-        kind, tt.reshape(nodes, (1, K, D)), tt.reshape(controller, (1, D)), params, activation
-    )
-    return tt.reshape(out, (K, D))
 
 
 def run_reasoner(

@@ -7,11 +7,12 @@ nodes with visual evidence, reason over semantic nodes, then map the result
 back into visual space.  Object nodes are then collapsed per frame by a
 query-guided attention (visual) and average pooling (semantic).
 
-Ablation switches on ModelConfig prune the pass: `use_visual_graph` /
-`use_semantic_graph` skip the respective reasoning (and with the semantic
-branch off, both cross-space hops), `reasoner_kind` swaps the graph memory
-for a baseline, and `cross_space_at_frame_level` controls whether the
-enhancement hops are reapplied at frame level.
+Ablation switches on ModelConfig prune both the pass and the parameters a
+level holds: `use_visual_graph` / `use_semantic_graph` skip the respective
+reasoner and build no parameters for it, and `reasoner_kind` swaps the
+graph memory for a baseline.  The cross-space hops run exactly when the
+level holds a "cross" entry, which `init_level_params` builds only with the
+semantic graph on (and, at frame level, `cross_space_at_frame_level` on).
 """
 
 from __future__ import annotations
@@ -35,16 +36,24 @@ class FrameRepresentations:
     semantic: Tensor  # [T, D_s]
 
 
-def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype) -> dict:
-    """Reasoners + cross-space projections for one hierarchy level."""
+def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype, cross: bool) -> dict:
+    """Reasoners for the enabled graphs of one level, plus the cross-space
+    projections when `cross` is set and the semantic graph is on."""
     d = config.hidden_size
-    if config.reasoner_kind == "graph_memory":
-        visual = init_graph_memory_params(rng, d, dtype)
-        semantic = init_graph_memory_params(rng, d, dtype)
-    else:
-        visual = init_baseline_params(rng, config.reasoner_kind, d, dtype)
-        semantic = init_baseline_params(rng, config.reasoner_kind, d, dtype)
-    return {"visual": visual, "semantic": semantic, "cross": init_cross_space_params(rng, d, dtype)}
+
+    def init_reasoner():
+        if config.reasoner_kind == "graph_memory":
+            return init_graph_memory_params(rng, d, dtype)
+        return init_baseline_params(rng, config.reasoner_kind, d, dtype)
+
+    params = {}
+    if config.use_visual_graph:
+        params["visual"] = init_reasoner()
+    if config.use_semantic_graph:
+        params["semantic"] = init_reasoner()
+        if cross:
+            params["cross"] = init_cross_space_params(rng, d, dtype)
+    return params
 
 
 def init_fusion_params(rng: np.random.Generator, dim: int, dtype) -> dict:
@@ -62,7 +71,6 @@ def _dual_space_pass(
     sentence: Tensor,
     level_params: dict,
     config: ModelConfig,
-    apply_cross: bool,
 ):
     """Shared level body over batched graphs: visual/semantic [B, K, D]."""
     B = visual.shape[0]
@@ -77,11 +85,12 @@ def _dual_space_pass(
     if not config.use_semantic_graph:
         return visual_out, semantic
 
-    if apply_cross:
-        semantic, _, _ = enhance_batch(visual_out, semantic, level_params["cross"]["v2s"])
+    cross = level_params.get("cross")
+    if cross is not None:
+        semantic, _, _ = enhance_batch(visual_out, semantic, cross["v2s"])
     _, semantic_out = run_reasoner(kind, controller, semantic, level_params["semantic"], steps)
-    if apply_cross:
-        visual_out, _, _ = enhance_batch(semantic_out, visual_out, level_params["cross"]["s2v"])
+    if cross is not None:
+        visual_out, _, _ = enhance_batch(semantic_out, visual_out, cross["s2v"])
     return visual_out, semantic_out
 
 
@@ -89,14 +98,7 @@ def object_level_pass(
     encoded: EncodedVideo, sentence: Tensor, level_params: dict, config: ModelConfig
 ):
     """Per-frame object graphs; returns (visual_nodes [T,K,D], semantic_nodes [T,K,D])."""
-    return _dual_space_pass(
-        encoded.visual,
-        encoded.semantic,
-        sentence,
-        level_params,
-        config,
-        apply_cross=config.use_semantic_graph,
-    )
+    return _dual_space_pass(encoded.visual, encoded.semantic, sentence, level_params, config)
 
 
 def frame_level_pass(
@@ -108,14 +110,7 @@ def frame_level_pass(
     T, D = frames.visual.shape
     visual = tt.reshape(frames.visual, (1, T, D))
     semantic = tt.reshape(frames.semantic, (1, T, D))
-    visual_out, semantic_out = _dual_space_pass(
-        visual,
-        semantic,
-        sentence,
-        level_params,
-        config,
-        apply_cross=config.use_semantic_graph and config.cross_space_at_frame_level,
-    )
+    visual_out, semantic_out = _dual_space_pass(visual, semantic, sentence, level_params, config)
     return FrameRepresentations(
         visual=tt.reshape(visual_out, (T, D)), semantic=tt.reshape(semantic_out, (T, D))
     )

@@ -114,15 +114,21 @@ def head_input_width(config: ModelConfig) -> int:
 
 
 def build_model(config: ModelConfig, dims: InputDims, dtype=np.float32) -> Model:
+    """Build only the groups the config runs, drawing in the fixed order
+    encoder, object_level, frame_level, fusion, head; a skipped group draws
+    nothing from the generator."""
     rng = np.random.default_rng(config.seed)
     d = config.hidden_size
-    params = {
-        "encoder": init_encoder_params(rng, dims, d, config.attn_heads, dtype),
-        "object_level": init_level_params(rng, config, dtype),
-        "frame_level": init_level_params(rng, config, dtype),
-        "fusion": init_fusion_params(rng, d, dtype),
-        "head": init_head_params(rng, head_input_width(config), d, dtype),
-    }
+    params = {"encoder": init_encoder_params(rng, dims, d, config.attn_heads, dtype)}
+    if config.use_object_level:
+        params["object_level"] = init_level_params(rng, config, dtype, cross=True)
+    if config.use_frame_level:
+        params["frame_level"] = init_level_params(
+            rng, config, dtype, cross=config.cross_space_at_frame_level
+        )
+    if config.use_object_level:
+        params["fusion"] = init_fusion_params(rng, d, dtype)
+    params["head"] = init_head_params(rng, head_input_width(config), d, dtype)
     return Model(config=config, dims=dims, params=params)
 
 

@@ -49,17 +49,3 @@ def zero_grads(tree: dict) -> None:
     for t in flatten(tree).values():
         t.zero_grad()
 
-
-def count(tree: dict) -> int:
-    return sum(t.data.size for t in flatten(tree).values())
-
-
-def astype(tree: dict, dtype) -> dict:
-    """Copy of the tree with every tensor cast to dtype (grads dropped)."""
-    out: dict = {}
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            out[key] = astype(value, dtype)
-        else:
-            out[key] = Tensor(value.data.astype(dtype), requires_grad=value.requires_grad)
-    return out

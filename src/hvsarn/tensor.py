@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Just enough tape machinery for the model in this package: elementwise
-arithmetic with broadcasting, batched matmul, the usual nonlinearities,
-stable (log-)softmax, reductions, concat/stack, indexing, and reshaping.
+Just enough tape machinery for the model in this package: add, neg and mul
+with broadcasting (plus division by a constant), batched matmul, tanh and
+sigmoid, stable (log-)softmax, sum/mean reductions, concat, indexing
+(`take`), and reshape/swapaxes/broadcast_to.
 Dtype is inherited from the operands, so the same code runs in float32
 for training and float64 for finite-difference verification.
 """
@@ -64,8 +65,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # Copy into a buffer laid out like the data; keeping g's own layout
+            # would change the summation order of later matmuls.
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -144,8 +149,6 @@ class Tensor:
         return mul(self._lift(other), self)
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, pow_const(other, -1.0))
         return mul(self, self._lift(1.0 / other))
 
     def __matmul__(self, other):
@@ -201,15 +204,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(out_data, (a, b), backward)
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    out_data = a.data**p
-
-    def backward(g):
-        a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return Tensor._result(out_data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
@@ -242,31 +236,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         a._accumulate(g * y * (1.0 - y))
-
-    return Tensor._result(y, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * y)
-
-    return Tensor._result(y, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return Tensor._result(np.log(a.data), (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        a._accumulate(g * (a.data > 0.0))
 
     return Tensor._result(y, (a,), backward)
 
@@ -325,19 +294,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
-
-    return Tensor._result(out_data, tuple(tensors), backward)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        slabs = np.split(g, len(tensors), axis=axis)
-        for t, slab in zip(tensors, slabs):
-            if t.requires_grad:
-                t._accumulate(slab.reshape(t.data.shape))
 
     return Tensor._result(out_data, tuple(tensors), backward)
 

@@ -26,12 +26,7 @@ import numpy as np
 
 import hvsarn.tensor as tt
 from hvsarn.cli import main
-from hvsarn.cross_space import (
-    enhance_batch,
-    init_cross_space_params,
-    semantic_to_visual,
-    visual_to_semantic,
-)
+from hvsarn.cross_space import enhance_batch, init_cross_space_params
 from hvsarn.data import (
     ModelConfig,
     load_sample,
@@ -129,13 +124,13 @@ def test_c2_formula_oracles():
         cross = init_cross_space_params(rng, D, np.float64)
         visual = rng.normal(size=(K, D))
         semantic = rng.normal(size=(K, D))
-        v2s = visual_to_semantic(Tensor(visual), Tensor(semantic), cross)
-        s2v = semantic_to_visual(Tensor(semantic), Tensor(visual), cross)
+        v2s, _, _ = enhance_batch(Tensor(visual[None]), Tensor(semantic[None]), cross["v2s"])
+        s2v, _, _ = enhance_batch(Tensor(semantic[None]), Tensor(visual[None]), cross["s2v"])
         worst = max(
-            worst, np.abs(v2s.data - cross_space_oracle(visual, semantic, as_np(cross["v2s"]))).max()
+            worst, np.abs(v2s.data[0] - cross_space_oracle(visual, semantic, as_np(cross["v2s"]))).max()
         )
         worst = max(
-            worst, np.abs(s2v.data - cross_space_oracle(semantic, visual, as_np(cross["s2v"]))).max()
+            worst, np.abs(s2v.data[0] - cross_space_oracle(semantic, visual, as_np(cross["s2v"]))).max()
         )
     assert worst < 1e-10
     _report(

@@ -242,6 +242,23 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
+def test_eval_of_malformed_checkpoint_prints_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert synth(data) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"), *TINY]) == 0
+    ckpt = tmp_path / "run" / "checkpoint"
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["dtype"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(
+        ["eval", "--checkpoint", str(ckpt), "--data-dir", str(data), "--out-dir", str(tmp_path / "e")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing key 'dtype'" in err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -205,6 +205,35 @@ def test_load_errors_name_the_field(tmp_path):
         load_sample(tmp_path / "u")
 
 
+def saved_manifest_with(tmp_path, mutate):
+    """Save one sample, apply `mutate` to its manifest dict, return the directory."""
+    save_sample(synth_sample(2, 4, 2), tmp_path / "s")
+    path = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    mutate(manifest)
+    path.write_text(json.dumps(manifest))
+    return tmp_path / "s"
+
+
+def test_load_rejects_annotation_without_start(tmp_path):
+    path = saved_manifest_with(tmp_path, lambda m: m["annotation"].pop("start"))
+    with pytest.raises(FormatError, match="annotation: missing key 'start'"):
+        load_sample(path)
+
+
+def test_load_rejects_annotation_that_is_not_an_object(tmp_path):
+    path = saved_manifest_with(tmp_path, lambda m: m.update(annotation="0.1-0.5"))
+    with pytest.raises(FormatError, match="annotation: expected a JSON object, got str"):
+        load_sample(path)
+
+
+@pytest.mark.parametrize("key", ["name", "shape", "file"])
+def test_load_rejects_tensor_entry_without_key(tmp_path, key):
+    path = saved_manifest_with(tmp_path, lambda m: m["tensors"][1].pop(key))
+    with pytest.raises(FormatError, match=f"tensors entry: missing key '{key}'"):
+        load_sample(path)
+
+
 # -- synthetic generator -----------------------------------------------------------
 
 

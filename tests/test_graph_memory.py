@@ -9,25 +9,32 @@ import pytest
 import hvsarn.tensor as tt
 from hvsarn.graph_memory import (
     BASELINE_KINDS,
-    GraphMemoryState,
-    baseline_reasoner,
     baseline_step,
     init_baseline_params,
     init_graph_memory_params,
     neighbor_context,
-    read,
     read_batch,
-    reason,
     reason_batch,
     run_reasoner,
-    write,
     write_batch,
 )
-from hvsarn.params import astype, flatten
+from hvsarn.params import flatten
 from hvsarn.tensor import Tensor
 from oracles import as_np, read_oracle, reason_oracle, softmax_1d, write_oracle
 
 from hvsarn.training import gradcheck_tensors
+
+
+def reason_one(q, nodes, params, num_steps):
+    """Reason over one graph (B = 1): q [D], nodes [K, D] -> (controller [D], nodes [K, D])."""
+    controller, nodes_out = reason_batch(Tensor(q[None]), Tensor(nodes[None]), params, num_steps)
+    return controller.data[0], nodes_out.data[0]
+
+
+def baseline_one(kind, nodes, controller, params):
+    """One baseline layer on one graph (B = 1): nodes [K, D], controller [D] -> [K, D]."""
+    out, _ = baseline_step(kind, Tensor(nodes[None]), Tensor(controller[None]), params)
+    return out.data[0]
 
 
 def make_instance(seed, K=4, D=6):
@@ -77,11 +84,10 @@ def test_write_batch_matches_oracle_per_graph_at_scale():
 def test_multi_step_reason_matches_oracle():
     for seed in range(5):
         params, q, nodes = make_instance(seed, K=3)
-        state = reason(GraphMemoryState(Tensor(q), Tensor(nodes)), params, num_steps=3)
+        q_out, n_out = reason_one(q, nodes, params, num_steps=3)
         q_ref, n_ref = reason_oracle(q, nodes, as_np(params), 3)
-        np.testing.assert_allclose(state.controller.data, q_ref, atol=1e-10)
-        np.testing.assert_allclose(state.nodes.data, n_ref, atol=1e-10)
-        assert state.step == 3
+        np.testing.assert_allclose(q_out, q_ref, atol=1e-10)
+        np.testing.assert_allclose(n_out, n_ref, atol=1e-10)
 
 
 def test_batch_equals_per_graph_loop():
@@ -92,9 +98,9 @@ def test_batch_equals_per_graph_loop():
     nodes = rng.normal(size=(B, K, D))
     q_out, n_out = reason_batch(Tensor(qs), Tensor(nodes), params, 2)
     for b in range(B):
-        state = reason(GraphMemoryState(Tensor(qs[b]), Tensor(nodes[b])), params, 2)
-        np.testing.assert_allclose(q_out.data[b], state.controller.data, atol=1e-12)
-        np.testing.assert_allclose(n_out.data[b], state.nodes.data, atol=1e-12)
+        q_one, n_one = reason_one(qs[b], nodes[b], params, 2)
+        np.testing.assert_allclose(q_out.data[b], q_one, atol=1e-12)
+        np.testing.assert_allclose(n_out.data[b], n_one, atol=1e-12)
 
 
 def test_read_attention_is_simplex():
@@ -119,15 +125,15 @@ def test_single_node_context_is_zero():
     assert attn is None
     np.testing.assert_allclose(context.data, 0.0)
     # the write still updates the lone node through its gate
-    out = write(GraphMemoryState(Tensor(q), Tensor(nodes)), Tensor(q), params)
-    assert out.shape == (1, 6)
+    out, _ = write_batch(Tensor(q[None]), Tensor(nodes[None]), params)
+    assert out.shape == (1, 1, 6)
 
 
 def test_zero_steps_is_identity():
     params, q, nodes = make_instance(5)
-    state = reason(GraphMemoryState(Tensor(q), Tensor(nodes)), params, 0)
-    np.testing.assert_array_equal(state.controller.data, q)
-    np.testing.assert_array_equal(state.nodes.data, nodes)
+    q_out, n_out = reason_one(q, nodes, params, 0)
+    np.testing.assert_array_equal(q_out, q)
+    np.testing.assert_array_equal(n_out, nodes)
     with pytest.raises(ValueError):
         reason_batch(Tensor(q[None]), Tensor(nodes[None]), params, -1)
 
@@ -165,10 +171,10 @@ def test_permutation_equivariance_and_controller_invariance():
     for seed in range(10):
         params, q, nodes = make_instance(seed, K=5)
         perm = rng.permutation(5)
-        state_a = reason(GraphMemoryState(Tensor(q), Tensor(nodes)), params, 2)
-        state_b = reason(GraphMemoryState(Tensor(q), Tensor(nodes[perm])), params, 2)
-        np.testing.assert_allclose(state_b.nodes.data, state_a.nodes.data[perm], atol=1e-10)
-        np.testing.assert_allclose(state_b.controller.data, state_a.controller.data, atol=1e-10)
+        q_a, n_a = reason_one(q, nodes, params, 2)
+        q_b, n_b = reason_one(q, nodes[perm], params, 2)
+        np.testing.assert_allclose(n_b, n_a[perm], atol=1e-10)
+        np.testing.assert_allclose(q_b, q_a, atol=1e-10)
 
 
 def test_reason_gradcheck_small():
@@ -176,24 +182,17 @@ def test_reason_gradcheck_small():
     # softmax is constant and grads vanish by construction).
     rng = np.random.default_rng(2)
     params = init_graph_memory_params(rng, 4, np.float64)
-    q = Tensor(rng.normal(size=4))
-    nodes = Tensor(rng.normal(size=(3, 4)))
-    probe = Tensor(rng.normal(size=(3, 4)))
+    q = Tensor(rng.normal(size=(1, 4)))
+    nodes = Tensor(rng.normal(size=(1, 3, 4)))
+    probe = Tensor(rng.normal(size=(1, 3, 4)))
 
     def loss_fn():
-        state = reason(GraphMemoryState(q, nodes), params, 2)
-        return tt.tsum(state.nodes * probe) + tt.tsum(state.controller * state.controller)
+        controller, nodes_out = reason_batch(q, nodes, params, 2)
+        return tt.tsum(nodes_out * probe) + tt.tsum(controller * controller)
 
     report = gradcheck_tensors(loss_fn, flatten(params), tolerance=1e-6)
     assert report.passed, report.format()
     assert all(e.status == "ok" for e in report.entries), report.format()
-
-
-def test_state_shape_validation():
-    with pytest.raises(ValueError, match="controller"):
-        GraphMemoryState(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    with pytest.raises(ValueError, match="nodes"):
-        GraphMemoryState(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
 
 
 # -- baseline reasoners ---------------------------------------------------------
@@ -203,29 +202,27 @@ def test_gcn_is_neighbor_mean_affine():
     rng = np.random.default_rng(31)
     params = init_baseline_params(rng, "gcn", 4, np.float64)
     nodes = rng.normal(size=(3, 4))
-    out = baseline_reasoner("gcn", Tensor(nodes), Tensor(rng.normal(size=4)), params)
+    out = baseline_one("gcn", nodes, rng.normal(size=4), params)
     for k in range(3):
         neigh = (nodes.sum(axis=0) - nodes[k]) / 2.0
         ref = np.tanh(neigh @ params["w"].data + params["b"].data)
-        np.testing.assert_allclose(out.data[k], ref, atol=1e-12)
+        np.testing.assert_allclose(out[k], ref, atol=1e-12)
 
 
 def test_gcn_identity_weights_two_clique():
-    # with identity weights, zero bias, and no nonlinearity the layer output
-    # is exactly the other node of a 2-clique
+    # with identity weights and zero bias the layer output is exactly the
+    # tanh of the other node of a 2-clique
     params = {"w": Tensor(np.eye(3)), "b": Tensor(np.zeros(3))}
     nodes = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = baseline_reasoner(
-        "gcn", Tensor(nodes), Tensor(np.zeros(3)), params, activation="identity"
-    )
-    np.testing.assert_allclose(out.data, nodes[::-1], atol=1e-12)
+    out = baseline_one("gcn", nodes, np.zeros(3), params)
+    np.testing.assert_allclose(out, np.tanh(nodes[::-1]), atol=1e-12)
 
 
 def test_gcn_single_node_sees_zero_context():
     rng = np.random.default_rng(32)
     params = init_baseline_params(rng, "gcn", 4, np.float64)
-    out = baseline_reasoner("gcn", Tensor(rng.normal(size=(1, 4))), Tensor(np.zeros(4)), params)
-    np.testing.assert_allclose(out.data[0], np.tanh(params["b"].data), atol=1e-12)
+    out = baseline_one("gcn", rng.normal(size=(1, 4)), np.zeros(4), params)
+    np.testing.assert_allclose(out[0], np.tanh(params["b"].data), atol=1e-12)
 
 
 def test_gcn_fusion_concatenates_controller():
@@ -233,12 +230,12 @@ def test_gcn_fusion_concatenates_controller():
     params = init_baseline_params(rng, "gcn_fusion", 3, np.float64)
     nodes = rng.normal(size=(4, 3))
     ctrl = rng.normal(size=3)
-    out = baseline_reasoner("gcn_fusion", Tensor(nodes), Tensor(ctrl), params)
+    out = baseline_one("gcn_fusion", nodes, ctrl, params)
     ext = np.concatenate([nodes, np.tile(ctrl, (4, 1))], axis=1)
     for k in range(4):
         neigh = (ext.sum(axis=0) - ext[k]) / 3.0
         ref = np.tanh(neigh @ params["w"].data + params["b"].data)
-        np.testing.assert_allclose(out.data[k], ref, atol=1e-12)
+        np.testing.assert_allclose(out[k], ref, atol=1e-12)
 
 
 def test_self_attention_baseline_residual_and_simplex():
@@ -282,11 +279,3 @@ def test_run_reasoner_dispatch():
     gm = init_graph_memory_params(rng, 4, np.float64)
     ctrl_out, _ = run_reasoner("graph_memory", q, nodes, gm, 1)
     assert ctrl_out is not q
-
-
-def test_params_cast_between_precisions():
-    rng = np.random.default_rng(37)
-    params = init_graph_memory_params(rng, 4, np.float32)
-    assert flatten(params)["read/attn_w1"].dtype == np.float32
-    p64 = astype(params, np.float64)
-    assert flatten(p64)["read/attn_w1"].dtype == np.float64

@@ -28,7 +28,7 @@ D = 6
 def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64):
     config = config or ModelConfig(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(seed)
-    params = init_level_params(rng, config, dtype)
+    params = init_level_params(rng, config, dtype, cross=True)
     encoded = EncodedVideo(
         visual=Tensor(rng.normal(size=(T, K, D))), semantic=Tensor(rng.normal(size=(T, K, D)))
     )
@@ -102,9 +102,13 @@ def test_cross_space_at_frame_level_flag():
     sentence = Tensor(rng.normal(size=D))
     on = ModelConfig(**base, cross_space_at_frame_level=True)
     off = ModelConfig(**base, cross_space_at_frame_level=False)
-    params = init_level_params(np.random.default_rng(5), on, np.float64)
-    out_on = frame_level_pass(frames, sentence, params, on)
-    out_off = frame_level_pass(frames, sentence, params, off)
+    # the level holds "cross" only when the hops run; both trees share the
+    # reasoners because "cross" is drawn last
+    params_on = init_level_params(np.random.default_rng(5), on, np.float64, cross=True)
+    params_off = init_level_params(np.random.default_rng(5), off, np.float64, cross=False)
+    assert "cross" in params_on and "cross" not in params_off
+    out_on = frame_level_pass(frames, sentence, params_on, on)
+    out_off = frame_level_pass(frames, sentence, params_off, off)
     assert not np.allclose(out_on.visual.data, out_off.visual.data)
 
 
@@ -174,7 +178,7 @@ def test_object_fuse_frame_gradcheck():
     # end-to-end through both levels and the fusion, T=3 K=2 D=6 L=1
     config, params, encoded, sentence = make_level(seed=12)
     fusion = init_fusion_params(np.random.default_rng(13), D, np.float64)
-    frame_params = init_level_params(np.random.default_rng(14), config, np.float64)
+    frame_params = init_level_params(np.random.default_rng(14), config, np.float64, cross=True)
     probe = Tensor(np.random.default_rng(15).normal(size=(3, D)))
 
     named = {}

@@ -50,15 +50,6 @@ def test_scalar_arithmetic():
     fd_check(lambda a: 1.0 - a, RNG.normal(size=(3,)))
 
 
-def test_div_by_tensor():
-    fd_check(lambda a, b: a / b, RNG.normal(size=(3,)), 1.0 + RNG.uniform(size=(3,)))
-
-
-def test_pow_const():
-    fd_check(lambda a: tt.pow_const(a, 3.0), RNG.normal(size=(4,)))
-    fd_check(lambda a: tt.pow_const(a, -1.0), 1.0 + RNG.uniform(size=(4,)))
-
-
 def test_matmul_plain():
     fd_check(lambda a, b: tt.matmul(a, b), RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2)))
 
@@ -78,9 +69,6 @@ def test_nonlinearities():
     x = RNG.normal(size=(3, 3))
     fd_check(tt.tanh, x)
     fd_check(tt.sigmoid, x)
-    fd_check(tt.exp, x)
-    fd_check(tt.log, 0.5 + RNG.uniform(size=(3, 3)))
-    fd_check(tt.relu, x + 0.1)  # keep away from the kink
 
 
 def test_sigmoid_extreme_inputs_stable():
@@ -119,11 +107,9 @@ def test_reductions():
     np.testing.assert_allclose(tt.tmean(Tensor(x), axis=1).data, x.mean(axis=1), atol=1e-12)
 
 
-def test_concat_and_stack():
+def test_concat():
     a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(2, 2))
     fd_check(lambda x, y: tt.concat([x, y], axis=1), a, b)
-    c = RNG.normal(size=(2, 3))
-    fd_check(lambda x, y: tt.stack([x, y], axis=0), a, c)
 
 
 def test_take_scalar_and_fancy():

@@ -10,6 +10,7 @@ import pytest
 
 from hvsarn.data import ModelConfig, synth_sample
 from hvsarn.encoders import InputDims
+from hvsarn.evaluation import STANDARD_ABLATIONS, ablation_config
 from hvsarn.fileio import FormatError
 from hvsarn.model import build_model
 from hvsarn.tensor import Tensor
@@ -314,6 +315,39 @@ def test_load_rejects_missing_optimizer_entry(tmp_path, group):
     assert dropped["name"] in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["format_version", "dtype", "step", "config", "dims", "tensors"])
+def test_load_rejects_missing_manifest_key(tmp_path, key):
+    out = saved_checkpoint(tmp_path)
+    corrupt_manifest(out, lambda m: m.pop(key))
+    with pytest.raises(FormatError, match=f"missing key '{key}'"):
+        load_checkpoint(str(out))
+
+
+@pytest.mark.parametrize("key", ["name", "shape", "file"])
+def test_load_rejects_tensor_entry_without_key(tmp_path, key):
+    out = saved_checkpoint(tmp_path)
+    corrupt_manifest(out, lambda m: m["tensors"][3].pop(key))
+    with pytest.raises(FormatError, match=f"tensors entry: missing key '{key}'"):
+        load_checkpoint(str(out))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda m: m["dims"].pop("word_dim"), "dims: missing key 'word_dim'"),
+        (lambda m: m.update(config=["hidden_size"]), "config: expected a JSON object, got list"),
+        (lambda m: m.update(dtype="<f2"), "dtype '<f2'"),
+        (lambda m: m.update(format_version=99), "format_version 99 is not 1"),
+    ],
+    ids=["dims_key", "config_type", "dtype", "format_version"],
+)
+def test_load_rejects_malformed_field(tmp_path, mutate, message):
+    out = saved_checkpoint(tmp_path)
+    corrupt_manifest(out, mutate)
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(str(out))
+
+
 def test_checkpoint_restores_both_moment_trees_bit_exactly(tmp_path):
     state = trained_state(tmp_path)
     out = tmp_path / "ckpt"
@@ -326,6 +360,37 @@ def test_checkpoint_restores_both_moment_trees_bit_exactly(tmp_path):
         for name, arr in saved.items():
             assert restored[name].dtype == arr.dtype
             np.testing.assert_array_equal(restored[name], arr)
+
+
+@pytest.mark.parametrize("variant", STANDARD_ABLATIONS)
+def test_every_variant_checkpoint_round_trips_bit_exactly(tmp_path, variant):
+    config = ablation_config(SMALL, variant)
+    state, _ = train(tiny_dataset(count=2), config, TrainHyper(steps=1, batch_size=2))
+    save_checkpoint(str(tmp_path / "ckpt"), state)
+    loaded = load_checkpoint(str(tmp_path / "ckpt"))
+    assert loaded.model.config == config
+    restored = loaded.model.named_parameters()
+    assert sorted(restored) == sorted(named_data(state))
+    for name, arr in named_data(state).items():
+        assert restored[name].data.tobytes() == arr.tobytes(), name
+    for saved, back in ((state.moments_m, loaded.moments_m), (state.moments_v, loaded.moments_v)):
+        for name, arr in saved.items():
+            assert back[name].tobytes() == arr.tobytes(), name
+
+
+# -- parameter tree -------------------------------------------------------------
+
+
+def test_every_variant_parameter_gets_a_gradient():
+    # The tree holds only what the config runs, so one 64-bit backward pass
+    # reaches every named parameter (K >= 2 so the neighbor MLP is used).
+    video, query = synth_sample(0, 4, 3, "separable")
+    for variant in STANDARD_ABLATIONS:
+        config = ablation_config(ModelConfig(hidden_size=6, reasoning_steps=1), variant)
+        model = build_model(config, InputDims.of(video, query), np.float64)
+        model.loss(video, query).backward()
+        idle = [name for name, t in model.named_parameters().items() if t.grad is None]
+        assert not idle, (variant, idle)
 
 
 # -- gradcheck ----------------------------------------------------------------
