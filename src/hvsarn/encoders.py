@@ -2,10 +2,12 @@
 
 Video side: region features and box geometry get separate learned affine
 maps into the hidden space and are summed; semantic (class/attribute) word
-vectors get their own affine map.  Query side: token vectors pass through
-one residual multi-head self-attention layer, then a bidirectional GRU;
-the sentence vector is the projected concatenation of the two final hidden
-states.
+vectors get their own affine map.  `encode_video` stacks a group of S
+same-shape videos on a leading sample axis, [S, T, K, D].  Query side:
+token vectors pass through one residual multi-head self-attention layer,
+then a bidirectional GRU; the sentence vector is the projected concatenation
+of the two final hidden states.  Queries differ in length, so each is
+encoded on its own and the caller stacks the sentences.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class InputDims:
 
 @dataclass
 class EncodedVideo:
-    visual: Tensor  # [T, K, D]
-    semantic: Tensor  # [T, K, D]
+    visual: Tensor  # [S, T, K, D]
+    semantic: Tensor  # [S, T, K, D]
 
 
 @dataclass
@@ -77,19 +79,25 @@ def _param_dtype(params: dict) -> np.dtype:
     return params["visual"]["w"].dtype
 
 
-def encode_video(sample: VideoSample, params: dict) -> EncodedVideo:
-    """visual[t,k] = A(features) + B(boxes); semantic[t,k] = C(word vectors)."""
+def encode_video(samples: list[VideoSample], params: dict) -> EncodedVideo:
+    """visual[s,t,k] = A(features) + B(boxes); semantic[s,t,k] = C(word vectors).
+
+    The samples must share (num_frames, num_objects); they are stacked on a
+    leading sample axis.
+    """
     dtype = _param_dtype(params)
-    feats = Tensor(sample.object_features.astype(dtype))
-    boxes = Tensor(sample.boxes.astype(dtype))
-    sem = Tensor(sample.semantic_embeddings.astype(dtype))
-    if feats.shape[2] != params["visual"]["w"].shape[0]:
+
+    def stack(field: str) -> Tensor:
+        return Tensor(np.stack([getattr(v, field) for v in samples]).astype(dtype))
+
+    feats, boxes, sem = stack("object_features"), stack("boxes"), stack("semantic_embeddings")
+    if feats.shape[-1] != params["visual"]["w"].shape[0]:
         raise ValueError(
-            f"object_features dim {feats.shape[2]} != encoder dim {params['visual']['w'].shape[0]}"
+            f"object_features dim {feats.shape[-1]} != encoder dim {params['visual']['w'].shape[0]}"
         )
-    if sem.shape[2] != params["semantic"]["w"].shape[0]:
+    if sem.shape[-1] != params["semantic"]["w"].shape[0]:
         raise ValueError(
-            f"semantic_embeddings dim {sem.shape[2]} != encoder dim {params['semantic']['w'].shape[0]}"
+            f"semantic_embeddings dim {sem.shape[-1]} != encoder dim {params['semantic']['w'].shape[0]}"
         )
     visual = tt.linear(feats, params["visual"]["w"], params["visual"]["b"]) + tt.linear(
         boxes, params["box"]["w"], params["box"]["b"]
@@ -127,6 +135,9 @@ def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> EncodedQu
             f"token dim {tokens.shape[1]} != encoder dim {params['attn']['wq'].shape[0]}"
         )
     attended, _ = self_attention(tokens, params["attn"], heads)
-    contextual, final = bigru(attended, params["gru"])
+    n, dw = attended.shape
+    contextual, final = bigru(tt.reshape(attended, (1, n, dw)), params["gru"])
     sentence = tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])
-    return EncodedQuery(sentence=sentence, contextual_tokens=contextual)
+    return EncodedQuery(
+        sentence=tt.reshape(sentence, (-1,)), contextual_tokens=tt.reshape(contextual, (n, -1))
+    )

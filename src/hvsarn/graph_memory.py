@@ -20,8 +20,12 @@ controller:
     v_new = Z_k * v_k + (1 - Z_k) * v'_k
 
 Everything is batched over independent graphs: controllers [B, D], nodes
-[B, K, D].  At object level B is the number of frames (one controller per
-frame); at frame level B = 1 and the nodes are frames.
+[B, K, D].  For a group of S samples of T frames, the object level runs
+B = S·T graphs (one per frame, each controlled by its sample's sentence)
+and the frame level B = S graphs whose nodes are frames.  Inside a step the
+controller is held as [B, 1, D], so each graph's controller products are
+one-row matrices whatever B is: BLAS takes the same path for a graph alone
+as in a batch, and a graph's result does not depend on the others.
 
 `baseline_step` provides the drop-in ablation reasoners (plain graph
 convolution, graph convolution fused with the controller, self-attention,
@@ -76,23 +80,24 @@ def init_graph_memory_params(rng: np.random.Generator, dim: int, dtype) -> dict:
 def read_batch(controller: Tensor, nodes: Tensor, params: dict):
     """Batched read; returns (content [B,D], new_controller [B,D], weights [B,K])."""
     p = params["read"]
-    B, K, _ = nodes.shape
-    h = tt.tanh(
-        tt.reshape(tt.linear(controller, p["attn_w1"]), (B, 1, -1))
-        + tt.linear(nodes, p["attn_w2"])
-        + p["attn_b"]
-    )
-    logits = tt.reshape(tt.linear(h, p["attn_v"]), (B, K))
-    attn = tt.softmax(logits, axis=1)
-    content = tt.reshape(tt.matmul(tt.reshape(attn, (B, 1, K)), nodes), (B, -1))
+    B, K, D = nodes.shape
+    ctrl = tt.reshape(controller, (B, 1, D))
+    h = tt.tanh(tt.linear(ctrl, p["attn_w1"]) + tt.linear(nodes, p["attn_w2"]) + p["attn_b"])
+    logits = tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K))
+    attn = tt.softmax(logits, axis=2)
+    content = tt.matmul(attn, nodes)
     candidate = tt.tanh(
-        tt.linear(controller, p["cand_wq"]) + tt.linear(content, p["cand_wr"]) + p["cand_b"]
+        tt.linear(ctrl, p["cand_wq"]) + tt.linear(content, p["cand_wr"]) + p["cand_b"]
     )
     gate = tt.sigmoid(
-        tt.linear(controller, p["gate_wq"]) + tt.linear(content, p["gate_wr"]) + p["gate_b"]
+        tt.linear(ctrl, p["gate_wq"]) + tt.linear(content, p["gate_wr"]) + p["gate_b"]
     )
-    new_controller = gate * controller + (1.0 - gate) * candidate
-    return content, new_controller, attn
+    new_controller = gate * ctrl + (1.0 - gate) * candidate
+    return (
+        tt.reshape(content, (B, D)),
+        tt.reshape(new_controller, (B, D)),
+        tt.reshape(attn, (B, K)),
+    )
 
 
 def neighbor_context(nodes: Tensor, params: dict):
@@ -118,10 +123,11 @@ def neighbor_context(nodes: Tensor, params: dict):
 def write_batch(controller_new: Tensor, nodes: Tensor, params: dict):
     """Batched write; returns (nodes_new [B,K,D], neighbor weights)."""
     p = params["write"]
-    B, K, _ = nodes.shape
+    B, K, D = nodes.shape
     context, attn = neighbor_context(nodes, params)
-    q_term_c = tt.reshape(tt.linear(controller_new, p["cand_wq"]), (B, 1, -1))
-    q_term_g = tt.reshape(tt.linear(controller_new, p["gate_wq"]), (B, 1, -1))
+    ctrl = tt.reshape(controller_new, (B, 1, D))
+    q_term_c = tt.linear(ctrl, p["cand_wq"])
+    q_term_g = tt.linear(ctrl, p["gate_wq"])
     candidate = tt.tanh(
         tt.linear(nodes, p["cand_wv"]) + q_term_c + tt.linear(context, p["cand_wc"]) + p["cand_b"]
     )
@@ -204,8 +210,9 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict):
         attn = tt.softmax(scores, axis=-1)
         return nodes + tt.matmul(attn, v), attn
     if kind == "memory_network":
-        q_c = tt.reshape(tt.linear(controller, params["cand_wq"]), (B, 1, D))
-        q_g = tt.reshape(tt.linear(controller, params["gate_wq"]), (B, 1, D))
+        ctrl = tt.reshape(controller, (B, 1, D))
+        q_c = tt.linear(ctrl, params["cand_wq"])
+        q_g = tt.linear(ctrl, params["gate_wq"])
         candidate = tt.tanh(tt.linear(nodes, params["cand_wv"]) + q_c + params["cand_b"])
         gate = tt.sigmoid(tt.linear(nodes, params["gate_wv"]) + q_g + params["gate_b"])
         return gate * nodes + (1.0 - gate) * candidate, None

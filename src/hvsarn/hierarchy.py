@@ -1,11 +1,14 @@
 """Object-to-frame orchestration of the dual-space reasoning pipeline.
 
-At object level every frame is an independent graph over its K objects; at
-frame level the whole video is one graph over T frame vectors.  Both levels
-run the same dual-space pass: reason over visual nodes, enhance the semantic
-nodes with visual evidence, reason over semantic nodes, then map the result
-back into visual space.  Object nodes are then collapsed per frame by a
-query-guided attention (visual) and average pooling (semantic).
+Every tensor carries a leading sample axis S: a group of S same-shape
+samples runs as one batch.  At object level every frame is an independent
+graph over its K objects, so the level runs B = S·T graphs, each controlled
+by its sample's sentence; at frame level each video is one graph over its T
+frame vectors, B = S.  Both levels run the same dual-space pass: reason
+over visual nodes, enhance the semantic nodes with visual evidence, reason
+over semantic nodes, then map the result back into visual space.  Object
+nodes are then collapsed per frame by a query-guided attention (visual) and
+average pooling (semantic), giving frames [S, T, D].
 
 Ablation switches on ModelConfig prune both the pass and the parameters a
 level holds: `use_visual_graph` / `use_semantic_graph` skip the respective
@@ -32,8 +35,8 @@ from .tensor import Tensor
 
 @dataclass
 class FrameRepresentations:
-    visual: Tensor  # [T, D_v]
-    semantic: Tensor  # [T, D_s]
+    visual: Tensor  # [S, T, D_v]
+    semantic: Tensor  # [S, T, D_s]
 
 
 def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype, cross: bool) -> dict:
@@ -68,13 +71,11 @@ def init_fusion_params(rng: np.random.Generator, dim: int, dtype) -> dict:
 def _dual_space_pass(
     visual: Tensor,
     semantic: Tensor,
-    sentence: Tensor,
+    controller: Tensor,
     level_params: dict,
     config: ModelConfig,
 ):
-    """Shared level body over batched graphs: visual/semantic [B, K, D]."""
-    B = visual.shape[0]
-    controller = tt.broadcast_to(tt.reshape(sentence, (1, -1)), (B, sentence.shape[0]))
+    """Shared level body over batched graphs: visual/semantic [B, K, D], controller [B, D]."""
     kind, steps = config.reasoner_kind, config.reasoning_steps
 
     if config.use_visual_graph:
@@ -95,52 +96,59 @@ def _dual_space_pass(
 
 
 def object_level_pass(
-    encoded: EncodedVideo, sentence: Tensor, level_params: dict, config: ModelConfig
+    encoded: EncodedVideo, sentences: Tensor, level_params: dict, config: ModelConfig
 ):
-    """Per-frame object graphs; returns (visual_nodes [T,K,D], semantic_nodes [T,K,D])."""
-    return _dual_space_pass(encoded.visual, encoded.semantic, sentence, level_params, config)
+    """Per-frame object graphs over encoded [S,T,K,D] with sentences [S,D];
+    returns (visual_nodes [S,T,K,D], semantic_nodes [S,T,K,D])."""
+    S, T, K, D = encoded.visual.shape
+    controller = tt.reshape(
+        tt.broadcast_to(tt.reshape(sentences, (S, 1, D)), (S, T, D)), (S * T, D)
+    )
+    visual, semantic = _dual_space_pass(
+        tt.reshape(encoded.visual, (S * T, K, D)),
+        tt.reshape(encoded.semantic, (S * T, K, D)),
+        controller,
+        level_params,
+        config,
+    )
+    return tt.reshape(visual, (S, T, K, D)), tt.reshape(semantic, (S, T, K, D))
 
 
 def frame_level_pass(
-    frames: FrameRepresentations, sentence: Tensor, level_params: dict, config: ModelConfig
+    frames: FrameRepresentations, sentences: Tensor, level_params: dict, config: ModelConfig
 ) -> FrameRepresentations:
-    """Single video-wide graphs over frame vectors; identity when disabled."""
-    if not config.use_frame_level:
-        return frames
-    T, D = frames.visual.shape
-    visual = tt.reshape(frames.visual, (1, T, D))
-    semantic = tt.reshape(frames.semantic, (1, T, D))
-    visual_out, semantic_out = _dual_space_pass(visual, semantic, sentence, level_params, config)
-    return FrameRepresentations(
-        visual=tt.reshape(visual_out, (T, D)), semantic=tt.reshape(semantic_out, (T, D))
+    """One graph per video over its frame vectors [S, T, D], controlled by sentences [S, D]."""
+    visual, semantic = _dual_space_pass(
+        frames.visual, frames.semantic, sentences, level_params, config
     )
+    return FrameRepresentations(visual=visual, semantic=semantic)
 
 
-def fusion_attention(visual_nodes: Tensor, sentence: Tensor, params: dict) -> Tensor:
-    """Query-guided attention weights over objects, [T, K]; rows sum to 1."""
-    T, K, _ = visual_nodes.shape
+def fusion_attention(visual_nodes: Tensor, sentences: Tensor, params: dict) -> Tensor:
+    """Query-guided attention weights over objects, [S, T, K]; rows sum to 1."""
+    S, T, K, D = visual_nodes.shape
     h = tt.tanh(
         tt.linear(visual_nodes, params["attn_w"])
-        + tt.reshape(tt.linear(sentence, params["attn_u"]), (1, 1, -1))
+        + tt.linear(tt.reshape(sentences, (S, 1, 1, D)), params["attn_u"])
         + params["attn_b"]
     )
-    logits = tt.reshape(tt.linear(h, params["attn_v"]), (T, K))
-    return tt.softmax(logits, axis=1)
+    logits = tt.reshape(tt.linear(h, params["attn_v"]), (S, T, K))
+    return tt.softmax(logits, axis=2)
 
 
 def fuse_objects(
-    visual_nodes: Tensor, semantic_nodes: Tensor, sentence: Tensor, params: dict
+    visual_nodes: Tensor, semantic_nodes: Tensor, sentences: Tensor, params: dict
 ) -> FrameRepresentations:
     """Collapse each frame's objects: attention pool (visual), average (semantic)."""
-    T, K, D = visual_nodes.shape
-    attn = fusion_attention(visual_nodes, sentence, params)
-    visual = tt.reshape(tt.matmul(tt.reshape(attn, (T, 1, K)), visual_nodes), (T, D))
-    semantic = tt.tmean(semantic_nodes, axis=1)
+    S, T, K, D = visual_nodes.shape
+    attn = fusion_attention(visual_nodes, sentences, params)
+    visual = tt.reshape(tt.matmul(tt.reshape(attn, (S, T, 1, K)), visual_nodes), (S, T, D))
+    semantic = tt.tmean(semantic_nodes, axis=2)
     return FrameRepresentations(visual=visual, semantic=semantic)
 
 
 def frames_from_encoder_mean(encoded: EncodedVideo) -> FrameRepresentations:
     """Per-frame average of encoder outputs (the no-object-level pathway)."""
     return FrameRepresentations(
-        visual=tt.tmean(encoded.visual, axis=1), semantic=tt.tmean(encoded.semantic, axis=1)
+        visual=tt.tmean(encoded.visual, axis=2), semantic=tt.tmean(encoded.semantic, axis=2)
     )

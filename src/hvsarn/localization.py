@@ -1,15 +1,17 @@
 """Frame fusion, temporal contextualization, and span prediction.
 
-The head concatenates per-frame visual/semantic vectors, runs a Bi-GRU over
-time, and maps each frame to a start logit and an end logit.  Candidate
+The head concatenates per-frame visual/semantic vectors [S, T, 2D], runs a
+Bi-GRU over time on an [S, H] state, and maps each frame to a start logit
+and an end logit, [S, T] each.  Candidate
 segments are every frame pair (i, j) with i < j, scored by
 softmax(start)[i] * softmax(end)[j], emitted in descending score with ties
 broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  The
 ranking is vectorized: the upper-triangle pairs come from `np.triu_indices`
 and one `np.lexsort` on (-score, i, j) orders them, in float64 throughout.
 Training minimizes cross-entropy of the start/end distributions at the
-ground-truth frame indices; it needs only the logits (`span_logits`), not
-the ranking.
+ground-truth frame indices, gathered per sample from the [S, T]
+log-softmaxes and summed over the S samples; it needs only the logits
+(`span_logits`), not the ranking.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def init_head_params(rng: np.random.Generator, input_width: int, hidden: int, dt
 
 
 def fuse_and_contextualize(frames: FrameRepresentations, params: dict) -> Tensor:
-    """[visual, semantic] per frame through the Bi-GRU; returns [T, hidden]."""
-    fused = tt.concat([frames.visual, frames.semantic], axis=1)
+    """[visual, semantic] per frame through the Bi-GRU; returns [S, T, hidden]."""
+    fused = tt.concat([frames.visual, frames.semantic], axis=2)
     contextual, _ = bigru(fused, params["gru"])
     return contextual
 
@@ -70,26 +72,39 @@ def enumerate_segments(
 
 
 def span_logits(contextual: Tensor, params: dict) -> tuple[Tensor, Tensor]:
-    """Start and end logits per frame, each [T]."""
-    T = contextual.shape[0]
-    start_logits = tt.reshape(tt.linear(contextual, params["start"]["w"], params["start"]["b"]), (T,))
-    end_logits = tt.reshape(tt.linear(contextual, params["end"]["w"], params["end"]["b"]), (T,))
+    """Start and end logits per frame, each [S, T]."""
+    S, T, _ = contextual.shape
+    start_logits = tt.reshape(
+        tt.linear(contextual, params["start"]["w"], params["start"]["b"]), (S, T)
+    )
+    end_logits = tt.reshape(tt.linear(contextual, params["end"]["w"], params["end"]["b"]), (S, T))
     return start_logits, end_logits
 
 
-def predict(contextual: Tensor, params: dict, max_segments: int | None = None) -> SegmentPrediction:
-    """Score start/end per frame and enumerate ranked candidate segments."""
+def predict(
+    contextual: Tensor, params: dict, max_segments: int | None = None
+) -> list[SegmentPrediction]:
+    """Score start/end per frame and enumerate ranked candidate segments, one
+    prediction per sample of contextual [S, T, hidden]."""
     start_logits, end_logits = span_logits(contextual, params)
-    segments = enumerate_segments(start_logits.data, end_logits.data, max_segments)
-    return SegmentPrediction(start_logits=start_logits, end_logits=end_logits, top_segments=segments)
+    out = []
+    for i in range(contextual.shape[0]):
+        start, end = start_logits[i], end_logits[i]
+        segments = enumerate_segments(start.data, end.data, max_segments)
+        out.append(SegmentPrediction(start_logits=start, end_logits=end, top_segments=segments))
+    return out
 
 
-def loss(prediction: SegmentPrediction, truth: GroundTruthSegment, num_frames: int) -> Tensor:
-    """Start + end cross-entropy at the ground-truth frame indices."""
-    s_idx, e_idx = segment_to_frame_indices(truth, num_frames)
-    log_s = tt.log_softmax(prediction.start_logits, axis=0)
-    log_e = tt.log_softmax(prediction.end_logits, axis=0)
-    return -(log_s[s_idx] + log_e[e_idx])
+def loss(
+    start_logits: Tensor, end_logits: Tensor, truths: list[GroundTruthSegment], num_frames: int
+) -> Tensor:
+    """Start + end cross-entropy at each sample's ground-truth frame indices,
+    summed over the samples; logits are [S, T] with one truth per row."""
+    rows = np.arange(len(truths))
+    s_idx, e_idx = np.array([segment_to_frame_indices(t, num_frames) for t in truths]).T
+    log_s = tt.log_softmax(start_logits, axis=1)
+    log_e = tt.log_softmax(end_logits, axis=1)
+    return -tt.tsum(log_s[rows, s_idx] + log_e[rows, e_idx])
 
 
 def write_predictions_jsonl(path: str | Path, records: list[dict]) -> None:

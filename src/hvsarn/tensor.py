@@ -11,22 +11,23 @@ for training and float64 for finite-difference verification.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
-_GRAD_ENABLED = True
+# Per thread (and per asyncio task): a no_grad block in one thread leaves
+# the tape on in every other.
+_grad_enabled = contextvars.ContextVar("hvsarn_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape construction inside the block (forward-only evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -57,7 +58,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -213,7 +214,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if b.ndim == 2:
+                # A weight shared by a stack of matrices: one [m, rows] @ [rows, p]
+                # product instead of a [batch, m, p] stack summed afterwards.
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            b._accumulate(gb)
 
     return Tensor._result(out_data, (a, b), backward)
 

@@ -2,7 +2,10 @@
 
 The trainer is deliberately plain: Adam over every parameter tensor, batches
 drawn by reshuffled-epoch order from a seeded generator, loss averaged over
-the batch. Identical seeds and hyperparameters give bit-identical curves.
+the batch. A batch is grouped by (num_frames, num_objects) and each group
+runs as one tape with a leading sample axis; the group losses are summed
+and divided by the batch size. Identical seeds and hyperparameters give
+bit-identical curves.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .fileio import (
     require_keys,
     write_blob,
 )
-from .model import Model, build_model
+from .model import Model, build_model, group_by_shape
 from .params import zero_grads
 from .tensor import Tensor
 
@@ -108,6 +111,17 @@ class _BatchOrder:
         return out
 
 
+def batch_loss(model: Model, samples) -> Tensor:
+    """Mean span loss over `samples`, one tape per (num_frames, num_objects) group."""
+    total: Tensor | None = None
+    for group in group_by_shape(samples):
+        group_loss = model.loss([samples[i] for i in group])
+        total = group_loss if total is None else total + group_loss
+    if total is None:
+        raise ValueError("cannot compute the loss of an empty batch")
+    return total * (1.0 / len(samples))
+
+
 def train(
     dataset,
     config: ModelConfig,
@@ -136,15 +150,9 @@ def train(
     curve: list[float] = []
 
     for step in range(1, hyper.steps + 1):
-        batch = order.draw(hyper.batch_size)
+        batch = [dataset[i] for i in order.draw(hyper.batch_size)]
         zero_grads(model.params)
-        total: Tensor | None = None
-        for idx in batch:
-            video, query = dataset[idx]
-            sample_loss = model.loss(video, query)
-            total = sample_loss if total is None else total + sample_loss
-        assert total is not None
-        mean_loss = total * (1.0 / hyper.batch_size)
+        mean_loss = batch_loss(model, batch)
         value = float(mean_loss.data)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss {value!r} at step {step}")
@@ -403,5 +411,5 @@ def gradcheck(
     model = build_model(config, dims, np.float64)
     named = model.named_parameters()
     return gradcheck_tensors(
-        lambda: model.loss(video, query), named, tolerance=tolerance, fd_step=fd_step
+        lambda: model.loss([(video, query)]), named, tolerance=tolerance, fd_step=fd_step
     )

@@ -165,7 +165,7 @@ def test_c3_invariant_suite():
         simplex_worst = max(simplex_worst, np.abs(cross_attn.data.sum(axis=-1) - 1.0).max())
         fusion = init_fusion_params(rng, D, np.float64)
         fusion_attn = fusion_attention(
-            Tensor(rng.normal(size=(B, K, D))), Tensor(rng.normal(size=D)), fusion
+            Tensor(rng.normal(size=(1, B, K, D))), Tensor(rng.normal(size=(1, D))), fusion
         )
         simplex_worst = max(simplex_worst, np.abs(fusion_attn.data.sum(axis=-1) - 1.0).max())
         # query self-attention: drive the standalone helper directly
@@ -193,11 +193,12 @@ def test_c3_invariant_suite():
         ctrl_b, nodes_b = reason_batch(controller, Tensor(nodes.data[:, perm]), params, 2)
         perm_worst = max(perm_worst, np.abs(nodes_a.data[:, perm] - nodes_b.data).max())
         perm_worst = max(perm_worst, np.abs(ctrl_a.data - ctrl_b.data).max())
-        sentence = Tensor(rng.normal(size=D))
-        semantic = Tensor(rng.normal(size=(B, K, D)))
-        fused_a = fuse_objects(nodes, semantic, sentence, fusion)
+        # one sample whose B frames hold K objects each
+        sentence = Tensor(rng.normal(size=(1, D)))
+        semantic = Tensor(rng.normal(size=(1, B, K, D)))
+        fused_a = fuse_objects(Tensor(nodes.data[None]), semantic, sentence, fusion)
         fused_b = fuse_objects(
-            Tensor(nodes.data[:, perm]), Tensor(semantic.data[:, perm]), sentence, fusion
+            Tensor(nodes.data[None, :, perm]), Tensor(semantic.data[:, :, perm]), sentence, fusion
         )
         perm_worst = max(perm_worst, np.abs(fused_a.visual.data - fused_b.visual.data).max())
         perm_worst = max(perm_worst, np.abs(fused_a.semantic.data - fused_b.semantic.data).max())

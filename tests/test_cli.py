@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hvsarn.cli import main, parse_metric_grid, precision_dtype
-from hvsarn.data import ConfigError, load_dataset
+from hvsarn.data import ConfigError, GroundTruthSegment, VideoSample, load_dataset, save_sample
 from hvsarn.evaluation import read_predictions_jsonl
 from hvsarn.training import load_checkpoint
 
@@ -257,6 +257,41 @@ def test_eval_of_malformed_checkpoint_prints_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing key 'dtype'" in err
+
+
+def test_eval_of_single_frame_video_prints_error(tmp_path, capsys):
+    # such a sample loads, but no segment fits in one frame
+    data = tmp_path / "data"
+    assert synth(data) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"), *TINY]) == 0
+    video, query = load_dataset(data)[0]
+    short = VideoSample(
+        video_id="one-frame",
+        num_frames=1,
+        num_objects=video.num_objects,
+        object_features=video.object_features[:1],
+        boxes=video.boxes[:1],
+        semantic_embeddings=video.semantic_embeddings[:1],
+        annotation=GroundTruthSegment(0.0, 1.0),
+    )
+    short_dir = tmp_path / "short"
+    save_sample((short, query), short_dir / "sample_0")
+    (short_dir / "dataset.json").write_text(json.dumps({"samples": ["sample_0"]}))
+    capsys.readouterr()
+    rc = main(
+        [
+            "eval",
+            "--checkpoint",
+            str(tmp_path / "run" / "checkpoint"),
+            "--data-dir",
+            str(short_dir),
+            "--out-dir",
+            str(tmp_path / "e"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "num_frames 1" in err
 
 
 def test_unknown_subcommand_is_usage_error():

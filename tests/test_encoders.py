@@ -39,21 +39,21 @@ def test_gru_sequence_matches_oracle():
         rng = np.random.default_rng(seed)
         params = init_gru_params(rng, 5, 3, np.float64)
         x = rng.normal(size=(6, 5))
-        states, final = gru_sequence(Tensor(x), params)
+        states, final = gru_sequence(Tensor(x[None]), params)
         ref_states, ref_final = gru_sequence_oracle(x, as_np(params))
-        np.testing.assert_allclose(states.data, ref_states, atol=1e-10)
-        np.testing.assert_allclose(final.data[0], ref_final, atol=1e-10)
+        np.testing.assert_allclose(states.data[0], ref_states, atol=1e-10)
+        np.testing.assert_allclose(final.data[0, 0], ref_final, atol=1e-10)
 
 
 def test_gru_reverse_runs_right_to_left():
     rng = np.random.default_rng(3)
     params = init_gru_params(rng, 4, 3, np.float64)
     x = rng.normal(size=(5, 4))
-    states, final = gru_sequence(Tensor(x), params, reverse=True)
+    states, final = gru_sequence(Tensor(x[None]), params, reverse=True)
     ref_states, ref_final = gru_sequence_oracle(x, as_np(params), reverse=True)
-    np.testing.assert_allclose(states.data, ref_states, atol=1e-10)
+    np.testing.assert_allclose(states.data[0], ref_states, atol=1e-10)
     # reversed pass ends at position 0
-    np.testing.assert_allclose(states.data[0], ref_final, atol=1e-10)
+    np.testing.assert_allclose(states.data[0, 0], ref_final, atol=1e-10)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -61,10 +61,24 @@ def test_gru_sequence_matches_oracle_at_length_40(reverse):
     rng = np.random.default_rng(40)
     params = init_gru_params(rng, 7, 5, np.float64)
     x = rng.normal(size=(40, 7))
-    states, final = gru_sequence(Tensor(x), params, reverse=reverse)
+    states, final = gru_sequence(Tensor(x[None]), params, reverse=reverse)
     ref_states, ref_final = gru_sequence_oracle(x, as_np(params), reverse=reverse)
-    np.testing.assert_allclose(states.data, ref_states, atol=1e-10)
-    np.testing.assert_allclose(final.data[0], ref_final, atol=1e-10)
+    np.testing.assert_allclose(states.data[0], ref_states, atol=1e-10)
+    np.testing.assert_allclose(final.data[0, 0], ref_final, atol=1e-10)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_batch_rows_match_oracle_per_sample(reverse):
+    # S sequences on the leading axis run as independent GRUs
+    rng = np.random.default_rng(41)
+    params = init_gru_params(rng, 4, 3, np.float64)
+    x = rng.normal(size=(5, 9, 4))
+    states, final = gru_sequence(Tensor(x), params, reverse=reverse)
+    assert states.shape == (5, 9, 3) and final.shape == (5, 1, 3)
+    for i in range(5):
+        ref_states, ref_final = gru_sequence_oracle(x[i], as_np(params), reverse=reverse)
+        np.testing.assert_allclose(states.data[i], ref_states, atol=1e-10)
+        np.testing.assert_allclose(final.data[i, 0], ref_final, atol=1e-10)
 
 
 def test_bigru_concatenates_directions():
@@ -72,26 +86,26 @@ def test_bigru_concatenates_directions():
         rng = np.random.default_rng(seed)
         params = init_bigru_params(rng, 4, 3, np.float64)
         x = rng.normal(size=(6, 4))
-        contextual, final = bigru(Tensor(x), params)
+        contextual, final = bigru(Tensor(x[None]), params)
         ref_ctx, ref_final = bigru_oracle(x, as_np(params))
-        np.testing.assert_allclose(contextual.data, ref_ctx, atol=1e-10)
-        np.testing.assert_allclose(final.data, ref_final, atol=1e-10)
-        assert contextual.shape == (6, 6) and final.shape == (6,)
+        np.testing.assert_allclose(contextual.data[0], ref_ctx, atol=1e-10)
+        np.testing.assert_allclose(final.data[0], ref_final, atol=1e-10)
+        assert contextual.shape == (1, 6, 6) and final.shape == (1, 6)
 
 
 def test_gru_single_step_sequence():
     rng = np.random.default_rng(4)
     params = init_bigru_params(rng, 4, 2, np.float64)
-    contextual, final = bigru(Tensor(rng.normal(size=(1, 4))), params)
-    assert contextual.shape == (1, 4)
-    np.testing.assert_allclose(contextual.data[0], final.data, atol=1e-12)
+    contextual, final = bigru(Tensor(rng.normal(size=(1, 1, 4))), params)
+    assert contextual.shape == (1, 1, 4)
+    np.testing.assert_allclose(contextual.data[0, 0], final.data[0], atol=1e-12)
 
 
 def test_gru_gradcheck():
     rng = np.random.default_rng(5)
     params = init_bigru_params(rng, 3, 2, np.float64)
-    x = Tensor(rng.normal(size=(4, 3)))
-    probe = Tensor(rng.normal(size=(4, 4)))
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def loss_fn():
         contextual, _ = bigru(x, params)
@@ -106,25 +120,29 @@ def test_gru_gradcheck():
 
 def test_encode_video_is_sum_of_affine_maps():
     params = make_params()
-    video = make_video(T=3, K=2, d_in=DIMS.feature_dim, d_sem=DIMS.semantic_dim)
-    enc = encode_video(video, params)
+    videos = [
+        make_video(T=3, K=2, d_in=DIMS.feature_dim, d_sem=DIMS.semantic_dim, rng=np.random.default_rng(s))
+        for s in range(2)
+    ]
+    enc = encode_video(videos, params)
     p = as_np(params)
-    feats = video.object_features.astype(np.float64)
-    boxes = video.boxes.astype(np.float64)
-    sem = video.semantic_embeddings.astype(np.float64)
-    ref_visual = (
-        feats @ p["visual"]["w"] + p["visual"]["b"] + boxes @ p["box"]["w"] + p["box"]["b"]
-    )
-    ref_semantic = sem @ p["semantic"]["w"] + p["semantic"]["b"]
-    np.testing.assert_allclose(enc.visual.data, ref_visual, atol=1e-10)
-    np.testing.assert_allclose(enc.semantic.data, ref_semantic, atol=1e-10)
-    assert enc.visual.shape == (3, 2, 6)
+    assert enc.visual.shape == (2, 3, 2, 6)
+    for i, video in enumerate(videos):
+        feats = video.object_features.astype(np.float64)
+        boxes = video.boxes.astype(np.float64)
+        sem = video.semantic_embeddings.astype(np.float64)
+        ref_visual = (
+            feats @ p["visual"]["w"] + p["visual"]["b"] + boxes @ p["box"]["w"] + p["box"]["b"]
+        )
+        ref_semantic = sem @ p["semantic"]["w"] + p["semantic"]["b"]
+        np.testing.assert_allclose(enc.visual.data[i], ref_visual, atol=1e-10)
+        np.testing.assert_allclose(enc.semantic.data[i], ref_semantic, atol=1e-10)
 
 
 def test_encode_video_casts_to_param_dtype():
     params = make_params(dtype=np.float32)
     video = make_video(T=2, K=2, d_in=DIMS.feature_dim, d_sem=DIMS.semantic_dim)
-    enc = encode_video(video, params)
+    enc = encode_video([video], params)
     assert enc.visual.dtype == np.float32
 
 
@@ -132,7 +150,7 @@ def test_encode_video_dim_mismatch():
     params = make_params()
     video = make_video(T=2, K=2, d_in=9, d_sem=DIMS.semantic_dim)
     with pytest.raises(ValueError, match="object_features"):
-        encode_video(video, params)
+        encode_video([video], params)
 
 
 # -- query encoder ------------------------------------------------------------------
@@ -184,11 +202,11 @@ def test_encoder_gradcheck():
     video = make_video(T=2, K=2, d_in=DIMS.feature_dim, d_sem=DIMS.semantic_dim)
     query = make_query(n=3)
     rng = np.random.default_rng(6)
-    probe_v = Tensor(rng.normal(size=(2, 2, 6)))
+    probe_v = Tensor(rng.normal(size=(1, 2, 2, 6)))
     probe_q = Tensor(rng.normal(size=6))
 
     def loss_fn():
-        enc_v = encode_video(video, params)
+        enc_v = encode_video([video], params)
         enc_q = encode_query(query, params, heads=4)
         return tt.tsum(enc_v.visual * probe_v) + tt.tsum(enc_q.sentence * probe_q)
 

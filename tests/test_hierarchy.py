@@ -25,22 +25,29 @@ from oracles import as_np, fusion_oracle
 D = 6
 
 
-def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64):
+def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64, S=1):
     config = config or ModelConfig(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(seed)
     params = init_level_params(rng, config, dtype, cross=True)
     encoded = EncodedVideo(
-        visual=Tensor(rng.normal(size=(T, K, D))), semantic=Tensor(rng.normal(size=(T, K, D)))
+        visual=Tensor(rng.normal(size=(S, T, K, D))),
+        semantic=Tensor(rng.normal(size=(S, T, K, D))),
     )
-    sentence = Tensor(rng.normal(size=D))
+    sentence = Tensor(rng.normal(size=(S, D)))
     return config, params, encoded, sentence
 
 
+def frames_of(rng, S, T):
+    return FrameRepresentations(
+        visual=Tensor(rng.normal(size=(S, T, D))), semantic=Tensor(rng.normal(size=(S, T, D)))
+    )
+
+
 def test_object_level_shapes():
-    config, params, encoded, sentence = make_level(T=4, K=3)
+    config, params, encoded, sentence = make_level(T=4, K=3, S=2)
     visual, semantic = object_level_pass(encoded, sentence, params, config)
-    assert visual.shape == (4, 3, D)
-    assert semantic.shape == (4, 3, D)
+    assert visual.shape == (2, 4, 3, D)
+    assert semantic.shape == (2, 4, 3, D)
 
 
 def test_visual_graph_flag_off_keeps_visual_path_inert():
@@ -71,35 +78,19 @@ def test_zero_steps_with_cross_space_still_enhances():
     assert not np.allclose(semantic.data, encoded.semantic.data)
 
 
-def test_frame_level_disabled_is_identity():
-    config = ModelConfig(hidden_size=D, use_frame_level=False, use_object_level=True)
-    _, params, _, sentence = make_level(config=config)
-    rng = np.random.default_rng(1)
-    frames = FrameRepresentations(
-        visual=Tensor(rng.normal(size=(5, D))), semantic=Tensor(rng.normal(size=(5, D)))
-    )
-    out = frame_level_pass(frames, sentence, params, config)
-    assert out is frames
-
-
 def test_frame_level_treats_video_as_one_graph():
     config, params, _, sentence = make_level(seed=2)
-    rng = np.random.default_rng(3)
-    frames = FrameRepresentations(
-        visual=Tensor(rng.normal(size=(5, D))), semantic=Tensor(rng.normal(size=(5, D)))
-    )
+    frames = frames_of(np.random.default_rng(3), 1, 5)
     out = frame_level_pass(frames, sentence, params, config)
-    assert out.visual.shape == (5, D) and out.semantic.shape == (5, D)
+    assert out.visual.shape == (1, 5, D) and out.semantic.shape == (1, 5, D)
     assert not np.allclose(out.visual.data, frames.visual.data)
 
 
 def test_cross_space_at_frame_level_flag():
     base = dict(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(4)
-    frames = FrameRepresentations(
-        visual=Tensor(rng.normal(size=(4, D))), semantic=Tensor(rng.normal(size=(4, D)))
-    )
-    sentence = Tensor(rng.normal(size=D))
+    frames = frames_of(rng, 1, 4)
+    sentence = Tensor(rng.normal(size=(1, D)))
     on = ModelConfig(**base, cross_space_at_frame_level=True)
     off = ModelConfig(**base, cross_space_at_frame_level=False)
     # the level holds "cross" only when the hops run; both trees share the
@@ -119,13 +110,15 @@ def test_fusion_attention_matches_oracle():
         visual = rng.normal(size=(3, 4, D))
         semantic = rng.normal(size=(3, 4, D))
         sentence = rng.normal(size=D)
-        attn = fusion_attention(Tensor(visual), Tensor(sentence), params)
-        frames = fuse_objects(Tensor(visual), Tensor(semantic), Tensor(sentence), params)
+        attn = fusion_attention(Tensor(visual[None]), Tensor(sentence[None]), params)
+        frames = fuse_objects(
+            Tensor(visual[None]), Tensor(semantic[None]), Tensor(sentence[None]), params
+        )
         ref_pooled, ref_attn = fusion_oracle(visual, sentence, as_np(params))
-        np.testing.assert_allclose(attn.data, ref_attn, atol=1e-10)
-        np.testing.assert_allclose(frames.visual.data, ref_pooled, atol=1e-10)
-        np.testing.assert_allclose(frames.semantic.data, semantic.mean(axis=1), atol=1e-10)
-        np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(attn.data[0], ref_attn, atol=1e-10)
+        np.testing.assert_allclose(frames.visual.data[0], ref_pooled, atol=1e-10)
+        np.testing.assert_allclose(frames.semantic.data[0], semantic.mean(axis=1), atol=1e-10)
+        np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
 
 
 def test_fuse_objects_is_permutation_invariant():
@@ -135,9 +128,12 @@ def test_fuse_objects_is_permutation_invariant():
     semantic = rng.normal(size=(3, 5, D))
     sentence = rng.normal(size=D)
     perm = rng.permutation(5)
-    a = fuse_objects(Tensor(visual), Tensor(semantic), Tensor(sentence), params)
+    a = fuse_objects(Tensor(visual[None]), Tensor(semantic[None]), Tensor(sentence[None]), params)
     b = fuse_objects(
-        Tensor(visual[:, perm]), Tensor(semantic[:, perm]), Tensor(sentence), params
+        Tensor(visual[None, :, perm]),
+        Tensor(semantic[None, :, perm]),
+        Tensor(sentence[None]),
+        params,
     )
     np.testing.assert_allclose(a.visual.data, b.visual.data, atol=1e-10)
     np.testing.assert_allclose(a.semantic.data, b.semantic.data, atol=1e-10)
@@ -145,13 +141,14 @@ def test_fuse_objects_is_permutation_invariant():
 
 def test_object_permutation_leaves_frame_representations_unchanged():
     # reasoning is equivariant and fusion invariant, so the composition is invariant
-    config, params, encoded, sentence = make_level(seed=9, T=3, K=4)
+    config, params, encoded, sentence = make_level(seed=9, T=3, K=4, S=2)
     fusion = init_fusion_params(np.random.default_rng(10), D, np.float64)
     perm = np.random.default_rng(11).permutation(4)
     v1, s1 = object_level_pass(encoded, sentence, params, config)
     frames1 = fuse_objects(v1, s1, sentence, fusion)
     shuffled = EncodedVideo(
-        visual=Tensor(encoded.visual.data[:, perm]), semantic=Tensor(encoded.semantic.data[:, perm])
+        visual=Tensor(encoded.visual.data[:, :, perm]),
+        semantic=Tensor(encoded.semantic.data[:, :, perm]),
     )
     v2, s2 = object_level_pass(shuffled, sentence, params, config)
     frames2 = fuse_objects(v2, s2, sentence, fusion)
@@ -160,10 +157,10 @@ def test_object_permutation_leaves_frame_representations_unchanged():
 
 
 def test_frames_from_encoder_mean():
-    _, _, encoded, _ = make_level(T=4, K=3)
+    _, _, encoded, _ = make_level(T=4, K=3, S=2)
     frames = frames_from_encoder_mean(encoded)
-    np.testing.assert_allclose(frames.visual.data, encoded.visual.data.mean(axis=1), atol=1e-12)
-    assert frames.semantic.shape == (4, D)
+    np.testing.assert_allclose(frames.visual.data, encoded.visual.data.mean(axis=2), atol=1e-12)
+    assert frames.semantic.shape == (2, 4, D)
 
 
 def test_baseline_reasoner_config_plumbs_through():
@@ -179,7 +176,7 @@ def test_object_fuse_frame_gradcheck():
     config, params, encoded, sentence = make_level(seed=12)
     fusion = init_fusion_params(np.random.default_rng(13), D, np.float64)
     frame_params = init_level_params(np.random.default_rng(14), config, np.float64, cross=True)
-    probe = Tensor(np.random.default_rng(15).normal(size=(3, D)))
+    probe = Tensor(np.random.default_rng(15).normal(size=(1, 3, D)))
 
     named = {}
     named.update({f"object/{k}": v for k, v in flatten(params).items()})

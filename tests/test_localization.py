@@ -8,12 +8,12 @@ from hvsarn.data import GroundTruthSegment
 from hvsarn.evaluation import read_predictions_jsonl
 from hvsarn.hierarchy import FrameRepresentations
 from hvsarn.localization import (
-    SegmentPrediction,
     enumerate_segments,
     fuse_and_contextualize,
     init_head_params,
     loss,
     predict,
+    span_logits,
     write_predictions_jsonl,
 )
 from hvsarn.tensor import Tensor
@@ -22,11 +22,11 @@ from oracles import span_enumeration_oracle
 D = 6
 
 
-def head_setup(seed=0, T=5):
+def head_setup(seed=0, T=5, S=1):
     rng = np.random.default_rng(seed)
     params = init_head_params(rng, 2 * D, D, np.float64)
     frames = FrameRepresentations(
-        visual=Tensor(rng.normal(size=(T, D))), semantic=Tensor(rng.normal(size=(T, D)))
+        visual=Tensor(rng.normal(size=(S, T, D))), semantic=Tensor(rng.normal(size=(S, T, D)))
     )
     return params, frames
 
@@ -104,23 +104,22 @@ def test_scores_sorted_descending():
 
 
 def test_predict_returns_fractions_and_logits():
-    params, frames = head_setup()
+    params, frames = head_setup(S=2)
     contextual = fuse_and_contextualize(frames, params)
-    pred = predict(contextual, params)
-    assert pred.start_logits.shape == (5,)
-    assert pred.end_logits.shape == (5,)
-    assert len(pred.top_segments) == 10  # C(5, 2)
-    for lo, hi, _ in pred.top_segments:
-        assert 0.0 <= lo < hi <= 1.0
+    preds = predict(contextual, params)
+    assert len(preds) == 2
+    for pred in preds:
+        assert pred.start_logits.shape == (5,)
+        assert pred.end_logits.shape == (5,)
+        assert len(pred.top_segments) == 10  # C(5, 2)
+        for lo, hi, _ in pred.top_segments:
+            assert 0.0 <= lo < hi <= 1.0
 
 
 def test_uniform_logits_loss_is_two_log_t():
     T = 8
-    pred = SegmentPrediction(
-        start_logits=Tensor(np.zeros(T)), end_logits=Tensor(np.zeros(T)), top_segments=[]
-    )
     truth = GroundTruthSegment(start=0.25, end=0.75)
-    value = loss(pred, truth, num_frames=T)
+    value = loss(Tensor(np.zeros((1, T))), Tensor(np.zeros((1, T))), [truth], num_frames=T)
     np.testing.assert_allclose(value.data, 2.0 * np.log(T), atol=1e-12)
 
 
@@ -131,8 +130,7 @@ def test_saturated_logits_loss_near_zero():
     end = np.full(T, -50.0)
     start[2] = 50.0
     end[4] = 50.0  # ceil(5/6 * 6) - 1 = 4
-    pred = SegmentPrediction(Tensor(start), Tensor(end), [])
-    assert loss(pred, truth, num_frames=T).data.item() < 1e-9
+    assert loss(Tensor(start[None]), Tensor(end[None]), [truth], num_frames=T).data.item() < 1e-9
 
 
 def test_loss_matches_manual_cross_entropy():
@@ -147,15 +145,30 @@ def test_loss_matches_manual_cross_entropy():
         return z - np.log(np.exp(z).sum())
 
     want = -(log_softmax(start)[1] + log_softmax(end)[4])
-    pred = SegmentPrediction(Tensor(start), Tensor(end), [])
-    np.testing.assert_allclose(loss(pred, truth, num_frames=T).data, want, atol=1e-12)
+    value = loss(Tensor(start[None]), Tensor(end[None]), [truth], num_frames=T)
+    np.testing.assert_allclose(value.data, want, atol=1e-12)
+
+
+def test_loss_sums_per_row_cross_entropy():
+    # row i is scored against truths[i]; the rows' losses add up
+    rng = np.random.default_rng(6)
+    T = 7
+    start = rng.normal(size=(3, T))
+    end = rng.normal(size=(3, T))
+    truths = [GroundTruthSegment(i / T, (i + 3) / T) for i in range(3)]
+    total = loss(Tensor(start), Tensor(end), truths, num_frames=T)
+    rows = [
+        loss(Tensor(start[i : i + 1]), Tensor(end[i : i + 1]), [truths[i]], num_frames=T).data
+        for i in range(3)
+    ]
+    np.testing.assert_allclose(total.data, sum(rows), atol=1e-12)
 
 
 def test_loss_gradient_flows_to_head_params():
     params, frames = head_setup(seed=6)
     contextual = fuse_and_contextualize(frames, params)
-    pred = predict(contextual, params)
-    value = loss(pred, GroundTruthSegment(start=0.2, end=0.8), num_frames=5)
+    start, end = span_logits(contextual, params)
+    value = loss(start, end, [GroundTruthSegment(start=0.2, end=0.8)], num_frames=5)
     value.backward()
     for name in ("start", "end"):
         assert params[name]["w"].grad is not None
@@ -164,7 +177,7 @@ def test_loss_gradient_flows_to_head_params():
 
 def test_jsonl_round_trip(tmp_path):
     params, frames = head_setup(seed=7)
-    pred = predict(fuse_and_contextualize(frames, params), params, max_segments=4)
+    (pred,) = predict(fuse_and_contextualize(frames, params), params, max_segments=4)
     path = tmp_path / "predictions.jsonl"
     rows = [
         {

@@ -1,5 +1,7 @@
 """Per-op finite-difference checks and tape semantics for the autodiff core."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,40 @@ def test_no_grad_blocks_tape():
     assert not y.requires_grad
     with pytest.raises(ValueError):
         y.backward()
+
+
+def test_no_grad_is_per_thread():
+    # one thread inside no_grad leaves another thread's tape on
+    inside, done = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with tt.no_grad():
+            inside.set()
+            done.wait(10)
+
+    holder = threading.Thread(target=hold_no_grad)
+    holder.start()
+    try:
+        assert inside.wait(10)
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(Tensor(np.ones(2), requires_grad=True) * 2.0)
+        )
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive() and results[0].requires_grad
+    finally:
+        done.set()
+        holder.join(10)
+    assert not holder.is_alive()
+
+
+def test_no_grad_restores_the_tape_after_an_exception():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with tt.no_grad():
+            raise RuntimeError("inside the block")
+    assert (x * 2.0).requires_grad
 
 
 def test_detach_stops_gradient():

@@ -388,7 +388,7 @@ def test_every_variant_parameter_gets_a_gradient():
     for variant in STANDARD_ABLATIONS:
         config = ablation_config(ModelConfig(hidden_size=6, reasoning_steps=1), variant)
         model = build_model(config, InputDims.of(video, query), np.float64)
-        model.loss(video, query).backward()
+        model.loss([(video, query)]).backward()
         idle = [name for name, t in model.named_parameters().items() if t.grad is None]
         assert not idle, (variant, idle)
 
