@@ -30,6 +30,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def records(parents) -> bool:
+    """True when an op on `parents` goes on the tape (some parent needs a gradient)."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -58,7 +63,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        if records(parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -234,12 +239,18 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._result(y, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a numpy array, exp of a non-positive argument only."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = stable_sigmoid(a.data)
 
     def backward(g):
         a._accumulate(g * y * (1.0 - y))

@@ -115,6 +115,43 @@ def test_gru_gradcheck():
     assert report.passed, report.format()
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_final_state_gradcheck(reverse):
+    # encode_query reads only the final state, which is a slice of the states node
+    rng = np.random.default_rng(6)
+    params = init_gru_params(rng, 3, 2, np.float64)
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 1, 2)))
+
+    def loss_fn():
+        _, final = gru_sequence(x, params, reverse=reverse)
+        return tt.tsum(final * probe)
+
+    report = gradcheck_tensors(loss_fn, {"x": x, **flatten(params)}, tolerance=1e-6)
+    assert report.passed, report.format()
+    assert all(e.status == "ok" for e in report.entries), report.format()
+
+
+def test_gru_sequence_node_count_does_not_grow_with_length(monkeypatch):
+    result = Tensor.__dict__["_result"].__func__
+    built = []
+
+    def counted_result(data, parents, backward):
+        out = result(data, parents, backward)
+        if out.requires_grad:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted_result))
+    params = init_gru_params(np.random.default_rng(7), 3, 2, np.float64)
+    counts = []
+    for n in (4, 40):
+        built.clear()
+        gru_sequence(Tensor(np.ones((2, n, 3))), params)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
 # -- video encoder -----------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from hvsarn.training import (
     TrainState,
     adam_update,
     gradcheck,
+    _gradcheck_sample,
     gradcheck_tensors,
     init_state,
     load_checkpoint,
@@ -442,6 +443,14 @@ def test_full_model_gradcheck_passes():
     report = gradcheck(ModelConfig(hidden_size=6, reasoning_steps=1, seed=1))
     assert report.passed, report.format()
     assert report.format().splitlines()[-1].startswith("PASS")
+
+
+def test_full_model_gradcheck_at_the_smallest_shapes():
+    # T = 2, K = 1 and a one-token query: the query GRU takes a single step from the zero state
+    video, query = _gradcheck_sample(num_frames=2, num_objects=1, num_tokens=1)
+    model = build_model(ModelConfig(hidden_size=6, reasoning_steps=1, seed=1), InputDims.of(video, query), np.float64)
+    report = gradcheck_tensors(lambda: model.loss([(video, query)]), model.named_parameters())
+    assert report.passed, report.format()
 
 
 def test_gradcheck_zero_reasoning_marks_graph_params_unused():
