@@ -229,14 +229,12 @@ def cmd_ablate(args) -> int:
         base, names, dataset, _hyper(args), grid=grid, dtype=precision_dtype()
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    table = metrics_table(reports, grid)
-    with open(os.path.join(args.out_dir, "ablation.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    write_metrics_tsv(os.path.join(args.out_dir, "ablation.tsv"), reports, grid)
     atomic_write_json(
         os.path.join(args.out_dir, "ablation.json"),
         {name: report.to_dict() for name, report in reports.items()},
     )
-    print(table, end="")
+    print(metrics_table(reports, grid), end="")
     write_run_manifest(
         args.out_dir,
         "ablate",

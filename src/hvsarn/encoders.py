@@ -42,12 +42,6 @@ class EncodedVideo:
     semantic: Tensor  # [S, T, K, D]
 
 
-@dataclass
-class EncodedQuery:
-    sentence: Tensor  # [D]
-    contextual_tokens: Tensor  # [N, D]
-
-
 def init_encoder_params(
     rng: np.random.Generator, dims: InputDims, hidden: int, heads: int, dtype
 ) -> dict:
@@ -124,8 +118,8 @@ def self_attention(x: Tensor, params: dict, heads: int):
     return out, attn
 
 
-def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> EncodedQuery:
-    """Self-attend the token vectors, run the Bi-GRU, project the final states."""
+def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
+    """Self-attend the token vectors, run the Bi-GRU, project the final states to [1, D]."""
     dtype = _param_dtype(params)
     tokens = Tensor(sample.token_embeddings.astype(dtype))
     if tokens.shape[0] < 1:
@@ -136,8 +130,5 @@ def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> EncodedQu
         )
     attended, _ = self_attention(tokens, params["attn"], heads)
     n, dw = attended.shape
-    contextual, final = bigru(tt.reshape(attended, (1, n, dw)), params["gru"])
-    sentence = tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])
-    return EncodedQuery(
-        sentence=tt.reshape(sentence, (-1,)), contextual_tokens=tt.reshape(contextual, (n, -1))
-    )
+    _, final = bigru(tt.reshape(attended, (1, n, dw)), params["gru"])
+    return tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])

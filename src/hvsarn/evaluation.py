@@ -6,7 +6,6 @@ The headline numbers are Recall@n at IoU threshold m over a fixed grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .data import GroundTruthSegment, ModelConfig
@@ -99,21 +98,6 @@ def evaluate_predictions(predictions, truths, grid=DEFAULT_METRIC_GRID) -> Metri
         report.hits[(n, m)] = hits
         report.cells[(n, m)] = sum(hits) / len(hits) if hits else 0.0
     return report
-
-
-def read_predictions_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def report_from_jsonl(records, truths, grid=DEFAULT_METRIC_GRID) -> MetricReport:
-    predictions = [[(seg[0], seg[1]) for seg in rec["segments"]] for rec in records]
-    return evaluate_predictions(predictions, truths, grid)
 
 
 # -- report tables ----------------------------------------------------------

@@ -19,6 +19,10 @@ controller:
     Z_k   = sigmoid(Wv' v_k + Uq' Q_new + Hc' c_k + b')
     v_new = Z_k * v_k + (1 - Z_k) * v'_k
 
+Each gated update (G and Q_new, Z_k and v_new, and the memory_network
+baseline's) is one `tensor.gated_update` tape node with a hand-written
+backward.
+
 Everything is batched over independent graphs: controllers [B, D], nodes
 [B, K, D].  For a group of S samples of T frames, the object level runs
 B = S·T graphs (one per frame, each controlled by its sample's sentence)
@@ -86,13 +90,11 @@ def read_batch(controller: Tensor, nodes: Tensor, params: dict):
     logits = tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K))
     attn = tt.softmax(logits, axis=2)
     content = tt.matmul(attn, nodes)
-    candidate = tt.tanh(
-        tt.linear(ctrl, p["cand_wq"]) + tt.linear(content, p["cand_wr"]) + p["cand_b"]
+    new_controller = tt.gated_update(
+        ctrl,
+        tt.linear(ctrl, p["cand_wq"]) + tt.linear(content, p["cand_wr"]) + p["cand_b"],
+        tt.linear(ctrl, p["gate_wq"]) + tt.linear(content, p["gate_wr"]) + p["gate_b"],
     )
-    gate = tt.sigmoid(
-        tt.linear(ctrl, p["gate_wq"]) + tt.linear(content, p["gate_wr"]) + p["gate_b"]
-    )
-    new_controller = gate * ctrl + (1.0 - gate) * candidate
     return (
         tt.reshape(content, (B, D)),
         tt.reshape(new_controller, (B, D)),
@@ -128,13 +130,11 @@ def write_batch(controller_new: Tensor, nodes: Tensor, params: dict):
     ctrl = tt.reshape(controller_new, (B, 1, D))
     q_term_c = tt.linear(ctrl, p["cand_wq"])
     q_term_g = tt.linear(ctrl, p["gate_wq"])
-    candidate = tt.tanh(
-        tt.linear(nodes, p["cand_wv"]) + q_term_c + tt.linear(context, p["cand_wc"]) + p["cand_b"]
+    nodes_new = tt.gated_update(
+        nodes,
+        tt.linear(nodes, p["cand_wv"]) + q_term_c + tt.linear(context, p["cand_wc"]) + p["cand_b"],
+        tt.linear(nodes, p["gate_wv"]) + q_term_g + tt.linear(context, p["gate_wc"]) + p["gate_b"],
     )
-    gate = tt.sigmoid(
-        tt.linear(nodes, p["gate_wv"]) + q_term_g + tt.linear(context, p["gate_wc"]) + p["gate_b"]
-    )
-    nodes_new = gate * nodes + (1.0 - gate) * candidate
     return nodes_new, attn
 
 
@@ -213,9 +213,9 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict):
         ctrl = tt.reshape(controller, (B, 1, D))
         q_c = tt.linear(ctrl, params["cand_wq"])
         q_g = tt.linear(ctrl, params["gate_wq"])
-        candidate = tt.tanh(tt.linear(nodes, params["cand_wv"]) + q_c + params["cand_b"])
-        gate = tt.sigmoid(tt.linear(nodes, params["gate_wv"]) + q_g + params["gate_b"])
-        return gate * nodes + (1.0 - gate) * candidate, None
+        cand_pre = tt.linear(nodes, params["cand_wv"]) + q_c + params["cand_b"]
+        gate_pre = tt.linear(nodes, params["gate_wv"]) + q_g + params["gate_b"]
+        return tt.gated_update(nodes, cand_pre, gate_pre), None
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 
 

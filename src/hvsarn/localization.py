@@ -6,8 +6,9 @@ and an end logit, [S, T] each.  Candidate
 segments are every frame pair (i, j) with i < j, scored by
 softmax(start)[i] * softmax(end)[j], emitted in descending score with ties
 broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  The
-ranking is vectorized: the upper-triangle pairs come from `np.triu_indices`
-and one `np.lexsort` on (-score, i, j) orders them, in float64 throughout.
+ranking is vectorized: `np.triu_indices` yields the upper-triangle pairs
+already in (i, j) order, so one stable `np.argsort` on -score ranks them
+with that tie order, in float64 throughout.
 Training minimizes cross-entropy of the start/end distributions at the
 ground-truth frame indices, gathered per sample from the [S, T]
 log-softmaxes and summed over the S samples; it needs only the logits
@@ -66,7 +67,7 @@ def enumerate_segments(
     e = _np_softmax(np.asarray(end_logits, dtype=np.float64))
     i, j = np.triu_indices(T, k=1)
     score = s[i] * e[j]
-    order = np.lexsort((j, i, -score))[:max_segments]
+    order = np.argsort(-score, kind="stable")[:max_segments]
     lo, hi = frame_pair_to_fractions(i[order], j[order], T)
     return list(zip(lo.tolist(), hi.tolist(), score[order].tolist()))
 

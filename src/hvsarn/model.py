@@ -88,13 +88,10 @@ class Model:
                     f"{(video.num_frames, video.num_objects)}, expected {shape} like the rest"
                 )
         sentences = [
-            encode_query(query, self.params["encoder"], self.config.attn_heads).sentence
+            encode_query(query, self.params["encoder"], self.config.attn_heads)
             for _, query in samples
         ]
-        return (
-            encode_video(videos, self.params["encoder"]),
-            tt.reshape(tt.concat(sentences, axis=0), (len(samples), -1)),
-        )
+        return encode_video(videos, self.params["encoder"]), tt.concat(sentences, axis=0)
 
     def frame_features(self, encoded: EncodedVideo, sentences: Tensor) -> FrameRepresentations:
         """Route encoder outputs through the configured hierarchy variant."""

@@ -1,9 +1,9 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough tape machinery for the model in this package: add, neg and mul
-with broadcasting (plus division by a constant), batched matmul, tanh and
-sigmoid, stable (log-)softmax, sum/mean reductions, concat, indexing
-(`take`), and reshape/swapaxes/broadcast_to.
+with broadcasting (plus division by a constant), batched matmul, tanh, the
+sigmoid-gated update `gated_update`, stable (log-)softmax, sum/mean
+reductions, concat, indexing (`take`), and reshape/swapaxes/broadcast_to.
 Dtype is inherited from the operands, so the same code runs in float32
 for training and float64 for finite-difference verification.
 """
@@ -91,12 +91,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -241,21 +235,28 @@ def tanh(a: Tensor) -> Tensor:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function on a numpy array, exp of a non-positive argument only."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = stable_sigmoid(a.data)
+def gated_update(state: Tensor, cand_pre: Tensor, gate_pre: Tensor) -> Tensor:
+    """g * state + (1 - g) * tanh(cand_pre) with g = sigmoid(gate_pre), as one node."""
+    shapes = (state.shape, cand_pre.shape, gate_pre.shape)
+    if len(set(shapes)) != 1:
+        raise ValueError(f"gated_update operands differ in shape: {shapes}")
+    g = stable_sigmoid(gate_pre.data)
+    c = np.tanh(cand_pre.data)
+    out_data = g * state.data + (1.0 - g) * c
 
-    def backward(g):
-        a._accumulate(g * y * (1.0 - y))
+    def backward(grad):
+        if state.requires_grad:
+            state._accumulate(grad * g)
+        if cand_pre.requires_grad:
+            cand_pre._accumulate(grad * (1.0 - g) * (1.0 - c * c))
+        if gate_pre.requires_grad:
+            gate_pre._accumulate(grad * (state.data - c) * g * (1.0 - g))
 
-    return Tensor._result(y, (a,), backward)
+    return Tensor._result(out_data, (state, cand_pre, gate_pre), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -353,13 +354,8 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map on the last axis: x [..., m] @ w [m, p] (+ b [p])."""
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
+    """Affine map on the last axis: x [..., m] @ w [m, p] (+ b [p]), x.ndim >= 2."""
     y = matmul(x, w)
     if b is not None:
         y = add(y, b)
-    if squeeze:
-        y = reshape(y, (-1,))
     return y

@@ -12,7 +12,6 @@ import pytest
 
 from hvsarn.cli import main, parse_metric_grid, precision_dtype
 from hvsarn.data import ConfigError, GroundTruthSegment, VideoSample, load_dataset, save_sample
-from hvsarn.evaluation import read_predictions_jsonl
 from hvsarn.training import load_checkpoint
 
 TINY = ["--lr", "1e-3", "--steps", "4", "--batch-size", "2"]
@@ -104,7 +103,8 @@ def test_full_pipeline(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "R@1,IoU=0.5:" in out and "R@5,IoU=0.5:" in out
 
-    records = read_predictions_jsonl(scored / "predictions.jsonl")
+    lines = (scored / "predictions.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
     assert len(records) == 4
     for record in records:
         assert set(record) == {"query_id", "video_id", "segments"}

@@ -210,16 +210,15 @@ def test_encode_query_shapes_and_determinism():
     query = make_query()
     enc1 = encode_query(query, params, heads=4)
     enc2 = encode_query(query, params, heads=4)
-    assert enc1.sentence.shape == (6,)
-    assert enc1.contextual_tokens.shape == (5, 6)
-    np.testing.assert_array_equal(enc1.sentence.data, enc2.sentence.data)
+    assert enc1.shape == (1, 6)
+    np.testing.assert_array_equal(enc1.data, enc2.data)
 
 
 def test_encode_query_single_token():
     params = make_params()
     enc = encode_query(make_query(n=1), params, heads=4)
-    assert enc.sentence.shape == (6,)
-    assert np.all(np.isfinite(enc.sentence.data))
+    assert enc.shape == (1, 6)
+    assert np.all(np.isfinite(enc.data))
 
 
 def test_encoder_head_divisibility_checked():
@@ -240,12 +239,12 @@ def test_encoder_gradcheck():
     query = make_query(n=3)
     rng = np.random.default_rng(6)
     probe_v = Tensor(rng.normal(size=(1, 2, 2, 6)))
-    probe_q = Tensor(rng.normal(size=6))
+    probe_q = Tensor(rng.normal(size=(1, 6)))
 
     def loss_fn():
         enc_v = encode_video([video], params)
         enc_q = encode_query(query, params, heads=4)
-        return tt.tsum(enc_v.visual * probe_v) + tt.tsum(enc_q.sentence * probe_q)
+        return tt.tsum(enc_v.visual * probe_v) + tt.tsum(enc_q * probe_q)
 
     report = gradcheck_tensors(loss_fn, flatten(params), tolerance=1e-6)
     assert report.passed, report.format()

@@ -2,6 +2,8 @@
 and the ablation variant table.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,8 @@ from hvsarn.evaluation import (
     ablation_config,
     evaluate_predictions,
     metrics_table,
-    read_predictions_jsonl,
     recall_at,
     recall_hits,
-    report_from_jsonl,
     temporal_iou,
     write_metrics_tsv,
 )
@@ -143,9 +143,11 @@ def test_report_from_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "preds.jsonl"
     write_predictions_jsonl(path, records)
-    back = read_predictions_jsonl(path)
+    back = [json.loads(line) for line in path.read_text().splitlines()]
     direct = evaluate_predictions(predictions, truths)
-    via_file = report_from_jsonl(back, truths)
+    via_file = evaluate_predictions(
+        [[(seg[0], seg[1]) for seg in rec["segments"]] for rec in back], truths
+    )
     assert via_file.cells == direct.cells
 
 

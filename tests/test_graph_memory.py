@@ -180,19 +180,20 @@ def test_permutation_equivariance_and_controller_invariance():
 def test_reason_gradcheck_small():
     # K=3 so the pairwise MLP actually receives gradient (a lone neighbor's
     # softmax is constant and grads vanish by construction).
-    rng = np.random.default_rng(2)
-    params = init_graph_memory_params(rng, 4, np.float64)
-    q = Tensor(rng.normal(size=(1, 4)))
-    nodes = Tensor(rng.normal(size=(1, 3, 4)))
-    probe = Tensor(rng.normal(size=(1, 3, 4)))
+    for B in (1, 2):
+        rng = np.random.default_rng(2)
+        params = init_graph_memory_params(rng, 4, np.float64)
+        q = Tensor(rng.normal(size=(B, 4)))
+        nodes = Tensor(rng.normal(size=(B, 3, 4)))
+        probe = Tensor(rng.normal(size=(B, 3, 4)))
 
-    def loss_fn():
-        controller, nodes_out = reason_batch(q, nodes, params, 2)
-        return tt.tsum(nodes_out * probe) + tt.tsum(controller * controller)
+        def loss_fn():
+            controller, nodes_out = reason_batch(q, nodes, params, 2)
+            return tt.tsum(nodes_out * probe) + tt.tsum(controller * controller)
 
-    report = gradcheck_tensors(loss_fn, flatten(params), tolerance=1e-6)
-    assert report.passed, report.format()
-    assert all(e.status == "ok" for e in report.entries), report.format()
+        report = gradcheck_tensors(loss_fn, flatten(params), tolerance=1e-6)
+        assert report.passed, report.format()
+        assert all(e.status == "ok" for e in report.entries), report.format()
 
 
 # -- baseline reasoners ---------------------------------------------------------
@@ -263,6 +264,23 @@ def test_memory_network_has_no_edges():
     perturbed[0, 1:] += 100.0
     out2, _ = baseline_step("memory_network", Tensor(perturbed), Tensor(ctrl), params)
     np.testing.assert_allclose(out1.data[0, 0], out2.data[0, 0], atol=1e-12)
+
+
+def test_memory_network_gradcheck():
+    rng = np.random.default_rng(37)
+    params = init_baseline_params(rng, "memory_network", 4, np.float64)
+    q = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    nodes = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def loss_fn():
+        _, nodes_out = run_reasoner("memory_network", q, nodes, params, 2)
+        return tt.tsum(nodes_out * probe)
+
+    named = {**flatten(params), "controller": q, "nodes": nodes}
+    report = gradcheck_tensors(loss_fn, named, tolerance=1e-6)
+    assert report.passed, report.format()
+    assert all(e.status == "ok" for e in report.entries), report.format()
 
 
 def test_run_reasoner_dispatch():

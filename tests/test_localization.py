@@ -5,7 +5,6 @@ import json
 import numpy as np
 
 from hvsarn.data import GroundTruthSegment
-from hvsarn.evaluation import read_predictions_jsonl
 from hvsarn.hierarchy import FrameRepresentations
 from hvsarn.localization import (
     enumerate_segments,
@@ -187,7 +186,7 @@ def test_jsonl_round_trip(tmp_path):
         }
     ]
     write_predictions_jsonl(path, rows)
-    assert read_predictions_jsonl(path) == rows
+    assert [json.loads(line) for line in path.read_text().splitlines()] == rows
     # each line must parse standalone and carry array-shaped segments
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1

@@ -70,13 +70,65 @@ def test_matmul_rejects_vectors():
 def test_nonlinearities():
     x = RNG.normal(size=(3, 3))
     fd_check(tt.tanh, x)
-    fd_check(tt.sigmoid, x)
 
 
 def test_sigmoid_extreme_inputs_stable():
-    y = tt.sigmoid(Tensor(np.array([-800.0, 0.0, 800.0])))
-    assert np.all(np.isfinite(y.data))
-    assert y.data[0] == 0.0 and y.data[2] == 1.0
+    y = tt.stable_sigmoid(np.array([-800.0, 0.0, 800.0]))
+    assert np.all(np.isfinite(y))
+    assert y[0] == 0.0 and y[2] == 1.0
+
+
+def masked_sigmoid(x):
+    """The branch-per-sign logistic that `stable_sigmoid` must reproduce bit for bit."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_sigmoid_bytes_match_masked_form(dtype):
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.inf, -np.inf, 100.0, -100.0, 1e-30, -1e-30]
+    x = np.concatenate(
+        [special, rng.uniform(-120.0, 120.0, 200_000), rng.normal(size=50_000)]
+    ).astype(dtype)
+    y = tt.stable_sigmoid(x)
+    assert y.dtype == dtype
+    assert y.tobytes() == masked_sigmoid(x).tobytes()
+
+
+def composed_gated_update(state, cand_pre, gate_pre):
+    g = Tensor(tt.stable_sigmoid(gate_pre.data))
+    return g * state + (1.0 - g) * tt.tanh(cand_pre)
+
+
+def test_gated_update_fd_into_every_parent():
+    shape = (2, 3, 4)
+    probe = Tensor(RNG.normal(size=shape))  # a non-uniform upstream gradient
+    fd_check(
+        lambda s, c, g: tt.gated_update(s, c, g) * probe,
+        RNG.normal(size=shape),
+        RNG.normal(size=shape),
+        RNG.normal(size=shape),
+    )
+
+
+def test_gated_update_forward_bytes_match_composed_ops():
+    rng = np.random.default_rng(8)
+    state, cand_pre, gate_pre = (
+        Tensor(rng.normal(scale=3.0, size=(4, 5, 8)).astype(np.float32)) for _ in range(3)
+    )
+    fused = tt.gated_update(state, cand_pre, gate_pre).data
+    assert fused.dtype == np.float32
+    assert fused.tobytes() == composed_gated_update(state, cand_pre, gate_pre).data.tobytes()
+
+
+def test_gated_update_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape"):
+        tt.gated_update(*(Tensor(np.zeros(shape)) for shape in [(2, 3), (2, 3), (1, 3)]))
 
 
 def test_softmax_rows_and_grad():
@@ -144,10 +196,8 @@ def test_reshape_swapaxes_broadcast():
 def test_linear_affine_and_vector_input():
     x, w, b = RNG.normal(size=(4, 3)), RNG.normal(size=(3, 2)), RNG.normal(size=(2,))
     fd_check(tt.linear, x, w, b)
-    v = RNG.normal(size=(3,))
-    out = tt.linear(Tensor(v), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(out.data, v @ w + b, atol=1e-12)
-    assert out.shape == (2,)
+    with pytest.raises(ValueError, match="ndim >= 2"):
+        tt.linear(Tensor(RNG.normal(size=(3,))), Tensor(w), Tensor(b))
 
 
 def test_grad_accumulates_when_tensor_reused():
@@ -207,13 +257,6 @@ def test_no_grad_restores_the_tape_after_an_exception():
         with tt.no_grad():
             raise RuntimeError("inside the block")
     assert (x * 2.0).requires_grad
-
-
-def test_detach_stops_gradient():
-    x = Tensor(np.ones(3), requires_grad=True)
-    y = tt.tsum(x.detach() * x)
-    y.backward()
-    np.testing.assert_allclose(x.grad, np.ones(3), atol=1e-12)  # only the live branch
 
 
 def test_dtype_follows_operands():
