@@ -46,7 +46,7 @@ print("summary ~ node 2?  cosine =",
 # The controller update is G * old + (1 - G) * candidate, elementwise.
 # Saturating the gate bias pins it to "keep": the controller passes through.
 saturated = init_graph_memory_params(rng, D, np.float64)
-saturated["read"]["gate_b"].data[:] = 20.0
+saturated["read"]["b"].data[D:] = 20.0  # the bias is [candidate | gate]; set the gate half
 _, kept, _ = read_batch(controller, nodes, saturated)
 print("\nwith gate bias +20, |new - old| =", float(np.abs(kept.data - controller.data).max()))
 

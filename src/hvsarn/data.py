@@ -382,8 +382,8 @@ def synth_sample(
     Pinning the correct segment therefore rewards comparing object content
     against the query.  `noisy` keeps the same plant at ~1/3 the SNR.
     """
-    if num_frames < 2:
-        raise ValueError(f"num_frames: must be >= 2, got {num_frames}")
+    if num_frames < 3:
+        raise ValueError(f"num_frames: must be >= 3, got {num_frames}")
     if num_objects < 1:
         raise ValueError(f"num_objects: must be >= 1, got {num_objects}")
     if difficulty not in DIFFICULTIES:
@@ -400,9 +400,8 @@ def synth_sample(
     pid = int(rng.integers(0, _NUM_PROTOTYPES))
     distractor = int((pid + 1 + rng.integers(0, _NUM_PROTOTYPES - 1)) % _NUM_PROTOTYPES)
 
-    # segments span 25-60% of the video but never all of it; a 2-frame video
-    # only admits length 1
-    min_len = min(max(2, round(0.25 * T)), T - 1)
+    # segments span 25-60% of the video, at least two frames but never all of it
+    min_len = max(2, round(0.25 * T))
     max_len = min(max(min_len, round(0.6 * T)), T - 1)
     length = int(rng.integers(min_len, max_len + 1))
     t0 = int(rng.integers(0, T - length + 1))

@@ -6,7 +6,8 @@ vectors get their own affine map.  `encode_video` stacks a group of S
 same-shape videos on a leading sample axis, [S, T, K, D].  Query side:
 token vectors pass through one residual multi-head self-attention layer,
 then a bidirectional GRU; the sentence vector is the projected concatenation
-of the two final hidden states.  Queries differ in length, so each is
+of the two final hidden states (the forward direction's at the last token,
+the backward direction's at the first).  Queries differ in length, so each is
 encoded on its own and the caller stacks the sentences.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import tensor as tt
 from .data import QuerySample, VideoSample
 from .params import weight, zeros
-from .recurrent import bigru, init_bigru_params
+from .recurrent import gru_sequence, init_bigru_params
 from .tensor import Tensor
 
 
@@ -130,5 +131,8 @@ def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
         )
     attended, _ = self_attention(tokens, params["attn"], heads)
     n, dw = attended.shape
-    _, final = bigru(tt.reshape(attended, (1, n, dw)), params["gru"])
+    x = tt.reshape(attended, (1, n, dw))
+    fwd = gru_sequence(x, params["gru"]["fwd"])
+    bwd = gru_sequence(x, params["gru"]["bwd"], reverse=True)
+    final = tt.concat([fwd[:, n - 1], bwd[:, 0]], axis=1)
     return tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])

@@ -19,9 +19,11 @@ controller:
     Z_k   = sigmoid(Wv' v_k + Uq' Q_new + Hc' c_k + b')
     v_new = Z_k * v_k + (1 - Z_k) * v'_k
 
-Each gated update (G and Q_new, Z_k and v_new, and the memory_network
-baseline's) is one `tensor.gated_update` tape node with a hand-written
-backward.
+Each gated layer (the read's, the write's, the memory_network baseline's)
+stores one [D, 2D] weight [candidate | gate] per input ([Wq | Wq'] as `wq`,
+and so on) and one [2D] bias [b | b'].  Each input takes one projection,
+and `gated_update` turns their [..., 2D] sum into the new state as one
+tape node with a hand-written backward.
 
 Everything is batched over independent graphs: controllers [B, D], nodes
 [B, K, D].  For a group of S samples of T frames, the object level runs
@@ -43,42 +45,62 @@ import numpy as np
 
 from . import tensor as tt
 from .data import REASONER_KINDS
-from .params import weight, zeros
+from .params import weight, xavier_uniform, zeros
 from .tensor import Tensor
 
 _MASK_VALUE = -1e9  # exp() underflows to exactly 0, so diagonal weights vanish
 
 
+def _gated_params(rng: np.random.Generator, inputs: tuple[str, ...], dim: int, dtype) -> dict:
+    """One [D, 2D] weight [candidate | gate] per input, candidates drawn first, and a [2D] bias."""
+    blocks = [xavier_uniform(rng, (dim, dim), dtype) for _ in range(2 * len(inputs))]
+    cand, gate = blocks[: len(inputs)], blocks[len(inputs) :]
+    params = {
+        name: Tensor(np.concatenate([c, g], axis=1), requires_grad=True)
+        for name, c, g in zip(inputs, cand, gate)
+    }
+    params["b"] = zeros((2 * dim,), dtype)
+    return params
+
+
+def gated_update(state: Tensor, pre: Tensor) -> Tensor:
+    """G * state + (1 - G) * tanh(C), with [C | G's pre-activation] = pre [..., 2D], as one node."""
+    D = state.shape[-1]
+    if pre.shape != state.shape[:-1] + (2 * D,):
+        raise ValueError(f"pre shape {pre.shape} does not fit state shape {state.shape}")
+    g = tt.stable_sigmoid(pre.data[..., D:])
+    c = np.tanh(pre.data[..., :D])
+    out_data = g * state.data + (1.0 - g) * c
+
+    def backward(grad):
+        if state.requires_grad:
+            state._accumulate(grad * g)
+        if pre.requires_grad:
+            dpre = np.empty_like(pre.data)
+            dpre[..., :D] = grad * (1.0 - g) * (1.0 - c * c)
+            dpre[..., D:] = grad * (state.data - c) * g * (1.0 - g)
+            pre._accumulate(dpre)
+
+    return Tensor._result(out_data, (state, pre), backward)
+
+
 def init_graph_memory_params(rng: np.random.Generator, dim: int, dtype) -> dict:
     d = dim
-    return {
-        "read": {
-            "attn_w1": weight(rng, (d, d), dtype),
-            "attn_w2": weight(rng, (d, d), dtype),
-            "attn_b": zeros((d,), dtype),
-            "attn_v": weight(rng, (d, 1), dtype),
-            "cand_wq": weight(rng, (d, d), dtype),
-            "cand_wr": weight(rng, (d, d), dtype),
-            "cand_b": zeros((d,), dtype),
-            "gate_wq": weight(rng, (d, d), dtype),
-            "gate_wr": weight(rng, (d, d), dtype),
-            "gate_b": zeros((d,), dtype),
-        },
-        "write": {
-            "mlp_w1": weight(rng, (2 * d, d), dtype),
-            "mlp_b1": zeros((d,), dtype),
-            "mlp_w2": weight(rng, (d, 1), dtype),
-            "mlp_b2": zeros((1,), dtype),
-            "cand_wv": weight(rng, (d, d), dtype),
-            "cand_wq": weight(rng, (d, d), dtype),
-            "cand_wc": weight(rng, (d, d), dtype),
-            "cand_b": zeros((d,), dtype),
-            "gate_wv": weight(rng, (d, d), dtype),
-            "gate_wq": weight(rng, (d, d), dtype),
-            "gate_wc": weight(rng, (d, d), dtype),
-            "gate_b": zeros((d,), dtype),
-        },
+    read = {
+        "attn_w1": weight(rng, (d, d), dtype),
+        "attn_w2": weight(rng, (d, d), dtype),
+        "attn_b": zeros((d,), dtype),
+        "attn_v": weight(rng, (d, 1), dtype),
     }
+    read.update(_gated_params(rng, ("wq", "wr"), d, dtype))
+    write = {
+        "mlp_w1": weight(rng, (2 * d, d), dtype),
+        "mlp_b1": zeros((d,), dtype),
+        "mlp_w2": weight(rng, (d, 1), dtype),
+        "mlp_b2": zeros((1,), dtype),
+    }
+    write.update(_gated_params(rng, ("wv", "wq", "wc"), d, dtype))
+    return {"read": read, "write": write}
 
 
 def read_batch(controller: Tensor, nodes: Tensor, params: dict):
@@ -90,10 +112,8 @@ def read_batch(controller: Tensor, nodes: Tensor, params: dict):
     logits = tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K))
     attn = tt.softmax(logits, axis=2)
     content = tt.matmul(attn, nodes)
-    new_controller = tt.gated_update(
-        ctrl,
-        tt.linear(ctrl, p["cand_wq"]) + tt.linear(content, p["cand_wr"]) + p["cand_b"],
-        tt.linear(ctrl, p["gate_wq"]) + tt.linear(content, p["gate_wr"]) + p["gate_b"],
+    new_controller = gated_update(
+        ctrl, tt.linear(ctrl, p["wq"]) + tt.linear(content, p["wr"]) + p["b"]
     )
     return (
         tt.reshape(content, (B, D)),
@@ -128,13 +148,8 @@ def write_batch(controller_new: Tensor, nodes: Tensor, params: dict):
     B, K, D = nodes.shape
     context, attn = neighbor_context(nodes, params)
     ctrl = tt.reshape(controller_new, (B, 1, D))
-    q_term_c = tt.linear(ctrl, p["cand_wq"])
-    q_term_g = tt.linear(ctrl, p["gate_wq"])
-    nodes_new = tt.gated_update(
-        nodes,
-        tt.linear(nodes, p["cand_wv"]) + q_term_c + tt.linear(context, p["cand_wc"]) + p["cand_b"],
-        tt.linear(nodes, p["gate_wv"]) + q_term_g + tt.linear(context, p["gate_wc"]) + p["gate_b"],
-    )
+    pre = tt.linear(nodes, p["wv"]) + tt.linear(ctrl, p["wq"]) + tt.linear(context, p["wc"])
+    nodes_new = gated_update(nodes, pre + p["b"])
     return nodes_new, attn
 
 
@@ -166,14 +181,7 @@ def init_baseline_params(rng: np.random.Generator, kind: str, dim: int, dtype) -
             "wv": weight(rng, (d, d), dtype),
         }
     if kind == "memory_network":
-        return {
-            "cand_wv": weight(rng, (d, d), dtype),
-            "cand_wq": weight(rng, (d, d), dtype),
-            "cand_b": zeros((d,), dtype),
-            "gate_wv": weight(rng, (d, d), dtype),
-            "gate_wq": weight(rng, (d, d), dtype),
-            "gate_b": zeros((d,), dtype),
-        }
+        return _gated_params(rng, ("wv", "wq"), d, dtype)
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 
 
@@ -211,11 +219,8 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict):
         return nodes + tt.matmul(attn, v), attn
     if kind == "memory_network":
         ctrl = tt.reshape(controller, (B, 1, D))
-        q_c = tt.linear(ctrl, params["cand_wq"])
-        q_g = tt.linear(ctrl, params["gate_wq"])
-        cand_pre = tt.linear(nodes, params["cand_wv"]) + q_c + params["cand_b"]
-        gate_pre = tt.linear(nodes, params["gate_wv"]) + q_g + params["gate_b"]
-        return tt.gated_update(nodes, cand_pre, gate_pre), None
+        pre = tt.linear(nodes, params["wv"]) + tt.linear(ctrl, params["wq"]) + params["b"]
+        return gated_update(nodes, pre), None
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 
 

@@ -49,8 +49,7 @@ def init_head_params(rng: np.random.Generator, input_width: int, hidden: int, dt
 def fuse_and_contextualize(frames: FrameRepresentations, params: dict) -> Tensor:
     """[visual, semantic] per frame through the Bi-GRU; returns [S, T, hidden]."""
     fused = tt.concat([frames.visual, frames.semantic], axis=2)
-    contextual, _ = bigru(fused, params["gru"])
-    return contextual
+    return bigru(fused, params["gru"])
 
 
 def _np_softmax(x: np.ndarray) -> np.ndarray:

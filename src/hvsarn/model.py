@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .data import ModelConfig, QuerySample, VideoSample
+from .data import ModelConfig, QuerySample, VideoSample, segment_to_frame_indices
 from .encoders import EncodedVideo, InputDims, encode_query, encode_video, init_encoder_params
 from .hierarchy import (
     FrameRepresentations,
@@ -135,6 +135,13 @@ class Model:
         for video, _ in samples:
             if video.annotation is None:
                 raise ValueError(f"sample {video.video_id} has no annotation; cannot compute loss")
+            self._check_limits(video)
+            s, e = segment_to_frame_indices(video.annotation, video.num_frames)
+            if s == e:
+                raise ValueError(
+                    f"sample {video.video_id}: annotation maps to the single frame (s, e) = "
+                    f"({s}, {e}); a candidate segment spans two frames"
+                )
         # The loss reads only the logits, so the candidate ranking is skipped.
         start, end = span_logits(self._contextualize(samples), self.params["head"])
         truths = [video.annotation for video, _ in samples]

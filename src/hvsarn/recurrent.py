@@ -8,24 +8,27 @@ Update convention (documented here once; the verification oracles restate it):
     h_t = (1 - z_t) * h_{t-1} + z_t * g_t
 
 Sequences run in a batch of S independent samples of one length N:
-x [S, N, In], state [S, 1, H].  The initial state is zero.  The stored
-per-gate (w, u, b) are fused at run time: the input terms Wz x_t + bz,
-Wr x_t + br, Wh x_t + bh of every step come from one [S, N, In] @ [In, 3H]
+x [S, N, In], state [S, 1, H].  The initial state is zero.  Each direction
+stores its weights in the layout the tape consumes: w = [Wz | Wr | Wh]
+[In, 3H], b = [bz | br | bh] [3H], u_zr = [Uz | Ur] [H, 2H] and u_g = Uh
+[H, H].  The input terms of every step come from one [S, N, In] @ [In, 3H]
 projection on the tape.  The recurrence over that projection is a single
-tape node with parents (projection, [Uz | Ur], Uh) and output the stacked
-states [S, N, H]; the final state is a slice of it.  Its forward steps in
-numpy, with one [S, 1, H] @ [H, 2H] product for Uz h_{t-1}, Ur h_{t-1} per
-step, and keeps the gate values only when the tape is on.  Its backward is
-hand-written backpropagation through time: a reverse loop carries dL/dh
-from step to step and writes the projection's gradient for each step, and
-the [Uz | Ur] and Uh gradients are each one product over all steps.
+tape node with parents (projection, u_zr, u_g) and output the stacked
+states [S, N, H].  Its forward steps in numpy, with one [S, 1, H] @ [H, 2H]
+product for Uz h_{t-1}, Ur h_{t-1} per step, and keeps the gate values only
+when the tape is on.  Its backward is hand-written backpropagation through
+time: a reverse loop carries dL/dh from step to step and writes the
+projection's gradient for each step, and the u_zr and u_g gradients are
+each one product over all steps.
 The state keeps its row axis so that each sample's product is a
 one-row matrix whatever S is: BLAS takes the same path for it alone as in a
 batch, and a sample's result does not depend on its batch companions.
 
 A bidirectional pass runs one GRU left-to-right and an independently
 parameterized one right-to-left and concatenates the per-position states,
-so the output width is twice the hidden size.
+so the output width is twice the hidden size.  A direction's final state
+is a position of its states: the last for left-to-right, the first for
+right-to-left.
 """
 
 from __future__ import annotations
@@ -33,19 +36,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tt
-from .params import weight, zeros
+from .params import xavier_uniform, zeros
 from .tensor import Tensor
 
 
 def init_gru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int, dtype) -> dict:
-    def gate():
-        return {
-            "w": weight(rng, (input_dim, hidden_dim), dtype),
-            "u": weight(rng, (hidden_dim, hidden_dim), dtype),
-            "b": zeros((hidden_dim,), dtype),
-        }
-
-    return {"update": gate(), "reset": gate(), "cand": gate()}
+    """Draw each gate's w [In, H] then u [H, H] (update, reset, candidate),
+    with that gate's own fans, then concatenate them into the stored layout."""
+    w, u = [], []
+    for _ in range(3):  # update, reset, candidate
+        w.append(xavier_uniform(rng, (input_dim, hidden_dim), dtype))
+        u.append(xavier_uniform(rng, (hidden_dim, hidden_dim), dtype))
+    return {
+        "w": Tensor(np.concatenate(w, axis=1), requires_grad=True),
+        "b": zeros((3 * hidden_dim,), dtype),
+        "u_zr": Tensor(np.concatenate(u[:2], axis=1), requires_grad=True),
+        "u_g": Tensor(u[2], requires_grad=True),
+    }
 
 
 def init_bigru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int, dtype) -> dict:
@@ -55,16 +62,10 @@ def init_bigru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int,
     }
 
 
-def gru_sequence(x: Tensor, params: dict, reverse: bool = False):
-    """Run the GRU over x [S, N, In]; returns (states [S, N, H], final state [S, 1, H])."""
-    gates = [params[name] for name in ("update", "reset", "cand")]
-    w = tt.concat([p["w"] for p in gates], axis=1)
-    b = tt.concat([p["b"] for p in gates], axis=0)
-    proj = tt.linear(x, w, b)
-    u_zr = tt.concat([gates[0]["u"], gates[1]["u"]], axis=1)
-    states = _recurrence(proj, u_zr, gates[2]["u"], reverse)
-    last = 0 if reverse else x.shape[1] - 1
-    return states, states[:, last : last + 1]
+def gru_sequence(x: Tensor, params: dict, reverse: bool = False) -> Tensor:
+    """Run the GRU over x [S, N, In]; returns the states [S, N, H]."""
+    proj = tt.linear(x, params["w"], params["b"])
+    return _recurrence(proj, params["u_zr"], params["u_g"], reverse)
 
 
 def _recurrence(proj: Tensor, u_zr: Tensor, u_g: Tensor, reverse: bool) -> Tensor:
@@ -127,14 +128,8 @@ def _recurrence(proj: Tensor, u_zr: Tensor, u_g: Tensor, reverse: bool) -> Tenso
     return Tensor._result(states, (proj, u_zr, u_g), backward)
 
 
-def bigru(x: Tensor, params: dict):
-    """Bidirectional pass over x [S, N, In].
-
-    Returns (per-position states [S, N, 2H], final-state concat [S, 2H]):
-    forward final state is at the last position, backward at the first.
-    """
-    states_f, last_f = gru_sequence(x, params["fwd"], reverse=False)
-    states_b, last_b = gru_sequence(x, params["bwd"], reverse=True)
-    contextual = tt.concat([states_f, states_b], axis=2)
-    final = tt.reshape(tt.concat([last_f, last_b], axis=2), (x.shape[0], -1))
-    return contextual, final
+def bigru(x: Tensor, params: dict) -> Tensor:
+    """Bidirectional pass over x [S, N, In]; returns the per-position states [S, N, 2H]."""
+    states_f = gru_sequence(x, params["fwd"], reverse=False)
+    states_b = gru_sequence(x, params["bwd"], reverse=True)
+    return tt.concat([states_f, states_b], axis=2)

@@ -1,9 +1,9 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough tape machinery for the model in this package: add, neg and mul
-with broadcasting (plus division by a constant), batched matmul, tanh, the
-sigmoid-gated update `gated_update`, stable (log-)softmax, sum/mean
-reductions, concat, indexing (`take`), and reshape/swapaxes/broadcast_to.
+with broadcasting (plus division by a constant), batched matmul, tanh,
+stable (log-)softmax, sum/mean reductions, concat, indexing (`take`), and
+reshape/swapaxes/broadcast_to.
 Dtype is inherited from the operands, so the same code runs in float32
 for training and float64 for finite-difference verification.
 """
@@ -237,26 +237,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function on a numpy array, exp of a non-positive argument only."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def gated_update(state: Tensor, cand_pre: Tensor, gate_pre: Tensor) -> Tensor:
-    """g * state + (1 - g) * tanh(cand_pre) with g = sigmoid(gate_pre), as one node."""
-    shapes = (state.shape, cand_pre.shape, gate_pre.shape)
-    if len(set(shapes)) != 1:
-        raise ValueError(f"gated_update operands differ in shape: {shapes}")
-    g = stable_sigmoid(gate_pre.data)
-    c = np.tanh(cand_pre.data)
-    out_data = g * state.data + (1.0 - g) * c
-
-    def backward(grad):
-        if state.requires_grad:
-            state._accumulate(grad * g)
-        if cand_pre.requires_grad:
-            cand_pre._accumulate(grad * (1.0 - g) * (1.0 - c * c))
-        if gate_pre.requires_grad:
-            gate_pre._accumulate(grad * (state.data - c) * g * (1.0 - g))
-
-    return Tensor._result(out_data, (state, cand_pre, gate_pre), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -172,7 +172,7 @@ def train(
 # -- checkpoints -------------------------------------------------------------
 
 _CHECKPOINT_KIND = "hvsarn-checkpoint"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _dtype_code(dtype) -> str:

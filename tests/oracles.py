@@ -20,6 +20,32 @@ def as_np(tree):
     raise TypeError(f"unexpected node {type(tree)!r}")
 
 
+def per_gate(p):
+    """Per-gate views of one fused layer's numpy parameters, for the formulas below.
+
+    A GRU direction (w [In, 3H], b [3H], u_zr [H, 2H], u_g [H, H]) becomes
+    {"update" | "reset" | "cand": {"w", "u", "b"}}.  A gated graph-memory layer
+    stores each input's weight as [candidate | gate] [D, 2D] and its bias as
+    [2D]; every such `name` becomes `cand_name` and `gate_name`, and other
+    entries pass through.
+    """
+    if "u_zr" in p:
+        H = p["u_g"].shape[0]
+        us = (p["u_zr"][:, :H], p["u_zr"][:, H:], p["u_g"])
+        return {
+            gate: {"w": p["w"][:, i * H : (i + 1) * H], "u": u, "b": p["b"][i * H : (i + 1) * H]}
+            for i, (gate, u) in enumerate(zip(("update", "reset", "cand"), us))
+        }
+    D = p["b"].shape[0] // 2
+    views = {}
+    for name, arr in p.items():
+        if name in ("b", "wq", "wr", "wv", "wc"):
+            views[f"cand_{name}"], views[f"gate_{name}"] = arr[..., :D], arr[..., D:]
+        else:
+            views[name] = arr
+    return views
+
+
 def softmax_1d(x):
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(x - x.max())
@@ -35,7 +61,7 @@ def sigmoid(x):
 
 def read_oracle(q, nodes, read_params):
     """One read step on a single graph; returns (content, new_controller, attn)."""
-    p = read_params
+    p = per_gate(read_params)
     K = nodes.shape[0]
     scores = np.zeros(K)
     for k in range(K):
@@ -53,7 +79,7 @@ def read_oracle(q, nodes, read_params):
 
 def write_oracle(q_new, nodes, write_params):
     """One synchronous write step; returns updated nodes [K, D]."""
-    p = write_params
+    p = per_gate(write_params)
     K, D = nodes.shape
     out = np.zeros_like(nodes)
     for k in range(K):
@@ -114,7 +140,8 @@ def gru_step_oracle(x_t, h_prev, gate_params):
     return (1.0 - z) * h_prev + z * g
 
 
-def gru_sequence_oracle(x, gate_params, reverse=False):
+def gru_sequence_oracle(x, direction_params, reverse=False):
+    gate_params = per_gate(direction_params)
     n = x.shape[0]
     hidden = gate_params["update"]["u"].shape[0]
     h = np.zeros(hidden)

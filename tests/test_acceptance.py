@@ -179,8 +179,8 @@ def test_c3_invariant_suite():
 
         # gate saturation: +20 bias keeps state identical to 1e-6
         saturated = init_graph_memory_params(rng, D, np.float64)
-        saturated["read"]["gate_b"].data[:] = 20.0
-        saturated["write"]["gate_b"].data[:] = 20.0
+        saturated["read"]["b"].data[D:] = 20.0  # the gate half of [candidate | gate]
+        saturated["write"]["b"].data[D:] = 20.0
         _, q_keep, _ = read_batch(controller, nodes, saturated)
         gate_worst = max(gate_worst, np.abs(q_keep.data - controller.data).max())
         nodes_keep, _ = write_batch(q_keep, nodes, saturated)
@@ -352,7 +352,7 @@ def test_c7_serialization_round_trips(tmp_path):
     # 100 random samples through save/load, bit for bit
     for i in range(100):
         rng = np.random.default_rng(i)
-        T = int(rng.integers(2, 20))
+        T = int(rng.integers(3, 20))
         K = int(rng.integers(1, 6))
         difficulty = ("separable", "noisy")[i % 2]
         video, query = synth_sample(i, T, K, difficulty)

@@ -256,6 +256,15 @@ def test_synth_annotation_is_frame_aligned():
         assert (lo, hi) == (video.annotation.start, video.annotation.end)
 
 
+def test_synth_requires_three_frames():
+    # a segment spans at least two frames but never the whole video
+    for T in (1, 2):
+        with pytest.raises(ValueError, match="num_frames: must be >= 3"):
+            synth_sample(0, T, 2)
+    video, _ = synth_sample(0, 3, 2)
+    assert segment_to_frame_indices(video.annotation, 3) in ((0, 1), (1, 2))
+
+
 def test_synth_difficulties_differ():
     sep, _ = synth_sample(1, 8, 3, "separable")
     noisy, _ = synth_sample(1, 8, 3, "noisy")

@@ -12,7 +12,7 @@ from hvsarn.encoders import (
     init_encoder_params,
     self_attention,
 )
-from hvsarn.params import flatten
+from hvsarn.params import flatten, xavier_uniform
 from hvsarn.recurrent import bigru, gru_sequence, init_bigru_params, init_gru_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
@@ -39,17 +39,17 @@ def test_gru_sequence_matches_oracle():
         rng = np.random.default_rng(seed)
         params = init_gru_params(rng, 5, 3, np.float64)
         x = rng.normal(size=(6, 5))
-        states, final = gru_sequence(Tensor(x[None]), params)
+        states = gru_sequence(Tensor(x[None]), params)
         ref_states, ref_final = gru_sequence_oracle(x, as_np(params))
         np.testing.assert_allclose(states.data[0], ref_states, atol=1e-10)
-        np.testing.assert_allclose(final.data[0, 0], ref_final, atol=1e-10)
+        np.testing.assert_allclose(states.data[0, -1], ref_final, atol=1e-10)
 
 
 def test_gru_reverse_runs_right_to_left():
     rng = np.random.default_rng(3)
     params = init_gru_params(rng, 4, 3, np.float64)
     x = rng.normal(size=(5, 4))
-    states, final = gru_sequence(Tensor(x[None]), params, reverse=True)
+    states = gru_sequence(Tensor(x[None]), params, reverse=True)
     ref_states, ref_final = gru_sequence_oracle(x, as_np(params), reverse=True)
     np.testing.assert_allclose(states.data[0], ref_states, atol=1e-10)
     # reversed pass ends at position 0
@@ -61,10 +61,10 @@ def test_gru_sequence_matches_oracle_at_length_40(reverse):
     rng = np.random.default_rng(40)
     params = init_gru_params(rng, 7, 5, np.float64)
     x = rng.normal(size=(40, 7))
-    states, final = gru_sequence(Tensor(x[None]), params, reverse=reverse)
+    states = gru_sequence(Tensor(x[None]), params, reverse=reverse)
     ref_states, ref_final = gru_sequence_oracle(x, as_np(params), reverse=reverse)
     np.testing.assert_allclose(states.data[0], ref_states, atol=1e-10)
-    np.testing.assert_allclose(final.data[0, 0], ref_final, atol=1e-10)
+    np.testing.assert_allclose(states.data[0, 0 if reverse else -1], ref_final, atol=1e-10)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -73,12 +73,12 @@ def test_gru_batch_rows_match_oracle_per_sample(reverse):
     rng = np.random.default_rng(41)
     params = init_gru_params(rng, 4, 3, np.float64)
     x = rng.normal(size=(5, 9, 4))
-    states, final = gru_sequence(Tensor(x), params, reverse=reverse)
-    assert states.shape == (5, 9, 3) and final.shape == (5, 1, 3)
+    states = gru_sequence(Tensor(x), params, reverse=reverse)
+    assert states.shape == (5, 9, 3)
     for i in range(5):
         ref_states, ref_final = gru_sequence_oracle(x[i], as_np(params), reverse=reverse)
         np.testing.assert_allclose(states.data[i], ref_states, atol=1e-10)
-        np.testing.assert_allclose(final.data[i, 0], ref_final, atol=1e-10)
+        np.testing.assert_allclose(states.data[i, 0 if reverse else -1], ref_final, atol=1e-10)
 
 
 def test_bigru_concatenates_directions():
@@ -86,19 +86,24 @@ def test_bigru_concatenates_directions():
         rng = np.random.default_rng(seed)
         params = init_bigru_params(rng, 4, 3, np.float64)
         x = rng.normal(size=(6, 4))
-        contextual, final = bigru(Tensor(x[None]), params)
+        contextual = bigru(Tensor(x[None]), params)
         ref_ctx, ref_final = bigru_oracle(x, as_np(params))
         np.testing.assert_allclose(contextual.data[0], ref_ctx, atol=1e-10)
-        np.testing.assert_allclose(final.data[0], ref_final, atol=1e-10)
-        assert contextual.shape == (1, 6, 6) and final.shape == (1, 6)
+        # final states: forward at the last position, backward at the first
+        final = np.concatenate([contextual.data[0, -1, :3], contextual.data[0, 0, 3:]])
+        np.testing.assert_allclose(final, ref_final, atol=1e-10)
+        assert contextual.shape == (1, 6, 6)
 
 
 def test_gru_single_step_sequence():
     rng = np.random.default_rng(4)
     params = init_bigru_params(rng, 4, 2, np.float64)
-    contextual, final = bigru(Tensor(rng.normal(size=(1, 1, 4))), params)
+    x = rng.normal(size=(1, 1, 4))
+    contextual = bigru(Tensor(x), params)
     assert contextual.shape == (1, 1, 4)
-    np.testing.assert_allclose(contextual.data[0, 0], final.data[0], atol=1e-12)
+    # one step: both directions' final states sit at the only position
+    _, ref_final = bigru_oracle(x[0], as_np(params))
+    np.testing.assert_allclose(contextual.data[0, 0], ref_final, atol=1e-12)
 
 
 def test_gru_gradcheck():
@@ -108,7 +113,7 @@ def test_gru_gradcheck():
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def loss_fn():
-        contextual, _ = bigru(x, params)
+        contextual = bigru(x, params)
         return tt.tsum(contextual * probe)
 
     report = gradcheck_tensors(loss_fn, flatten(params), tolerance=1e-6)
@@ -117,19 +122,40 @@ def test_gru_gradcheck():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_gru_final_state_gradcheck(reverse):
-    # encode_query reads only the final state, which is a slice of the states node
+    # encode_query reads only the final state, which is a position of the states node
     rng = np.random.default_rng(6)
     params = init_gru_params(rng, 3, 2, np.float64)
     x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-    probe = Tensor(rng.normal(size=(2, 1, 2)))
+    probe = Tensor(rng.normal(size=(2, 2)))
 
     def loss_fn():
-        _, final = gru_sequence(x, params, reverse=reverse)
+        final = gru_sequence(x, params, reverse=reverse)[:, 0 if reverse else 3]
         return tt.tsum(final * probe)
 
     report = gradcheck_tensors(loss_fn, {"x": x, **flatten(params)}, tolerance=1e-6)
     assert report.passed, report.format()
     assert all(e.status == "ok" for e in report.entries), report.format()
+
+
+def test_gru_init_blocks_equal_gate_by_gate_draws():
+    # the stored layout concatenates each gate's own draw: w then u for the
+    # update, reset and candidate gates, each with that gate's fans
+    params = init_gru_params(np.random.default_rng(9), 5, 3, np.float32)
+    rng = np.random.default_rng(9)
+    w, u = [], []
+    for _ in range(3):
+        w.append(xavier_uniform(rng, (5, 3), np.float32))
+        u.append(xavier_uniform(rng, (3, 3), np.float32))
+    assert params["w"].data.tobytes() == np.concatenate(w, axis=1).tobytes()
+    assert params["u_zr"].data.tobytes() == np.concatenate(u[:2], axis=1).tobytes()
+    assert params["u_g"].data.tobytes() == u[2].tobytes()
+    assert params["b"].shape == (9,) and not params["b"].data.any()
+    # the backward direction continues from the same generator
+    bi = init_bigru_params(np.random.default_rng(9), 5, 3, np.float32)
+    again = np.random.default_rng(9)
+    init_gru_params(again, 5, 3, np.float32)
+    bwd = init_gru_params(again, 5, 3, np.float32)
+    assert bi["bwd"]["w"].data.tobytes() == bwd["w"].data.tobytes()
 
 
 def test_gru_sequence_node_count_does_not_grow_with_length(monkeypatch):

@@ -10,6 +10,7 @@ import hvsarn.tensor as tt
 from hvsarn.graph_memory import (
     BASELINE_KINDS,
     baseline_step,
+    gated_update,
     init_baseline_params,
     init_graph_memory_params,
     neighbor_context,
@@ -18,9 +19,10 @@ from hvsarn.graph_memory import (
     run_reasoner,
     write_batch,
 )
-from hvsarn.params import flatten
+from hvsarn.params import flatten, xavier_uniform
 from hvsarn.tensor import Tensor
-from oracles import as_np, read_oracle, reason_oracle, softmax_1d, write_oracle
+from oracles import as_np, per_gate, read_oracle, reason_oracle, softmax_1d, write_oracle
+from test_tensor import fd_check
 
 from hvsarn.training import gradcheck_tensors
 
@@ -129,6 +131,77 @@ def test_single_node_context_is_zero():
     assert out.shape == (1, 1, 6)
 
 
+# -- stored layout and the gated update -----------------------------------------
+
+
+def test_init_blocks_equal_gate_by_gate_draws():
+    # every input's candidate block is drawn before any gate block, each as
+    # its own [D, D] matrix, exactly as a per-gate layout would draw them
+    D = 4
+    params = init_graph_memory_params(np.random.default_rng(11), D, np.float32)
+    rng = np.random.default_rng(11)
+
+    def block():
+        return xavier_uniform(rng, (D, D), np.float32)
+
+    read = {name: block() for name in ("attn_w1", "attn_w2")}
+    read["attn_v"] = xavier_uniform(rng, (D, 1), np.float32)
+    read.update({f"cand_{n}": block() for n in ("wq", "wr")})
+    read.update({f"gate_{n}": block() for n in ("wq", "wr")})
+    write = {"mlp_w1": xavier_uniform(rng, (2 * D, D), np.float32)}
+    write["mlp_w2"] = xavier_uniform(rng, (D, 1), np.float32)
+    write.update({f"cand_{n}": block() for n in ("wv", "wq", "wc")})
+    write.update({f"gate_{n}": block() for n in ("wv", "wq", "wc")})
+    for group, drawn in (("read", read), ("write", write)):
+        stored = params[group]
+        for name, arr in drawn.items():
+            if name.startswith(("cand_", "gate_")):
+                half = slice(None, D) if name.startswith("cand_") else slice(D, None)
+                got = np.ascontiguousarray(stored[name[5:]].data[:, half])
+            else:
+                got = stored[name].data
+            assert got.tobytes() == arr.tobytes(), (group, name)
+        assert stored["b"].shape == (2 * D,) and not stored["b"].data.any()
+
+    baseline = init_baseline_params(np.random.default_rng(12), "memory_network", D, np.float32)
+    rng = np.random.default_rng(12)
+    cand_v, cand_q, gate_v, gate_q = (block() for _ in range(4))
+    assert baseline["wv"].data.tobytes() == np.concatenate([cand_v, gate_v], axis=1).tobytes()
+    assert baseline["wq"].data.tobytes() == np.concatenate([cand_q, gate_q], axis=1).tobytes()
+    assert sorted(baseline) == ["b", "wq", "wv"]
+
+
+def composed_gated_update(state, pre):
+    D = state.shape[-1]
+    g = Tensor(tt.stable_sigmoid(pre.data[..., D:]))
+    return g * state + (1.0 - g) * tt.tanh(pre[..., :D])
+
+
+def test_gated_update_fd_into_every_parent():
+    rng = np.random.default_rng(13)
+    probe = Tensor(rng.normal(size=(2, 3, 4)))  # a non-uniform upstream gradient
+    fd_check(
+        lambda s, pre: gated_update(s, pre) * probe,
+        rng.normal(size=(2, 3, 4)),
+        rng.normal(size=(2, 3, 8)),
+    )
+
+
+def test_gated_update_forward_bytes_match_composed_ops():
+    rng = np.random.default_rng(8)
+    state = Tensor(rng.normal(scale=3.0, size=(4, 5, 8)).astype(np.float32))
+    pre = Tensor(rng.normal(scale=3.0, size=(4, 5, 16)).astype(np.float32))
+    fused = gated_update(state, pre).data
+    assert fused.dtype == np.float32
+    assert fused.tobytes() == composed_gated_update(state, pre).data.tobytes()
+
+
+def test_gated_update_rejects_shape_mismatch():
+    for pre_shape in [(1, 6), (2, 3), (2, 5)]:
+        with pytest.raises(ValueError, match="shape"):
+            gated_update(Tensor(np.zeros((2, 3))), Tensor(np.zeros(pre_shape)))
+
+
 def test_zero_steps_is_identity():
     params, q, nodes = make_instance(5)
     q_out, n_out = reason_one(q, nodes, params, 0)
@@ -145,23 +218,22 @@ def test_gates_strictly_inside_unit_interval():
         _, q_new, _ = read_oracle(q, nodes, p["read"])
         # recompute the gate exactly as the oracle does and check openness
         r = read_oracle(q, nodes, p["read"])[0]
-        gate = 1.0 / (1.0 + np.exp(-(q @ p["read"]["gate_wq"] + r @ p["read"]["gate_wr"])))
+        read = per_gate(p["read"])
+        gate = 1.0 / (1.0 + np.exp(-(q @ read["gate_wq"] + r @ read["gate_wr"])))
         assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
 
 def test_saturated_read_gate_preserves_controller():
     params, q, nodes = make_instance(6)
-    params["read"]["gate_b"].data[:] = 20.0
+    D = q.shape[0]
+    params["read"]["b"].data[D:] = 20.0  # the gate half of [candidate | gate]
     _, q_new, _ = read_batch(Tensor(q[None]), Tensor(nodes[None]), params)
-    gate_arg = (
-        q @ params["read"]["gate_wq"].data + np.zeros_like(q) @ params["read"]["gate_wr"].data
-    )
     assert np.max(np.abs(q_new.data[0] - q)) < 1e-6
 
 
 def test_saturated_write_gate_preserves_nodes():
     params, q, nodes = make_instance(7)
-    params["write"]["gate_b"].data[:] = 20.0
+    params["write"]["b"].data[q.shape[0] :] = 20.0
     out, _ = write_batch(Tensor(q[None]), Tensor(nodes[None]), params)
     assert np.max(np.abs(out.data[0] - nodes)) < 1e-6
 

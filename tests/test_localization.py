@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from hvsarn.data import GroundTruthSegment
+from hvsarn.data import GroundTruthSegment, segment_to_frame_indices, synth_sample
 from hvsarn.hierarchy import FrameRepresentations
 from hvsarn.localization import (
     enumerate_segments,
@@ -77,6 +77,27 @@ def test_two_frame_video_has_single_candidate():
     segs = enumerate_segments(np.zeros(2), np.zeros(2))
     assert segs == [(0.0, 1.0, segs[0][2])]
     np.testing.assert_allclose(segs[0][2], 0.25, atol=1e-12)
+
+
+def test_training_span_is_always_a_candidate():
+    # The loss trains toward frames (s, e); inference ranks only pairs i < j.
+    # Every synth truth, and every fuzzed truth that Model.loss accepts
+    # (s < e), must be one of the ranked candidates.
+    rng = np.random.default_rng(17)
+    for T in range(3, 65):
+        segs = enumerate_segments(rng.normal(size=T), rng.normal(size=T))
+        candidates = {segment_to_frame_indices(GroundTruthSegment(lo, hi), T) for lo, hi, _ in segs}
+        assert len(candidates) == T * (T - 1) // 2
+        for seed in range(4):
+            truth = synth_sample(seed, T, 1)[0].annotation
+            assert segment_to_frame_indices(truth, T) in candidates, (T, seed)
+        for _ in range(25):
+            lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+            t0, t1 = np.sort(rng.choice(T + 1, 2, replace=False))
+            for truth in (GroundTruthSegment(lo, hi), GroundTruthSegment(t0 / T, t1 / T)):
+                s_idx, e_idx = segment_to_frame_indices(truth, T)
+                if s_idx < e_idx:
+                    assert (s_idx, e_idx) in candidates, (T, truth)
 
 
 def test_one_frame_video_has_no_candidates():

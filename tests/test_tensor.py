@@ -100,37 +100,6 @@ def test_stable_sigmoid_bytes_match_masked_form(dtype):
     assert y.tobytes() == masked_sigmoid(x).tobytes()
 
 
-def composed_gated_update(state, cand_pre, gate_pre):
-    g = Tensor(tt.stable_sigmoid(gate_pre.data))
-    return g * state + (1.0 - g) * tt.tanh(cand_pre)
-
-
-def test_gated_update_fd_into_every_parent():
-    shape = (2, 3, 4)
-    probe = Tensor(RNG.normal(size=shape))  # a non-uniform upstream gradient
-    fd_check(
-        lambda s, c, g: tt.gated_update(s, c, g) * probe,
-        RNG.normal(size=shape),
-        RNG.normal(size=shape),
-        RNG.normal(size=shape),
-    )
-
-
-def test_gated_update_forward_bytes_match_composed_ops():
-    rng = np.random.default_rng(8)
-    state, cand_pre, gate_pre = (
-        Tensor(rng.normal(scale=3.0, size=(4, 5, 8)).astype(np.float32)) for _ in range(3)
-    )
-    fused = tt.gated_update(state, cand_pre, gate_pre).data
-    assert fused.dtype == np.float32
-    assert fused.tobytes() == composed_gated_update(state, cand_pre, gate_pre).data.tobytes()
-
-
-def test_gated_update_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        tt.gated_update(*(Tensor(np.zeros(shape)) for shape in [(2, 3), (2, 3), (1, 3)]))
-
-
 def test_softmax_rows_and_grad():
     x = RNG.normal(size=(4, 5))
     fd_check(lambda a: tt.softmax(a, axis=1), x)

@@ -1,5 +1,6 @@
 """Optimizer, determinism, checkpoints, and finite-difference verification."""
 
+import dataclasses
 import filecmp
 import json
 import os
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hvsarn.data import ModelConfig, synth_sample
+from hvsarn.data import GroundTruthSegment, ModelConfig, synth_sample
 from hvsarn.encoders import InputDims
 from hvsarn.evaluation import STANDARD_ABLATIONS, ablation_config
 from hvsarn.fileio import FormatError
@@ -96,6 +97,18 @@ def test_train_input_validation():
         TrainHyper(steps=-1)
     with pytest.raises(ValueError, match="batch_size"):
         TrainHyper(batch_size=0)
+
+
+def test_loss_rejects_a_truth_that_collapses_to_one_frame():
+    # candidates span two frames (i < j), so a one-frame truth is untrainable
+    video, query = synth_sample(0, 4, 2, "separable")
+    model = build_model(SMALL, InputDims.of(video, query))
+    one_frame = dataclasses.replace(
+        video, video_id="one-frame", annotation=GroundTruthSegment(0.3, 0.45)
+    )
+    with pytest.raises(ValueError, match=r"sample one-frame: .*\(s, e\) = \(1, 1\)"):
+        model.loss([(video, query), (one_frame, query)])
+    assert np.isfinite(model.loss([(video, query)]).data)
 
 
 def test_adam_matches_oracle():
@@ -338,9 +351,10 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
         (lambda m: m["dims"].pop("word_dim"), "dims: missing key 'word_dim'"),
         (lambda m: m.update(config=["hidden_size"]), "config: expected a JSON object, got list"),
         (lambda m: m.update(dtype="<f2"), "dtype '<f2'"),
-        (lambda m: m.update(format_version=99), "format_version 99 is not 1"),
+        (lambda m: m.update(format_version=99), "format_version 99 is not 2"),
+        (lambda m: m.update(format_version=1), "format_version 1 is not 2"),
     ],
-    ids=["dims_key", "config_type", "dtype", "format_version"],
+    ids=["dims_key", "config_type", "dtype", "format_version", "format_version_1"],
 )
 def test_load_rejects_malformed_field(tmp_path, mutate, message):
     out = saved_checkpoint(tmp_path)
