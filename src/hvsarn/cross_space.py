@@ -14,9 +14,9 @@ the same for every source i and cancels in the softmax over i.  The
 attention row, and so the pooled evidence f_k, is therefore the same for
 every target k: each target receives one evidence vector per graph, and
 only the projection P mixes it with the target itself.  `enhance_batch`
-computes that row once (logits src_i . w[:D]); w[D:] stays a stored
-parameter with zero gradient.  Whether a target-dependent score would serve
-the paper better is ROADMAP open item 5 (cross-space fidelity).
+computes that row once and stores only w[:D], as `attn_w` [D, 1]; it is
+drawn as the full [2D, 1] score, so the draws after it are unchanged.
+Whether a target-dependent score fits the paper better is ROADMAP item 3.
 
 The "v2s" direction reads sources from the visual graph and targets from
 the semantic one; "s2v" is the mirror.  Sources and targets must come from
@@ -29,14 +29,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tt
-from .params import weight, zeros
+from .params import weight, xavier_uniform, zeros
 from .tensor import Tensor
 
 
 def init_cross_space_params(rng: np.random.Generator, dim: int, dtype) -> dict:
     def one_direction():
+        pair_score = xavier_uniform(rng, (2 * dim, 1), dtype)
         return {
-            "attn_w": weight(rng, (2 * dim, 1), dtype),
+            "attn_w": Tensor(pair_score[:dim].copy(), requires_grad=True),
             "value_w": weight(rng, (dim, dim), dtype),
             "proj_w": weight(rng, (2 * dim, dim), dtype),
             "proj_b": zeros((dim,), dtype),
@@ -53,8 +54,7 @@ def enhance_batch(source: Tensor, target: Tensor, params: dict):
     if source.shape != target.shape:
         raise ValueError(f"source/target shape mismatch: {source.shape} vs {target.shape}")
     B, K, D = source.shape
-    # The target term tgt_k . w[D:] cancels in the softmax (module docstring).
-    logits = tt.reshape(tt.linear(source, params["attn_w"][:D]), (B, 1, K))
+    logits = tt.reshape(tt.linear(source, params["attn_w"]), (B, 1, K))
     weights = tt.softmax(logits, axis=2)
     evidence = tt.matmul(weights, tt.linear(source, params["value_w"]))
     attn = tt.broadcast_to(weights, (B, K, K))

@@ -150,8 +150,7 @@ class ModelConfig:
     The switches also decide which parameter groups `build_model` creates:
     `use_object_level` builds `object_level` and `fusion`, `use_frame_level`
     builds `frame_level`; within a level, `use_visual_graph` builds `visual`
-    and `use_semantic_graph` builds `semantic` plus the cross-space `cross`
-    (at frame level only with `cross_space_at_frame_level`).
+    and `use_semantic_graph` builds `semantic` plus the cross-space `cross`.
     `reasoning_steps=0` disables reasoning but keeps the reasoner parameters.
     """
 
@@ -164,7 +163,6 @@ class ModelConfig:
     use_visual_graph: bool = True
     use_semantic_graph: bool = True
     two_stream: bool = False
-    cross_space_at_frame_level: bool = True
     reasoner_kind: str = "graph_memory"
     attn_heads: int = 4
     max_segments: int | None = None
@@ -474,7 +472,11 @@ def load_dataset(data_dir: str | Path) -> list[Sample]:
     data_dir = Path(data_dir)
     index = data_dir / "dataset.json"
     if index.is_file():
-        names = read_json(index)["samples"]
+        manifest = read_json(index)
+        require_keys(manifest, ("samples",), str(index))
+        names = manifest["samples"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise FormatError(f"{index}: samples must be a list of directory names, got {names!r}")
         dirs = [data_dir / n for n in names]
     else:
         dirs = sorted(p.parent for p in data_dir.glob("*/manifest.json"))

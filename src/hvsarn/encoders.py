@@ -59,7 +59,6 @@ def init_encoder_params(
             "wq": weight(rng, (dw, dw), dtype),
             "bq": zeros((dw,), dtype),
             "wk": weight(rng, (dw, dw), dtype),
-            "bk": zeros((dw,), dtype),
             "wv": weight(rng, (dw, dw), dtype),
             "bv": zeros((dw,), dtype),
             "wo": weight(rng, (dw, dw), dtype),
@@ -110,7 +109,8 @@ def self_attention(x: Tensor, params: dict, heads: int):
         return tt.swapaxes(tt.reshape(t, (n, heads, dh)), 0, 1)
 
     q = split(tt.linear(x, params["wq"], params["bq"]))
-    k = split(tt.linear(x, params["wk"], params["bk"]))
+    # No key bias: q . bk is the same for every key, so the softmax cancels it.
+    k = split(tt.linear(x, params["wk"]))
     v = split(tt.linear(x, params["wv"], params["bv"]))
     scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
     attn = tt.softmax(scores, axis=-1)

@@ -14,7 +14,8 @@ The write controller then refreshes every node from the pre-step snapshot
 (synchronous update), mixing in the other nodes' context and the updated
 controller:
 
-    c_k   = sum_{i != k} softmax_i(mlp([v_k, v_i])) * v_i      (c = 0 if K = 1)
+    c_k   = sum_{i != k} softmax_i(m_ki) * v_i      (c = 0 if K = 1)
+    m_ki  = w2 . tanh(W1t v_k + W1s v_i + b1)       (an output bias would cancel)
     v'_k  = tanh(Wv v_k + Uq Q_new + Hc c_k + b)
     Z_k   = sigmoid(Wv' v_k + Uq' Q_new + Hc' c_k + b')
     v_new = Z_k * v_k + (1 - Z_k) * v'_k
@@ -93,11 +94,12 @@ def init_graph_memory_params(rng: np.random.Generator, dim: int, dtype) -> dict:
         "attn_v": weight(rng, (d, 1), dtype),
     }
     read.update(_gated_params(rng, ("wq", "wr"), d, dtype))
+    w1 = xavier_uniform(rng, (2 * d, d), dtype)
     write = {
-        "mlp_w1": weight(rng, (2 * d, d), dtype),
+        "mlp_w1_target": Tensor(w1[:d].copy(), requires_grad=True),
+        "mlp_w1_source": Tensor(w1[d:].copy(), requires_grad=True),
         "mlp_b1": zeros((d,), dtype),
         "mlp_w2": weight(rng, (d, 1), dtype),
-        "mlp_b2": zeros((1,), dtype),
     }
     write.update(_gated_params(rng, ("wv", "wq", "wc"), d, dtype))
     return {"read": read, "write": write}
@@ -128,13 +130,11 @@ def neighbor_context(nodes: Tensor, params: dict):
     B, K, D = nodes.shape
     if K == 1:
         return Tensor(np.zeros((B, 1, D), dtype=nodes.dtype)), None
-    # linear([v_k, v_i]) = v_k W1[:D] + b1 + v_i W1[D:]: two [B,K,D] maps,
-    # broadcast-added, instead of one [B,K,K,2D] concat and matmul.
-    w1 = p["mlp_w1"]
-    target = tt.reshape(tt.linear(nodes, w1[:D], p["mlp_b1"]), (B, K, 1, D))
-    source = tt.reshape(tt.linear(nodes, w1[D:]), (B, 1, K, D))
+    # Two [B,K,D] maps, broadcast-added, instead of a [B,K,K,2D] concat and matmul.
+    target = tt.reshape(tt.linear(nodes, p["mlp_w1_target"], p["mlp_b1"]), (B, K, 1, D))
+    source = tt.reshape(tt.linear(nodes, p["mlp_w1_source"]), (B, 1, K, D))
     hidden = tt.tanh(target + source)
-    logits = tt.reshape(tt.linear(hidden, p["mlp_w2"], p["mlp_b2"]), (B, K, K))
+    logits = tt.reshape(tt.linear(hidden, p["mlp_w2"]), (B, K, K))
     mask = np.full((K, K), 0.0, dtype=nodes.dtype)
     np.fill_diagonal(mask, _MASK_VALUE)
     attn = tt.softmax(logits + Tensor(mask), axis=2)

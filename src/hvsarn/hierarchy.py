@@ -14,8 +14,8 @@ Ablation switches on ModelConfig prune both the pass and the parameters a
 level holds: `use_visual_graph` / `use_semantic_graph` skip the respective
 reasoner and build no parameters for it, and `reasoner_kind` swaps the
 graph memory for a baseline.  The cross-space hops run exactly when the
-level holds a "cross" entry, which `init_level_params` builds only with the
-semantic graph on (and, at frame level, `cross_space_at_frame_level` on).
+level holds a "cross" entry, which `init_level_params` builds exactly when
+the semantic graph is on, at either level.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class FrameRepresentations:
     semantic: Tensor  # [S, T, D_s]
 
 
-def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype, cross: bool) -> dict:
+def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype) -> dict:
     """Reasoners for the enabled graphs of one level, plus the cross-space
-    projections when `cross` is set and the semantic graph is on."""
+    projections when the semantic graph is on."""
     d = config.hidden_size
 
     def init_reasoner():
@@ -54,8 +54,7 @@ def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype, cros
         params["visual"] = init_reasoner()
     if config.use_semantic_graph:
         params["semantic"] = init_reasoner()
-        if cross:
-            params["cross"] = init_cross_space_params(rng, d, dtype)
+        params["cross"] = init_cross_space_params(rng, d, dtype)
     return params
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as tt
 from .data import GroundTruthSegment, frame_pair_to_fractions, segment_to_frame_indices
 from .hierarchy import FrameRepresentations
-from .params import weight, zeros
+from .params import weight
 from .recurrent import bigru, init_bigru_params
 from .tensor import Tensor
 
@@ -41,8 +41,8 @@ class SegmentPrediction:
 def init_head_params(rng: np.random.Generator, input_width: int, hidden: int, dtype) -> dict:
     return {
         "gru": init_bigru_params(rng, input_width, hidden // 2, dtype),
-        "start": {"w": weight(rng, (hidden, 1), dtype), "b": zeros((1,), dtype)},
-        "end": {"w": weight(rng, (hidden, 1), dtype), "b": zeros((1,), dtype)},
+        "start": {"w": weight(rng, (hidden, 1), dtype)},
+        "end": {"w": weight(rng, (hidden, 1), dtype)},
     }
 
 
@@ -72,12 +72,10 @@ def enumerate_segments(
 
 
 def span_logits(contextual: Tensor, params: dict) -> tuple[Tensor, Tensor]:
-    """Start and end logits per frame, each [S, T]."""
+    """Start and end logits per frame, each [S, T]; a bias would cancel in the softmax."""
     S, T, _ = contextual.shape
-    start_logits = tt.reshape(
-        tt.linear(contextual, params["start"]["w"], params["start"]["b"]), (S, T)
-    )
-    end_logits = tt.reshape(tt.linear(contextual, params["end"]["w"], params["end"]["b"]), (S, T))
+    start_logits = tt.reshape(tt.linear(contextual, params["start"]["w"]), (S, T))
+    end_logits = tt.reshape(tt.linear(contextual, params["end"]["w"]), (S, T))
     return start_logits, end_logits
 
 

@@ -160,11 +160,9 @@ def build_model(config: ModelConfig, dims: InputDims, dtype=np.float32) -> Model
     d = config.hidden_size
     params = {"encoder": init_encoder_params(rng, dims, d, config.attn_heads, dtype)}
     if config.use_object_level:
-        params["object_level"] = init_level_params(rng, config, dtype, cross=True)
+        params["object_level"] = init_level_params(rng, config, dtype)
     if config.use_frame_level:
-        params["frame_level"] = init_level_params(
-            rng, config, dtype, cross=config.cross_space_at_frame_level
-        )
+        params["frame_level"] = init_level_params(rng, config, dtype)
     if config.use_object_level:
         params["fusion"] = init_fusion_params(rng, d, dtype)
     params["head"] = init_head_params(rng, head_input_width(config), d, dtype)

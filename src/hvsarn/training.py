@@ -172,7 +172,7 @@ def train(
 # -- checkpoints -------------------------------------------------------------
 
 _CHECKPOINT_KIND = "hvsarn-checkpoint"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _dtype_code(dtype) -> str:
@@ -247,9 +247,14 @@ def load_checkpoint(in_dir: str) -> TrainState:
     dim_names = ("feature_dim", "semantic_dim", "word_dim")
     require_keys(manifest["dims"], dim_names, f"{where}: dims")
     dims = InputDims(*(manifest["dims"][k] for k in dim_names))
+    step = manifest["step"]
+    if not _is_int(step) or step < 0:
+        raise FormatError(f"{where}: step {step!r} is not a non-negative integer")
+    if not isinstance(manifest["tensors"], list):
+        raise FormatError(f"{where}: tensors must be a list, got {manifest['tensors']!r}")
     model = build_model(config, dims, dtype)
     state = init_state(model)
-    state.step = int(manifest["step"])
+    state.step = step
 
     named = model.named_parameters()
     # Optimizer moments mirror the parameter tree, so every group is checked
@@ -259,32 +264,50 @@ def load_checkpoint(in_dir: str) -> TrainState:
         "adam_m": state.moments_m,
         "adam_v": state.moments_v,
     }
-    seen: set[str] = set()
+    # Every entry is checked before any blob is read.
+    files: dict[str, str] = {}
     for entry in manifest["tensors"]:
         require_keys(entry, ("name", "shape", "file"), f"{where}: tensors entry")
-        full_name = entry["name"]
-        shape = tuple(entry["shape"])
-        arr = read_blob(os.path.join(in_dir, entry["file"]), shape, code, field=full_name)
+        full_name, shape = entry["name"], entry["shape"]
+        if not isinstance(full_name, str):
+            raise FormatError(f"{where}: tensors entry name {full_name!r} is not a string")
         prefix, _, name = full_name.partition("/")
         if prefix not in loaded:
             raise FormatError(f"{in_dir}: unknown tensor group {prefix!r}")
         what = "parameter" if prefix == "params" else "optimizer entry"
         if name not in named:
             raise FormatError(f"{in_dir}: checkpoint has unknown {what} {full_name!r}")
-        expected = named[name].data.shape
-        if shape != expected:
+        if full_name in files:
+            raise FormatError(f"{in_dir}: {what} {full_name!r} is listed twice")
+        if not (isinstance(shape, list) and all(_is_int(n) for n in shape)):
             raise FormatError(
-                f"{in_dir}: {what} {full_name!r} has shape {shape}, expected {expected}"
+                f"{in_dir}: {what} {full_name!r} shape {shape!r} is not a list of integers"
             )
-        loaded[prefix][name] = arr
-        seen.add(full_name)
+        expected = named[name].data.shape
+        if tuple(shape) != expected:
+            raise FormatError(
+                f"{in_dir}: {what} {full_name!r} has shape {tuple(shape)}, expected {expected}"
+            )
+        if not isinstance(entry["file"], str):
+            raise FormatError(
+                f"{in_dir}: {what} {full_name!r} file {entry['file']!r} is not a string"
+            )
+        files[full_name] = entry["file"]
 
-    missing = [f"{group}/{k}" for group in loaded for k in named if f"{group}/{k}" not in seen]
+    missing = [f"{group}/{k}" for group in loaded for k in named if f"{group}/{k}" not in files]
     if missing:
         raise FormatError(f"{in_dir}: checkpoint is missing tensors {missing[:4]}")
+    for full_name, filename in files.items():
+        prefix, _, name = full_name.partition("/")
+        shape = named[name].data.shape
+        loaded[prefix][name] = read_blob(os.path.join(in_dir, filename), shape, code, full_name)
     for name, arr in loaded["params"].items():
         named[name].data = arr
     return state
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # -- gradient verification ---------------------------------------------------
@@ -370,8 +393,12 @@ def gradcheck_tensors(
     return GradcheckReport(entries=entries, tolerance=tolerance)
 
 
-def _gradcheck_sample(seed: int = 7, num_frames: int = 3, num_objects: int = 2, num_tokens: int = 3):
-    """Tiny hand-sized instance for FD verification (small dims keep it fast)."""
+def _gradcheck_sample(seed: int = 7, num_frames: int = 3, num_objects: int = 3, num_tokens: int = 3):
+    """Tiny hand-sized instance for FD verification (small dims keep it fast).
+
+    K = 3 gives each object two neighbours, so the object-level neighbour
+    softmax, and with it the neighbour MLP, has a gradient.
+    """
     from .data import GroundTruthSegment, QuerySample, VideoSample
 
     rng = np.random.default_rng([seed, num_frames, num_objects])

@@ -26,8 +26,10 @@ def per_gate(p):
     A GRU direction (w [In, 3H], b [3H], u_zr [H, 2H], u_g [H, H]) becomes
     {"update" | "reset" | "cand": {"w", "u", "b"}}.  A gated graph-memory layer
     stores each input's weight as [candidate | gate] [D, 2D] and its bias as
-    [2D]; every such `name` becomes `cand_name` and `gate_name`, and other
-    entries pass through.
+    [2D]; every such `name` becomes `cand_name` and `gate_name`.  A write
+    layer stores its neighbour MLP's first layer as the blocks that multiply
+    the target and the source node; they become the one [2D, D] `mlp_w1`
+    that multiplies the concatenated pair.  Other entries pass through.
     """
     if "u_zr" in p:
         H = p["u_g"].shape[0]
@@ -41,6 +43,8 @@ def per_gate(p):
     for name, arr in p.items():
         if name in ("b", "wq", "wr", "wv", "wc"):
             views[f"cand_{name}"], views[f"gate_{name}"] = arr[..., :D], arr[..., D:]
+        elif name in ("mlp_w1_target", "mlp_w1_source"):
+            views["mlp_w1"] = np.concatenate([p["mlp_w1_target"], p["mlp_w1_source"]])
         else:
             views[name] = arr
     return views
@@ -90,7 +94,7 @@ def write_oracle(q_new, nodes, write_params):
             logits = []
             for i in others:
                 h = np.tanh(np.concatenate([nodes[k], nodes[i]]) @ p["mlp_w1"] + p["mlp_b1"])
-                logits.append((h @ p["mlp_w2"] + p["mlp_b2"]).item())
+                logits.append((h @ p["mlp_w2"]).item())
             w = softmax_1d(logits)
             context = np.zeros(D)
             for wi, i in zip(w, others):
@@ -120,7 +124,9 @@ def cross_space_oracle(source, target, direction_params):
     for k in range(K):
         logits = np.zeros(K)
         for i in range(K):
-            logits[i] = (np.concatenate([source[i], target[k]]) @ p["attn_w"]).item()
+            # The pair score's target term is the same for every i and
+            # cancels in the softmax, so only the source half is stored.
+            logits[i] = (source[i] @ p["attn_w"]).item()
         w = softmax_1d(logits)
         pooled = np.zeros(D)
         for i in range(K):
@@ -164,7 +170,7 @@ def multi_head_attention_oracle(x, p, heads):
     n, dw = x.shape
     dh = dw // heads
     q = x @ p["wq"] + p["bq"]
-    k = x @ p["wk"] + p["bk"]
+    k = x @ p["wk"]
     v = x @ p["wv"] + p["bv"]
     pooled = np.zeros((n, dw))
     for head in range(heads):

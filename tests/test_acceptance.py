@@ -82,13 +82,13 @@ def test_c1_gradcheck_command(capsys):
     tensors = 0
     for line in out.strip().splitlines()[1:-1]:
         name, err, status = line.split()
-        assert status in ("ok", "unused"), line
+        assert status == "ok", line
         worst = max(worst, float(err))
         tensors += 1
     assert worst < 1e-4
     assert elapsed < 120.0
     _report(
-        f"[C1] gradcheck (T=3 K=2 tokens=3 width=6 one reasoning step): "
+        f"[C1] gradcheck (T=3 K=3 tokens=3 width=6 one reasoning step): "
         f"worst rel err {worst:.2e} < 1e-4 over {tensors} tensors "
         f"in {elapsed:.1f}s < 120s: PASS"
     )

@@ -259,6 +259,20 @@ def test_eval_of_malformed_checkpoint_prints_error(tmp_path, capsys):
     assert err.startswith("error: ") and "missing key 'dtype'" in err
 
 
+@pytest.mark.parametrize(
+    "index", [{}, {"samples": "sample_0"}, {"samples": [0]}], ids=["missing", "string", "int_entry"]
+)
+def test_train_on_malformed_dataset_index_prints_error(tmp_path, capsys, index):
+    data = tmp_path / "data"
+    assert synth(data) == 0
+    (data / "dataset.json").write_text(json.dumps(index))
+    capsys.readouterr()
+    rc = main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"), *TINY])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err
+
+
 def test_eval_of_single_frame_video_prints_error(tmp_path, capsys):
     # such a sample loads, but no segment fits in one frame
     data = tmp_path / "data"

@@ -1,5 +1,6 @@
 """Value types, frame quantization, the sample format, and the generator."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -127,6 +128,13 @@ def test_config_defaults_round_trip():
     cfg = ModelConfig()
     assert cfg.reasoning_steps == 2
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_rejects_removed_cross_space_switch():
+    # the frame level now holds cross-space exactly when the semantic graph is on
+    assert len(dataclasses.fields(ModelConfig)) == 13
+    with pytest.raises(ConfigError, match="cross_space_at_frame_level"):
+        ModelConfig.from_dict({**ModelConfig().to_dict(), "cross_space_at_frame_level": False})
 
 
 def test_config_validation():

@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ("01_data_and_formats.py", "02_reasoning_mechanics.py", "03_overfit_and_evaluate.py")
+DEMOS = (
+    "01_data_and_formats.py",
+    "02_reasoning_mechanics.py",
+    "03_overfit_and_evaluate.py",
+    "04_ablation_grid.py",
+)
 
 
 @pytest.mark.parametrize("name", DEMOS)

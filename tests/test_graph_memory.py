@@ -148,7 +148,9 @@ def test_init_blocks_equal_gate_by_gate_draws():
     read["attn_v"] = xavier_uniform(rng, (D, 1), np.float32)
     read.update({f"cand_{n}": block() for n in ("wq", "wr")})
     read.update({f"gate_{n}": block() for n in ("wq", "wr")})
-    write = {"mlp_w1": xavier_uniform(rng, (2 * D, D), np.float32)}
+    # the neighbour MLP's first layer is one [2D, D] draw, stored as its halves
+    mlp_w1 = xavier_uniform(rng, (2 * D, D), np.float32)
+    write = {"mlp_w1_target": mlp_w1[:D], "mlp_w1_source": mlp_w1[D:]}
     write["mlp_w2"] = xavier_uniform(rng, (D, 1), np.float32)
     write.update({f"cand_{n}": block() for n in ("wv", "wq", "wc")})
     write.update({f"gate_{n}": block() for n in ("wv", "wq", "wc")})
@@ -162,6 +164,10 @@ def test_init_blocks_equal_gate_by_gate_draws():
                 got = stored[name].data
             assert got.tobytes() == arr.tobytes(), (group, name)
         assert stored["b"].shape == (2 * D,) and not stored["b"].data.any()
+    # no output bias on the neighbour MLP: the neighbour softmax cancels it
+    assert sorted(params["write"]) == [
+        "b", "mlp_b1", "mlp_w1_source", "mlp_w1_target", "mlp_w2", "wc", "wq", "wv"
+    ]
 
     baseline = init_baseline_params(np.random.default_rng(12), "memory_network", D, np.float32)
     rng = np.random.default_rng(12)

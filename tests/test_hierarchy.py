@@ -6,7 +6,7 @@ import numpy as np
 
 import hvsarn.tensor as tt
 from hvsarn.data import ModelConfig
-from hvsarn.encoders import EncodedVideo
+from hvsarn.encoders import EncodedVideo, InputDims
 from hvsarn.hierarchy import (
     FrameRepresentations,
     frame_level_pass,
@@ -17,18 +17,20 @@ from hvsarn.hierarchy import (
     init_level_params,
     object_level_pass,
 )
+from hvsarn.model import build_model
 from hvsarn.params import flatten
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
 from oracles import as_np, fusion_oracle
 
 D = 6
+DIMS = InputDims(feature_dim=5, semantic_dim=4, word_dim=8)
 
 
 def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64, S=1):
     config = config or ModelConfig(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(seed)
-    params = init_level_params(rng, config, dtype, cross=True)
+    params = init_level_params(rng, config, dtype)
     encoded = EncodedVideo(
         visual=Tensor(rng.normal(size=(S, T, K, D))),
         semantic=Tensor(rng.normal(size=(S, T, K, D))),
@@ -86,21 +88,27 @@ def test_frame_level_treats_video_as_one_graph():
     assert not np.allclose(out.visual.data, frames.visual.data)
 
 
-def test_cross_space_at_frame_level_flag():
+def test_frame_level_holds_cross_exactly_with_semantic_graph():
+    # both levels build "cross" exactly when the semantic graph is on, and the
+    # frame-level hops run exactly when it is there
     base = dict(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(4)
     frames = frames_of(rng, 1, 4)
     sentence = Tensor(rng.normal(size=(1, D)))
-    on = ModelConfig(**base, cross_space_at_frame_level=True)
-    off = ModelConfig(**base, cross_space_at_frame_level=False)
-    # the level holds "cross" only when the hops run; both trees share the
-    # reasoners because "cross" is drawn last
-    params_on = init_level_params(np.random.default_rng(5), on, np.float64, cross=True)
-    params_off = init_level_params(np.random.default_rng(5), off, np.float64, cross=False)
-    assert "cross" in params_on and "cross" not in params_off
+    on = ModelConfig(**base)
+    off = ModelConfig(**base, use_semantic_graph=False)
+    params_on = init_level_params(np.random.default_rng(5), on, np.float64)
+    params_off = init_level_params(np.random.default_rng(5), off, np.float64)
+    assert sorted(params_on) == ["cross", "semantic", "visual"]
+    assert sorted(params_off) == ["visual"]
     out_on = frame_level_pass(frames, sentence, params_on, on)
-    out_off = frame_level_pass(frames, sentence, params_off, off)
-    assert not np.allclose(out_on.visual.data, out_off.visual.data)
+    without_cross = {k: v for k, v in params_on.items() if k != "cross"}
+    out_without = frame_level_pass(frames, sentence, without_cross, on)
+    assert not np.allclose(out_on.visual.data, out_without.visual.data)
+    model_on = build_model(on, DIMS)
+    model_off = build_model(off, DIMS)
+    for level in ("object_level", "frame_level"):
+        assert "cross" in model_on.params[level] and "cross" not in model_off.params[level]
 
 
 def test_fusion_attention_matches_oracle():
@@ -175,7 +183,7 @@ def test_object_fuse_frame_gradcheck():
     # end-to-end through both levels and the fusion, T=3 K=2 D=6 L=1
     config, params, encoded, sentence = make_level(seed=12)
     fusion = init_fusion_params(np.random.default_rng(13), D, np.float64)
-    frame_params = init_level_params(np.random.default_rng(14), config, np.float64, cross=True)
+    frame_params = init_level_params(np.random.default_rng(14), config, np.float64)
     probe = Tensor(np.random.default_rng(15).normal(size=(1, 3, D)))
 
     named = {}

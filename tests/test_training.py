@@ -351,10 +351,37 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
         (lambda m: m["dims"].pop("word_dim"), "dims: missing key 'word_dim'"),
         (lambda m: m.update(config=["hidden_size"]), "config: expected a JSON object, got list"),
         (lambda m: m.update(dtype="<f2"), "dtype '<f2'"),
-        (lambda m: m.update(format_version=99), "format_version 99 is not 2"),
-        (lambda m: m.update(format_version=1), "format_version 1 is not 2"),
+        (lambda m: m.update(format_version=99), "format_version 99 is not 3"),
+        (lambda m: m.update(format_version=1), "format_version 1 is not 3"),
+        (lambda m: m.update(format_version=2), "format_version 2 is not 3"),
+        (lambda m: m.update(step="x"), "step 'x' is not a non-negative integer"),
+        (lambda m: m.update(step=-1), "step -1 is not a non-negative integer"),
+        (lambda m: m.update(tensors=None), "tensors must be a list"),
+        (lambda m: m["tensors"][3].update(shape=None), "shape None is not a list of integers"),
+        (
+            lambda m: m["tensors"][3].update(shape=["a"]),
+            r"shape \['a'\] is not a list of integers",
+        ),
+        (lambda m: m["tensors"][3].update(name=7), "tensors entry name 7 is not a string"),
+        (lambda m: m["tensors"][3].update(file=None), "file None is not a string"),
+        (lambda m: m["tensors"].append(dict(m["tensors"][3])), "is listed twice"),
     ],
-    ids=["dims_key", "config_type", "dtype", "format_version", "format_version_1"],
+    ids=[
+        "dims_key",
+        "config_type",
+        "dtype",
+        "format_version",
+        "format_version_1",
+        "format_version_2",
+        "step_type",
+        "step_negative",
+        "tensors_null",
+        "shape_null",
+        "shape_item",
+        "name_type",
+        "file_type",
+        "duplicate_tensor",
+    ],
 )
 def test_load_rejects_malformed_field(tmp_path, mutate, message):
     out = saved_checkpoint(tmp_path)
@@ -397,14 +424,21 @@ def test_every_variant_checkpoint_round_trips_bit_exactly(tmp_path, variant):
 
 
 def test_every_variant_parameter_gets_a_gradient():
-    # The tree holds only what the config runs, so one 64-bit backward pass
-    # reaches every named parameter (K >= 2 so the neighbor MLP is used).
+    # The tree holds only what the config runs and nothing a softmax cancels,
+    # so one 64-bit backward pass moves every stored float (K = 3 gives each
+    # node two neighbours, so the neighbour softmax has a gradient).
     video, query = synth_sample(0, 4, 3, "separable")
     for variant in STANDARD_ABLATIONS:
         config = ablation_config(ModelConfig(hidden_size=6, reasoning_steps=1), variant)
         model = build_model(config, InputDims.of(video, query), np.float64)
         model.loss([(video, query)]).backward()
-        idle = [name for name, t in model.named_parameters().items() if t.grad is None]
+        named = model.named_parameters()
+        grads = {
+            name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in named.items()
+        }
+        floor = 1e-12 * max(float(np.abs(g).max()) for g in grads.values())
+        idle = [name for name, g in grads.items() if not np.all(np.abs(g) > floor)]
         assert not idle, (variant, idle)
 
 
