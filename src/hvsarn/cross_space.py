@@ -13,9 +13,10 @@ Because the score is linear in the pair, its target term tgt_k . w[D:] is
 the same for every source i and cancels in the softmax over i.  The
 attention row, and so the pooled evidence f_k, is therefore the same for
 every target k: each target receives one evidence vector per graph, and
-only the projection P mixes it with the target itself.  `enhance_batch`
-computes that row once and stores only w[:D], as `attn_w` [D, 1]; it is
-drawn as the full [2D, 1] score, so the draws after it are unchanged.
+only the projection P mixes it with the target itself.  `cross_attention`
+computes that row once, [B, 1, K], and `enhance_batch` returns only the
+enhanced targets.  Only w[:D] is stored, as `attn_w` [D, 1]; it is drawn
+as the full [2D, 1] score, so the draws after it are unchanged.
 Whether a target-dependent score fits the paper better is ROADMAP item 3.
 
 The "v2s" direction reads sources from the visual graph and targets from
@@ -46,19 +47,16 @@ def init_cross_space_params(rng: np.random.Generator, dim: int, dtype) -> dict:
     return {"v2s": one_direction(), "s2v": one_direction()}
 
 
-def enhance_batch(source: Tensor, target: Tensor, params: dict):
-    """Returns (enhanced [B,K,D], attention [B,K,K], pooled evidence [B,K,D]).
+def cross_attention(source: Tensor, params: dict) -> Tensor:
+    """Each graph's one attention row over its sources, [B, 1, K]; it sums to 1."""
+    B, K, _ = source.shape
+    return tt.softmax(tt.reshape(tt.linear(source, params["attn_w"]), (B, 1, K)), axis=2)
 
-    attention and pooled evidence are broadcast views of one row per graph.
-    """
+
+def enhance_batch(source: Tensor, target: Tensor, params: dict) -> Tensor:
+    """Targets [B, K, D] enhanced with pooled evidence from same-shape sources."""
     if source.shape != target.shape:
         raise ValueError(f"source/target shape mismatch: {source.shape} vs {target.shape}")
-    B, K, D = source.shape
-    logits = tt.reshape(tt.linear(source, params["attn_w"]), (B, 1, K))
-    weights = tt.softmax(logits, axis=2)
-    evidence = tt.matmul(weights, tt.linear(source, params["value_w"]))
-    attn = tt.broadcast_to(weights, (B, K, K))
-    pooled = tt.broadcast_to(evidence, (B, K, D))
-    enhanced = tt.linear(tt.concat([target, pooled], axis=-1), params["proj_w"], params["proj_b"])
-    return enhanced, attn, pooled
-
+    evidence = tt.matmul(cross_attention(source, params), tt.linear(source, params["value_w"]))
+    pooled = tt.broadcast_to(evidence, target.shape)
+    return tt.linear(tt.concat([target, pooled], axis=-1), params["proj_w"], params["proj_b"])

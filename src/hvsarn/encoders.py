@@ -8,7 +8,8 @@ token vectors pass through one residual multi-head self-attention layer,
 then a bidirectional GRU; the sentence vector is the projected concatenation
 of the two final hidden states (the forward direction's at the last token,
 the backward direction's at the first).  Queries differ in length, so each is
-encoded on its own and the caller stacks the sentences.
+encoded on its own, as a one-row matrix [1, 1, D], and the caller stacks the
+sentences into the [S, 1, D] controllers of the reasoning layers.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def self_attention(x: Tensor, params: dict, heads: int):
 
 
 def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
-    """Self-attend the token vectors, run the Bi-GRU, project the final states to [1, D]."""
+    """Self-attend the token vectors, run the Bi-GRU, project the final states to [1, 1, D]."""
     dtype = _param_dtype(params)
     tokens = Tensor(sample.token_embeddings.astype(dtype))
     if tokens.shape[0] < 1:
@@ -134,5 +135,5 @@ def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
     x = tt.reshape(attended, (1, n, dw))
     fwd = gru_sequence(x, params["gru"]["fwd"])
     bwd = gru_sequence(x, params["gru"]["bwd"], reverse=True)
-    final = tt.concat([fwd[:, n - 1], bwd[:, 0]], axis=1)
+    final = tt.concat([fwd[:, n - 1 : n], bwd[:, :1]], axis=2)
     return tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data import GroundTruthSegment, ModelConfig
 from .graph_memory import BASELINE_KINDS
 from .localization import SegmentPrediction
+from .model import predict_dataset
+from .training import train
 
 DEFAULT_METRIC_GRID: tuple[tuple[int, float], ...] = (
     (1, 0.3),
@@ -156,22 +160,15 @@ def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
     return ModelConfig.from_dict(d)
 
 
-def ablation_report(base: ModelConfig, names, dataset, hyper, grid=DEFAULT_METRIC_GRID, dtype=None):
+def ablation_report(
+    base: ModelConfig, names, dataset, hyper, grid=DEFAULT_METRIC_GRID, dtype=np.float32
+):
     """Train one model per named variant on `dataset` and evaluate it in place.
 
     Desk-scale harness: train and eval sets coincide, which is what the
     direction checks in the test suite want (the comparison is architectural,
     not about generalization).
     """
-    # Imported here so the module stays usable for pure metric work without
-    # pulling in the optimizer.
-    import numpy as np
-
-    from .model import predict_dataset
-    from .training import train
-
-    if dtype is None:
-        dtype = np.float32
     truths = [video.annotation for video, _ in dataset]
     if any(t is None for t in truths):
         raise ValueError("ablation datasets need annotated samples")

@@ -63,4 +63,6 @@ def read_blob(path: Path | str, shape, code: str, field: str) -> np.ndarray:
             f"{field}: blob {path.name} holds {len(raw)} bytes, "
             f"manifest shape {list(shape)} needs {expected}"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+    # Over a bytearray the array is writable: a loaded checkpoint's parameters
+    # and optimizer moments are updated in place.
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)

@@ -26,13 +26,14 @@ and so on) and one [2D] bias [b | b'].  Each input takes one projection,
 and `gated_update` turns their [..., 2D] sum into the new state as one
 tape node with a hand-written backward.
 
-Everything is batched over independent graphs: controllers [B, D], nodes
-[B, K, D].  For a group of S samples of T frames, the object level runs
-B = S·T graphs (one per frame, each controlled by its sample's sentence)
-and the frame level B = S graphs whose nodes are frames.  Inside a step the
-controller is held as [B, 1, D], so each graph's controller products are
-one-row matrices whatever B is: BLAS takes the same path for a graph alone
-as in a batch, and a graph's result does not depend on the others.
+Everything is batched over independent graphs: controllers [B, 1, D],
+nodes [B, K, D].  For a group of S samples of T frames, the object level
+runs B = S·T graphs (one per frame, each controlled by its sample's
+sentence) and the frame level B = S graphs whose nodes are frames.  Each
+controller is a one-row matrix, so BLAS takes the same path for a graph
+alone as in a batch, and a graph's result does not depend on the others.
+Each layer returns one tensor, the one the next layer reads; the weights
+come from `read_attention` and `neighbor_attention`, which the layers call.
 
 `baseline_step` provides the drop-in ablation reasoners (plain graph
 convolution, graph convolution fused with the controller, self-attention,
@@ -105,31 +106,29 @@ def init_graph_memory_params(rng: np.random.Generator, dim: int, dtype) -> dict:
     return {"read": read, "write": write}
 
 
-def read_batch(controller: Tensor, nodes: Tensor, params: dict):
-    """Batched read; returns (content [B,D], new_controller [B,D], weights [B,K])."""
+def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
+    """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
     p = params["read"]
-    B, K, D = nodes.shape
-    ctrl = tt.reshape(controller, (B, 1, D))
-    h = tt.tanh(tt.linear(ctrl, p["attn_w1"]) + tt.linear(nodes, p["attn_w2"]) + p["attn_b"])
-    logits = tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K))
-    attn = tt.softmax(logits, axis=2)
-    content = tt.matmul(attn, nodes)
-    new_controller = gated_update(
-        ctrl, tt.linear(ctrl, p["wq"]) + tt.linear(content, p["wr"]) + p["b"]
-    )
-    return (
-        tt.reshape(content, (B, D)),
-        tt.reshape(new_controller, (B, D)),
-        tt.reshape(attn, (B, K)),
+    B, K, _ = nodes.shape
+    h = tt.tanh(tt.linear(controller, p["attn_w1"]) + tt.linear(nodes, p["attn_w2"]) + p["attn_b"])
+    return tt.softmax(tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K)), axis=2)
+
+
+def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
+    """Batched read of controllers [B, 1, D] over nodes [B, K, D]; returns the new controllers."""
+    p = params["read"]
+    content = tt.matmul(read_attention(controller, nodes, params), nodes)
+    return gated_update(
+        controller, tt.linear(controller, p["wq"]) + tt.linear(content, p["wr"]) + p["b"]
     )
 
 
-def neighbor_context(nodes: Tensor, params: dict):
-    """Eq-style neighbor aggregation; returns (context [B,K,D], weights [B,K,K] | None)."""
+def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
+    """Each node's weights over the other nodes, [B, K, K]; zero diagonal, rows sum to 1."""
     p = params["write"]
     B, K, D = nodes.shape
     if K == 1:
-        return Tensor(np.zeros((B, 1, D), dtype=nodes.dtype)), None
+        raise ValueError("a lone node has no neighbours to attend to")
     # Two [B,K,D] maps, broadcast-added, instead of a [B,K,K,2D] concat and matmul.
     target = tt.reshape(tt.linear(nodes, p["mlp_w1_target"], p["mlp_b1"]), (B, K, 1, D))
     source = tt.reshape(tt.linear(nodes, p["mlp_w1_source"]), (B, 1, K, D))
@@ -137,29 +136,32 @@ def neighbor_context(nodes: Tensor, params: dict):
     logits = tt.reshape(tt.linear(hidden, p["mlp_w2"]), (B, K, K))
     mask = np.full((K, K), 0.0, dtype=nodes.dtype)
     np.fill_diagonal(mask, _MASK_VALUE)
-    attn = tt.softmax(logits + Tensor(mask), axis=2)
-    context = tt.matmul(attn, nodes)
-    return context, attn
+    return tt.softmax(logits + Tensor(mask), axis=2)
 
 
-def write_batch(controller_new: Tensor, nodes: Tensor, params: dict):
-    """Batched write; returns (nodes_new [B,K,D], neighbor weights)."""
-    p = params["write"]
+def neighbor_context(nodes: Tensor, params: dict) -> Tensor:
+    """Attention-pooled neighbours of every node, [B, K, D]; zero for a lone node."""
     B, K, D = nodes.shape
-    context, attn = neighbor_context(nodes, params)
-    ctrl = tt.reshape(controller_new, (B, 1, D))
-    pre = tt.linear(nodes, p["wv"]) + tt.linear(ctrl, p["wq"]) + tt.linear(context, p["wc"])
-    nodes_new = gated_update(nodes, pre + p["b"])
-    return nodes_new, attn
+    if K == 1:
+        return Tensor(np.zeros((B, 1, D), dtype=nodes.dtype))
+    return tt.matmul(neighbor_attention(nodes, params), nodes)
+
+
+def write_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
+    """Batched write of nodes [B, K, D] under controllers [B, 1, D]; returns the new nodes."""
+    p = params["write"]
+    context = neighbor_context(nodes, params)
+    pre = tt.linear(nodes, p["wv"]) + tt.linear(controller, p["wq"]) + tt.linear(context, p["wc"])
+    return gated_update(nodes, pre + p["b"])
 
 
 def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int):
-    """Alternate read/write `num_steps` times over a batch of graphs."""
+    """Alternate read/write `num_steps` times; returns (controller, nodes)."""
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     for _ in range(num_steps):
-        _, controller, _ = read_batch(controller, nodes, params)
-        nodes, _ = write_batch(controller, nodes, params)
+        controller = read_batch(controller, nodes, params)
+        nodes = write_batch(controller, nodes, params)
     return controller, nodes
 
 
@@ -193,8 +195,8 @@ def _neighbor_mean(nodes: Tensor) -> Tensor:
     return (total - nodes) * (1.0 / (K - 1))
 
 
-def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict):
-    """One layer of a drop-in ablation reasoner; returns (nodes_new, attn | None).
+def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict) -> Tensor:
+    """One layer of a drop-in ablation reasoner; returns the new nodes.
 
     gcn            mean over neighbors, then an affine map and tanh.
     gcn_fusion     gcn over nodes concatenated with the (broadcast) controller.
@@ -204,32 +206,28 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict):
     B, K, D = nodes.shape
     if kind == "gcn":
         neigh = _neighbor_mean(nodes)
-        return tt.tanh(tt.linear(neigh, params["w"], params["b"])), None
+        return tt.tanh(tt.linear(neigh, params["w"], params["b"]))
     if kind == "gcn_fusion":
-        ctrl = tt.broadcast_to(tt.reshape(controller, (B, 1, D)), (B, K, D))
-        ext = tt.concat([nodes, ctrl], axis=-1)
+        ext = tt.concat([nodes, tt.broadcast_to(controller, (B, K, D))], axis=-1)
         neigh = _neighbor_mean(ext)
-        return tt.tanh(tt.linear(neigh, params["w"], params["b"])), None
+        return tt.tanh(tt.linear(neigh, params["w"], params["b"]))
     if kind == "self_attention":
         q = tt.linear(nodes, params["wq"])
         k = tt.linear(nodes, params["wk"])
         v = tt.linear(nodes, params["wv"])
         scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(D))
         attn = tt.softmax(scores, axis=-1)
-        return nodes + tt.matmul(attn, v), attn
+        return nodes + tt.matmul(attn, v)
     if kind == "memory_network":
-        ctrl = tt.reshape(controller, (B, 1, D))
-        pre = tt.linear(nodes, params["wv"]) + tt.linear(ctrl, params["wq"]) + params["b"]
-        return gated_update(nodes, pre), None
+        pre = tt.linear(nodes, params["wv"]) + tt.linear(controller, params["wq"]) + params["b"]
+        return gated_update(nodes, pre)
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 
 
-def run_reasoner(
-    kind: str, controller: Tensor, nodes: Tensor, params: dict, num_steps: int
-):
-    """Dispatch on reasoner kind; graph_memory evolves the controller, baselines do not."""
+def run_reasoner(kind: str, controller: Tensor, nodes: Tensor, params: dict, num_steps: int):
+    """Dispatch on reasoner kind; returns the nodes after `num_steps` layers."""
     if kind == "graph_memory":
-        return reason_batch(controller, nodes, params, num_steps)
+        return reason_batch(controller, nodes, params, num_steps)[1]
     for _ in range(num_steps):
-        nodes, _ = baseline_step(kind, nodes, controller, params)
-    return controller, nodes
+        nodes = baseline_step(kind, nodes, controller, params)
+    return nodes

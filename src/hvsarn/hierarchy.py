@@ -10,12 +10,11 @@ over semantic nodes, then map the result back into visual space.  Object
 nodes are then collapsed per frame by a query-guided attention (visual) and
 average pooling (semantic), giving frames [S, T, D].
 
-Ablation switches on ModelConfig prune both the pass and the parameters a
-level holds: `use_visual_graph` / `use_semantic_graph` skip the respective
-reasoner and build no parameters for it, and `reasoner_kind` swaps the
-graph memory for a baseline.  The cross-space hops run exactly when the
-level holds a "cross" entry, which `init_level_params` builds exactly when
-the semantic graph is on, at either level.
+The sentences [S, 1, D] are the frame level's controllers; the object level
+broadcasts them into [S·T, 1, D].  The graph switches act only through the
+parameters: `init_level_params` builds "visual" for `use_visual_graph` and
+"semantic" plus "cross" for `use_semantic_graph`, and a level runs each
+reasoner and hop exactly when it holds it.
 """
 
 from __future__ import annotations
@@ -74,35 +73,27 @@ def _dual_space_pass(
     level_params: dict,
     config: ModelConfig,
 ):
-    """Shared level body over batched graphs: visual/semantic [B, K, D], controller [B, D]."""
+    """Level body over visual/semantic [B, K, D] under controllers [B, 1, D]."""
     kind, steps = config.reasoner_kind, config.reasoning_steps
-
-    if config.use_visual_graph:
-        _, visual_out = run_reasoner(kind, controller, visual, level_params["visual"], steps)
-    else:
-        visual_out = visual
-
-    if not config.use_semantic_graph:
-        return visual_out, semantic
-
     cross = level_params.get("cross")
+    if "visual" in level_params:
+        visual = run_reasoner(kind, controller, visual, level_params["visual"], steps)
     if cross is not None:
-        semantic, _, _ = enhance_batch(visual_out, semantic, cross["v2s"])
-    _, semantic_out = run_reasoner(kind, controller, semantic, level_params["semantic"], steps)
+        semantic = enhance_batch(visual, semantic, cross["v2s"])
+    if "semantic" in level_params:
+        semantic = run_reasoner(kind, controller, semantic, level_params["semantic"], steps)
     if cross is not None:
-        visual_out, _, _ = enhance_batch(semantic_out, visual_out, cross["s2v"])
-    return visual_out, semantic_out
+        visual = enhance_batch(semantic, visual, cross["s2v"])
+    return visual, semantic
 
 
 def object_level_pass(
     encoded: EncodedVideo, sentences: Tensor, level_params: dict, config: ModelConfig
 ):
-    """Per-frame object graphs over encoded [S,T,K,D] with sentences [S,D];
+    """Per-frame object graphs over encoded [S,T,K,D] with sentences [S,1,D];
     returns (visual_nodes [S,T,K,D], semantic_nodes [S,T,K,D])."""
     S, T, K, D = encoded.visual.shape
-    controller = tt.reshape(
-        tt.broadcast_to(tt.reshape(sentences, (S, 1, D)), (S, T, D)), (S * T, D)
-    )
+    controller = tt.reshape(tt.broadcast_to(sentences, (S, T, D)), (S * T, 1, D))
     visual, semantic = _dual_space_pass(
         tt.reshape(encoded.visual, (S * T, K, D)),
         tt.reshape(encoded.semantic, (S * T, K, D)),
@@ -116,7 +107,7 @@ def object_level_pass(
 def frame_level_pass(
     frames: FrameRepresentations, sentences: Tensor, level_params: dict, config: ModelConfig
 ) -> FrameRepresentations:
-    """One graph per video over its frame vectors [S, T, D], controlled by sentences [S, D]."""
+    """One graph per video over its frame vectors [S, T, D], controlled by sentences [S, 1, D]."""
     visual, semantic = _dual_space_pass(
         frames.visual, frames.semantic, sentences, level_params, config
     )

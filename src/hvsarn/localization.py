@@ -1,7 +1,7 @@
 """Frame fusion, temporal contextualization, and span prediction.
 
 The head concatenates per-frame visual/semantic vectors [S, T, 2D], runs a
-Bi-GRU over time on an [S, H] state, and maps each frame to a start logit
+Bi-GRU over time on an [S, 1, H] state, and maps each frame to a start logit
 and an end logit, [S, T] each.  Candidate
 segments are every frame pair (i, j) with i < j, scored by
 softmax(start)[i] * softmax(end)[j], emitted in descending score with ties

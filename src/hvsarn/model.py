@@ -7,9 +7,10 @@ repeat runs agree bit-for-bit.
 `Model.forward` and `Model.loss` take a list of (video, query) samples that
 share (num_frames, num_objects) and run them as one tape with a leading
 sample axis S; a single sample is a list of one.  Each sample's arithmetic
-is the same whatever its companions, so its answer is too.
-`predict_dataset` groups a dataset by shape into chunks of at most
-`EVAL_CHUNK` samples.
+is the same whatever its companions, so its answer is too.  Each query
+encodes to a one-row matrix, so the sentences stack to [S, 1, D], the
+controller shape every reasoning layer takes.  `predict_dataset` groups a
+dataset by shape into chunks of at most `EVAL_CHUNK` samples.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Model:
             )
 
     def encode(self, samples: list[tuple[VideoSample, QuerySample]]) -> tuple[EncodedVideo, Tensor]:
-        """Encoded videos [S,T,K,D] and query sentences [S,D] of same-shape samples."""
+        """Encoded videos [S,T,K,D] and query sentences [S,1,D] of same-shape samples."""
         if not samples:
             raise ValueError("no samples to encode")
         videos = [video for video, _ in samples]

@@ -301,8 +301,8 @@ def take(a: Tensor, idx) -> Tensor:
     out_data = a.data[idx]
 
     def backward(g):
-        # Scatter straight into a.grad: per-step row takes of an [N, ...]
-        # tensor would otherwise cost O(N) each, O(N^2) over a sequence.
+        # np.add.at sums the rows of repeated fancy indices, where
+        # `a.grad[idx] += g` would keep only one of them.
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         np.add.at(a.grad, idx, g)

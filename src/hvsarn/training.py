@@ -342,11 +342,11 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
+_FD_STEP = 1e-5  # central-difference half-width
+
+
 def gradcheck_tensors(
-    loss_fn,
-    named: dict[str, Tensor],
-    tolerance: float = 1e-4,
-    fd_step: float = 1e-5,
+    loss_fn, named: dict[str, Tensor], tolerance: float = 1e-4
 ) -> GradcheckReport:
     """Compare tape gradients of `loss_fn()` against central finite differences.
 
@@ -376,12 +376,12 @@ def gradcheck_tensors(
             fd = np.zeros_like(flat)
             for i in range(flat.size):
                 saved = flat[i]
-                flat[i] = saved + fd_step
+                flat[i] = saved + _FD_STEP
                 hi = float(loss_fn().data)
-                flat[i] = saved - fd_step
+                flat[i] = saved - _FD_STEP
                 lo = float(loss_fn().data)
                 flat[i] = saved
-                fd[i] = (hi - lo) / (2.0 * fd_step)
+                fd[i] = (hi - lo) / (2.0 * _FD_STEP)
             a = analytic[name].reshape(-1)
             scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(fd))), 1e-3)
             rel = float(np.max(np.abs(a - fd))) / scale
@@ -425,11 +425,7 @@ def _gradcheck_sample(seed: int = 7, num_frames: int = 3, num_objects: int = 3, 
     return video, query
 
 
-def gradcheck(
-    config: ModelConfig | None = None,
-    tolerance: float = 1e-4,
-    fd_step: float = 1e-5,
-) -> GradcheckReport:
+def gradcheck(config: ModelConfig | None = None, tolerance: float = 1e-4) -> GradcheckReport:
     """End-to-end FD check of the full network loss on a tiny 64-bit instance."""
     if config is None:
         config = ModelConfig(hidden_size=6, reasoning_steps=1)
@@ -437,6 +433,4 @@ def gradcheck(
     dims = InputDims.of(video, query)
     model = build_model(config, dims, np.float64)
     named = model.named_parameters()
-    return gradcheck_tensors(
-        lambda: model.loss([(video, query)]), named, tolerance=tolerance, fd_step=fd_step
-    )
+    return gradcheck_tensors(lambda: model.loss([(video, query)]), named, tolerance=tolerance)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hvsarn.tensor as tt
-from hvsarn.cross_space import enhance_batch, init_cross_space_params
+from hvsarn.cross_space import cross_attention, enhance_batch, init_cross_space_params
 from hvsarn.params import flatten
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
@@ -14,9 +14,7 @@ from oracles import as_np, cross_space_oracle
 def enhance_one(source, target, params):
     """One direction on one graph (B = 1): source/target [K, D] -> enhanced [K, D]."""
     K, D = target.shape
-    enhanced, _, _ = enhance_batch(
-        tt.reshape(source, (1, K, D)), tt.reshape(target, (1, K, D)), params
-    )
+    enhanced = enhance_batch(tt.reshape(source, (1, K, D)), tt.reshape(target, (1, K, D)), params)
     return tt.reshape(enhanced, (K, D))
 
 
@@ -50,8 +48,9 @@ def test_enhance_batch_matches_oracle_per_graph_at_scale():
     params = init_cross_space_params(rng, D, np.float64)
     source = rng.normal(size=(B, K, D))
     target = rng.normal(size=(B, K, D))
-    enhanced, attn, pooled = enhance_batch(Tensor(source), Tensor(target), params["v2s"])
-    assert enhanced.shape == pooled.shape == (B, K, D) and attn.shape == (B, K, K)
+    enhanced = enhance_batch(Tensor(source), Tensor(target), params["v2s"])
+    attn = cross_attention(Tensor(source), params["v2s"])
+    assert enhanced.shape == (B, K, D) and attn.shape == (B, 1, K)
     p = as_np(params)["v2s"]
     for b in range(B):
         ref = cross_space_oracle(source[b], target[b], p)
@@ -68,18 +67,15 @@ def test_directions_have_independent_parameters():
 def test_attention_rows_are_simplex():
     for seed in range(10):
         params, visual, semantic = make_instance(seed, K=6)
-        _, attn, _ = enhance_batch(Tensor(visual[None]), Tensor(semantic[None]), params["v2s"])
+        attn = cross_attention(Tensor(visual[None]), params["v2s"])
         np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
 
 
 def test_output_width_restored():
     params, visual, semantic = make_instance(1, K=3, D=5)
-    enhanced, attn, pooled = enhance_batch(
-        Tensor(visual[None]), Tensor(semantic[None]), params["v2s"]
-    )
+    enhanced = enhance_batch(Tensor(visual[None]), Tensor(semantic[None]), params["v2s"])
     assert enhanced.shape == (1, 3, 5)
-    assert pooled.shape == (1, 3, 5)
-    assert attn.shape == (1, 3, 3)
+    assert cross_attention(Tensor(visual[None]), params["v2s"]).shape == (1, 1, 3)
 
 
 def test_source_permutation_invariance_target_equivariance():

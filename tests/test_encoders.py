@@ -236,14 +236,14 @@ def test_encode_query_shapes_and_determinism():
     query = make_query()
     enc1 = encode_query(query, params, heads=4)
     enc2 = encode_query(query, params, heads=4)
-    assert enc1.shape == (1, 6)
+    assert enc1.shape == (1, 1, 6)
     np.testing.assert_array_equal(enc1.data, enc2.data)
 
 
 def test_encode_query_single_token():
     params = make_params()
     enc = encode_query(make_query(n=1), params, heads=4)
-    assert enc.shape == (1, 6)
+    assert enc.shape == (1, 1, 6)
     assert np.all(np.isfinite(enc.data))
 
 
@@ -265,7 +265,7 @@ def test_encoder_gradcheck():
     query = make_query(n=3)
     rng = np.random.default_rng(6)
     probe_v = Tensor(rng.normal(size=(1, 2, 2, 6)))
-    probe_q = Tensor(rng.normal(size=(1, 6)))
+    probe_q = Tensor(rng.normal(size=(1, 1, 6)))
 
     def loss_fn():
         enc_v = encode_video([video], params)

@@ -13,7 +13,9 @@ from hvsarn.graph_memory import (
     gated_update,
     init_baseline_params,
     init_graph_memory_params,
+    neighbor_attention,
     neighbor_context,
+    read_attention,
     read_batch,
     reason_batch,
     run_reasoner,
@@ -29,13 +31,15 @@ from hvsarn.training import gradcheck_tensors
 
 def reason_one(q, nodes, params, num_steps):
     """Reason over one graph (B = 1): q [D], nodes [K, D] -> (controller [D], nodes [K, D])."""
-    controller, nodes_out = reason_batch(Tensor(q[None]), Tensor(nodes[None]), params, num_steps)
-    return controller.data[0], nodes_out.data[0]
+    controller, nodes_out = reason_batch(
+        Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None]), params, num_steps
+    )
+    return controller.data[0, 0], nodes_out.data[0]
 
 
 def baseline_one(kind, nodes, controller, params):
     """One baseline layer on one graph (B = 1): nodes [K, D], controller [D] -> [K, D]."""
-    out, _ = baseline_step(kind, Tensor(nodes[None]), Tensor(controller[None]), params)
+    out = baseline_step(kind, Tensor(nodes[None]), Tensor(controller.reshape(1, 1, -1)), params)
     return out.data[0]
 
 
@@ -50,22 +54,19 @@ def make_instance(seed, K=4, D=6):
 def test_read_matches_oracle_many_seeds():
     for seed in range(25):
         params, q, nodes = make_instance(seed)
-        content, q_new, attn = read_batch(
-            Tensor(q.reshape(1, -1)), Tensor(nodes.reshape(1, *nodes.shape)), params
-        )
-        r_ref, q_ref, attn_ref = read_oracle(q, nodes, as_np(params)["read"])
-        np.testing.assert_allclose(content.data[0], r_ref, atol=1e-10)
-        np.testing.assert_allclose(q_new.data[0], q_ref, atol=1e-10)
-        np.testing.assert_allclose(attn.data[0], attn_ref, atol=1e-10)
+        controller, graph = Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None])
+        q_new = read_batch(controller, graph, params)
+        attn = read_attention(controller, graph, params)
+        _, q_ref, attn_ref = read_oracle(q, nodes, as_np(params)["read"])
+        np.testing.assert_allclose(q_new.data[0, 0], q_ref, atol=1e-10)
+        np.testing.assert_allclose(attn.data[0, 0], attn_ref, atol=1e-10)
 
 
 def test_write_matches_oracle_many_seeds():
     for seed in range(25):
         params, q, nodes = make_instance(seed)
         q_new = read_oracle(q, nodes, as_np(params)["read"])[1]
-        out, _ = write_batch(
-            Tensor(q_new.reshape(1, -1)), Tensor(nodes.reshape(1, *nodes.shape)), params
-        )
+        out = write_batch(Tensor(q_new.reshape(1, 1, -1)), Tensor(nodes[None]), params)
         ref = write_oracle(q_new, nodes, as_np(params)["write"])
         np.testing.assert_allclose(out.data[0], ref, atol=1e-10)
 
@@ -76,7 +77,8 @@ def test_write_batch_matches_oracle_per_graph_at_scale():
     params = init_graph_memory_params(rng, D, np.float64)
     q = rng.normal(size=(B, D))
     nodes = rng.normal(size=(B, K, D))
-    out, attn = write_batch(Tensor(q), Tensor(nodes), params)
+    out = write_batch(Tensor(q[:, None]), Tensor(nodes), params)
+    attn = neighbor_attention(Tensor(nodes), params)
     assert out.shape == (B, K, D) and attn.shape == (B, K, K)
     p = as_np(params)["write"]
     for b in range(B):
@@ -98,24 +100,25 @@ def test_batch_equals_per_graph_loop():
     B, K, D = 5, 3, 6
     qs = rng.normal(size=(B, D))
     nodes = rng.normal(size=(B, K, D))
-    q_out, n_out = reason_batch(Tensor(qs), Tensor(nodes), params, 2)
+    q_out, n_out = reason_batch(Tensor(qs[:, None]), Tensor(nodes), params, 2)
     for b in range(B):
         q_one, n_one = reason_one(qs[b], nodes[b], params, 2)
-        np.testing.assert_allclose(q_out.data[b], q_one, atol=1e-12)
+        np.testing.assert_allclose(q_out.data[b, 0], q_one, atol=1e-12)
         np.testing.assert_allclose(n_out.data[b], n_one, atol=1e-12)
 
 
 def test_read_attention_is_simplex():
     for seed in range(10):
         params, q, nodes = make_instance(seed, K=7)
-        _, _, attn = read_batch(Tensor(q.reshape(1, -1)), Tensor(nodes[None]), params)
-        np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-6)
+        attn = read_attention(Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None]), params)
+        assert attn.shape == (1, 1, 7)
+        np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
         assert np.all(attn.data >= 0)
 
 
 def test_neighbor_attention_excludes_self():
     params, _, nodes = make_instance(3, K=5)
-    _, attn = neighbor_context(Tensor(nodes[None]), params)
+    attn = neighbor_attention(Tensor(nodes[None]), params)
     np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
     diag = np.diagonal(attn.data[0])
     np.testing.assert_allclose(diag, 0.0, atol=0.0)  # exactly zero, not merely small
@@ -123,11 +126,12 @@ def test_neighbor_attention_excludes_self():
 
 def test_single_node_context_is_zero():
     params, q, nodes = make_instance(4, K=1)
-    context, attn = neighbor_context(Tensor(nodes[None]), params)
-    assert attn is None
+    context = neighbor_context(Tensor(nodes[None]), params)
     np.testing.assert_allclose(context.data, 0.0)
+    with pytest.raises(ValueError, match="lone node"):
+        neighbor_attention(Tensor(nodes[None]), params)
     # the write still updates the lone node through its gate
-    out, _ = write_batch(Tensor(q[None]), Tensor(nodes[None]), params)
+    out = write_batch(Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None]), params)
     assert out.shape == (1, 1, 6)
 
 
@@ -214,7 +218,7 @@ def test_zero_steps_is_identity():
     np.testing.assert_array_equal(q_out, q)
     np.testing.assert_array_equal(n_out, nodes)
     with pytest.raises(ValueError):
-        reason_batch(Tensor(q[None]), Tensor(nodes[None]), params, -1)
+        reason_batch(Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None]), params, -1)
 
 
 def test_gates_strictly_inside_unit_interval():
@@ -233,14 +237,14 @@ def test_saturated_read_gate_preserves_controller():
     params, q, nodes = make_instance(6)
     D = q.shape[0]
     params["read"]["b"].data[D:] = 20.0  # the gate half of [candidate | gate]
-    _, q_new, _ = read_batch(Tensor(q[None]), Tensor(nodes[None]), params)
-    assert np.max(np.abs(q_new.data[0] - q)) < 1e-6
+    q_new = read_batch(Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None]), params)
+    assert np.max(np.abs(q_new.data[0, 0] - q)) < 1e-6
 
 
 def test_saturated_write_gate_preserves_nodes():
     params, q, nodes = make_instance(7)
     params["write"]["b"].data[q.shape[0] :] = 20.0
-    out, _ = write_batch(Tensor(q[None]), Tensor(nodes[None]), params)
+    out = write_batch(Tensor(q.reshape(1, 1, -1)), Tensor(nodes[None]), params)
     assert np.max(np.abs(out.data[0] - nodes)) < 1e-6
 
 
@@ -261,7 +265,7 @@ def test_reason_gradcheck_small():
     for B in (1, 2):
         rng = np.random.default_rng(2)
         params = init_graph_memory_params(rng, 4, np.float64)
-        q = Tensor(rng.normal(size=(B, 4)))
+        q = Tensor(rng.normal(size=(B, 1, 4)))
         nodes = Tensor(rng.normal(size=(B, 3, 4)))
         probe = Tensor(rng.normal(size=(B, 3, 4)))
 
@@ -321,8 +325,7 @@ def test_self_attention_baseline_residual_and_simplex():
     rng = np.random.default_rng(34)
     params = init_baseline_params(rng, "self_attention", 4, np.float64)
     nodes = rng.normal(size=(1, 5, 4))
-    out, attn = baseline_step("self_attention", Tensor(nodes), Tensor(np.zeros((1, 4))), params)
-    np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
+    out = baseline_step("self_attention", Tensor(nodes), Tensor(np.zeros((1, 1, 4))), params)
     q = nodes[0] @ params["wq"].data
     k = nodes[0] @ params["wk"].data
     v = nodes[0] @ params["wv"].data
@@ -335,24 +338,24 @@ def test_memory_network_has_no_edges():
     # node k's update must not depend on any other node
     rng = np.random.default_rng(35)
     params = init_baseline_params(rng, "memory_network", 4, np.float64)
-    ctrl = rng.normal(size=(1, 4))
+    ctrl = rng.normal(size=(1, 1, 4))
     nodes = rng.normal(size=(1, 3, 4))
-    out1, _ = baseline_step("memory_network", Tensor(nodes), Tensor(ctrl), params)
+    out1 = baseline_step("memory_network", Tensor(nodes), Tensor(ctrl), params)
     perturbed = nodes.copy()
     perturbed[0, 1:] += 100.0
-    out2, _ = baseline_step("memory_network", Tensor(perturbed), Tensor(ctrl), params)
+    out2 = baseline_step("memory_network", Tensor(perturbed), Tensor(ctrl), params)
     np.testing.assert_allclose(out1.data[0, 0], out2.data[0, 0], atol=1e-12)
 
 
 def test_memory_network_gradcheck():
     rng = np.random.default_rng(37)
     params = init_baseline_params(rng, "memory_network", 4, np.float64)
-    q = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    q = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
     nodes = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 3, 4)))
 
     def loss_fn():
-        _, nodes_out = run_reasoner("memory_network", q, nodes, params, 2)
+        nodes_out = run_reasoner("memory_network", q, nodes, params, 2)
         return tt.tsum(nodes_out * probe)
 
     named = {**flatten(params), "controller": q, "nodes": nodes}
@@ -363,15 +366,14 @@ def test_memory_network_gradcheck():
 
 def test_run_reasoner_dispatch():
     rng = np.random.default_rng(36)
-    q = Tensor(rng.normal(size=(1, 4)))
+    q = Tensor(rng.normal(size=(1, 1, 4)))
     nodes = Tensor(rng.normal(size=(1, 3, 4)))
     for kind in BASELINE_KINDS:
         params = init_baseline_params(rng, kind, 4, np.float64)
-        ctrl_out, nodes_out = run_reasoner(kind, q, nodes, params, 2)
-        assert ctrl_out is q  # baselines never touch the controller
+        nodes_out = run_reasoner(kind, q, nodes, params, 2)
         assert nodes_out.shape == nodes.shape
     with pytest.raises(ValueError, match="unknown baseline"):
         init_baseline_params(rng, "mamba", 4, np.float64)
     gm = init_graph_memory_params(rng, 4, np.float64)
-    ctrl_out, _ = run_reasoner("graph_memory", q, nodes, gm, 1)
-    assert ctrl_out is not q
+    nodes_out = run_reasoner("graph_memory", q, nodes, gm, 1)
+    np.testing.assert_array_equal(nodes_out.data, reason_batch(q, nodes, gm, 1)[1].data)

@@ -35,7 +35,7 @@ def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64, S=1):
         visual=Tensor(rng.normal(size=(S, T, K, D))),
         semantic=Tensor(rng.normal(size=(S, T, K, D))),
     )
-    sentence = Tensor(rng.normal(size=(S, D)))
+    sentence = Tensor(rng.normal(size=(S, 1, D)))
     return config, params, encoded, sentence
 
 
@@ -94,7 +94,7 @@ def test_frame_level_holds_cross_exactly_with_semantic_graph():
     base = dict(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(4)
     frames = frames_of(rng, 1, 4)
-    sentence = Tensor(rng.normal(size=(1, D)))
+    sentence = Tensor(rng.normal(size=(1, 1, D)))
     on = ModelConfig(**base)
     off = ModelConfig(**base, use_semantic_graph=False)
     params_on = init_level_params(np.random.default_rng(5), on, np.float64)
@@ -118,10 +118,9 @@ def test_fusion_attention_matches_oracle():
         visual = rng.normal(size=(3, 4, D))
         semantic = rng.normal(size=(3, 4, D))
         sentence = rng.normal(size=D)
-        attn = fusion_attention(Tensor(visual[None]), Tensor(sentence[None]), params)
-        frames = fuse_objects(
-            Tensor(visual[None]), Tensor(semantic[None]), Tensor(sentence[None]), params
-        )
+        sentences = Tensor(sentence.reshape(1, 1, D))
+        attn = fusion_attention(Tensor(visual[None]), sentences, params)
+        frames = fuse_objects(Tensor(visual[None]), Tensor(semantic[None]), sentences, params)
         ref_pooled, ref_attn = fusion_oracle(visual, sentence, as_np(params))
         np.testing.assert_allclose(attn.data[0], ref_attn, atol=1e-10)
         np.testing.assert_allclose(frames.visual.data[0], ref_pooled, atol=1e-10)
@@ -134,14 +133,11 @@ def test_fuse_objects_is_permutation_invariant():
     params = init_fusion_params(rng, D, np.float64)
     visual = rng.normal(size=(3, 5, D))
     semantic = rng.normal(size=(3, 5, D))
-    sentence = rng.normal(size=D)
+    sentences = Tensor(rng.normal(size=(1, 1, D)))
     perm = rng.permutation(5)
-    a = fuse_objects(Tensor(visual[None]), Tensor(semantic[None]), Tensor(sentence[None]), params)
+    a = fuse_objects(Tensor(visual[None]), Tensor(semantic[None]), sentences, params)
     b = fuse_objects(
-        Tensor(visual[None, :, perm]),
-        Tensor(semantic[None, :, perm]),
-        Tensor(sentence[None]),
-        params,
+        Tensor(visual[None, :, perm]), Tensor(semantic[None, :, perm]), sentences, params
     )
     np.testing.assert_allclose(a.visual.data, b.visual.data, atol=1e-10)
     np.testing.assert_allclose(a.semantic.data, b.semantic.data, atol=1e-10)

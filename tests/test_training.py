@@ -14,12 +14,14 @@ from hvsarn.encoders import InputDims
 from hvsarn.evaluation import STANDARD_ABLATIONS, ablation_config
 from hvsarn.fileio import FormatError
 from hvsarn.model import build_model
+from hvsarn.params import zero_grads
 from hvsarn.tensor import Tensor
 from hvsarn.training import (
     TrainHyper,
     TrainingDiverged,
     TrainState,
     adam_update,
+    batch_loss,
     gradcheck,
     _gradcheck_sample,
     gradcheck_tensors,
@@ -164,6 +166,25 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(arr, loaded.moments_m[name])
     for name, arr in state.moments_v.items():
         np.testing.assert_array_equal(arr, loaded.moments_v[name])
+
+
+def test_loaded_state_trains_on_like_the_saved_one(tmp_path):
+    state = trained_state(tmp_path, steps=2)
+    save_checkpoint(str(tmp_path / "ckpt"), state)
+    loaded = load_checkpoint(str(tmp_path / "ckpt"))
+    batch = tiny_dataset(count=2)
+    for s in (state, loaded):
+        zero_grads(s.model.params)
+        batch_loss(s.model, batch).backward()
+        adam_update(s, 1e-3)
+        assert s.step == 3
+    restored = named_data(loaded)
+    assert sorted(restored) == sorted(named_data(state))
+    for name, arr in named_data(state).items():
+        assert restored[name].tobytes() == arr.tobytes(), name
+    for saved, back in ((state.moments_m, loaded.moments_m), (state.moments_v, loaded.moments_v)):
+        for name, arr in saved.items():
+            assert back[name].tobytes() == arr.tobytes(), name
 
 
 def test_save_load_save_produces_identical_bytes(tmp_path):
@@ -440,6 +461,35 @@ def test_every_variant_parameter_gets_a_gradient():
         floor = 1e-12 * max(float(np.abs(g).max()) for g in grads.values())
         idle = [name for name, g in grads.items() if not np.all(np.abs(g) > floor)]
         assert not idle, (variant, idle)
+
+
+def test_every_tape_node_reaches_the_loss(monkeypatch):
+    # A node that gets no gradient did work the loss never reads.  The one
+    # exception: the object level broadcasts the sentence into per-frame
+    # controllers, which gcn and self_attention never read and no_reasoning
+    # has no reasoner to read.
+    result = Tensor.__dict__["_result"].__func__
+    built = []
+
+    def recorded_result(data, parents, backward):
+        out = result(data, parents, backward)
+        if out.requires_grad:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(recorded_result))
+    S, T, K, D = 2, 6, 3, 8
+    samples = [synth_sample(seed, T, K, "separable") for seed in range(S)]
+    for variant in STANDARD_ABLATIONS:
+        config = ablation_config(ModelConfig(hidden_size=D, reasoning_steps=2), variant)
+        model = build_model(config, InputDims.of(*samples[0]), np.float64)
+        built.clear()
+        batch_loss(model, samples).backward()
+        dead = [node.shape for node in built if node.grad is None]
+        if variant in ("gcn", "self_attention", "no_reasoning"):
+            assert len(dead) <= 2 and set(dead) <= {(S, T, D), (S * T, 1, D)}, (variant, dead)
+        else:
+            assert not dead, (variant, dead)
 
 
 # -- gradcheck ----------------------------------------------------------------
