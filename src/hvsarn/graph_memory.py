@@ -26,6 +26,18 @@ and so on) and one [2D] bias [b | b'].  Each input takes one projection,
 and `gated_update` turns their [..., 2D] sum into the new state as one
 tape node with a hand-written backward.
 
+The pair score m [B, K, K] is one tape node too, `pair_logits`, over the
+target map W1t v_k + b1, the source map W1s v_i and w2.  Its forward fills
+one [B, K, K, D] buffer y = tanh(target + source) and keeps it only while
+the tape is on; its backward never forms the [B, K, K, D] gradient of the
+pre-activation, because with g = dL/dm
+
+    dL/dtarget_k = w2 * (sum_i g_ki - sum_i g_ki y_ki^2)
+    dL/dsource_i = w2 * (sum_k g_ki - sum_k g_ki y_ki^2)
+    dL/dw2       = sum_{k,i} y_ki g_ki
+
+(elementwise in D), each a batched [1, K] @ [K, D] product.
+
 Everything is batched over independent graphs: controllers [B, 1, D],
 nodes [B, K, D].  For a group of S samples of T frames, the object level
 runs B = S·T graphs (one per frame, each controlled by its sample's
@@ -123,6 +135,44 @@ def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     )
 
 
+def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
+    """m[b, k, i] = w2 . tanh(target[b, k, 0] + source[b, 0, i]) as one node, [B, K, K].
+
+    target [B, K, 1, D], source [B, 1, K, D], w2 [D, 1].  The backward reads
+    only y = tanh(...), never dL/d(pre-activation):
+    dL/dtarget[b, k] = w2 * (sum_i g[b,k,i] - sum_i g[b,k,i] y[b,k,i]^2), and
+    the source likewise with k and i swapped.
+    """
+    B, K, D = source.shape[0], target.shape[1], w2.shape[0]
+    if target.shape != (B, K, 1, D) or source.shape != (B, 1, K, D) or w2.shape != (D, 1):
+        raise ValueError(
+            f"pair_logits shapes do not fit: target {target.shape}, "
+            f"source {source.shape}, w2 {w2.shape}"
+        )
+    # A broadcast copy plus an in-place add is the same IEEE add as
+    # target + source, into one [B, K, K, D] buffer that tanh then overwrites.
+    y = np.empty((B, K, K, D), dtype=np.result_type(target.data, source.data))
+    y[...] = source.data
+    y += target.data
+    np.tanh(y, out=y)
+    out_data = (y @ w2.data).reshape(B, K, K)
+
+    def backward(g):
+        if w2.requires_grad:
+            w2._accumulate(y.reshape(-1, D).T @ g.reshape(-1, 1))
+        w = w2.data[:, 0]
+        y2 = y * y
+        if target.requires_grad:
+            gy2 = (g[:, :, None, :] @ y2).reshape(B, K, 1, D)
+            target._accumulate(w * (g.sum(axis=2)[:, :, None, None] - gy2))
+        if source.requires_grad:
+            gt = np.swapaxes(g, 1, 2)
+            gy2 = (gt[:, :, None, :] @ np.swapaxes(y2, 1, 2)).reshape(B, 1, K, D)
+            source._accumulate(w * (g.sum(axis=1)[:, None, :, None] - gy2))
+
+    return Tensor._result(out_data, (target, source, w2), backward)
+
+
 def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
     """Each node's weights over the other nodes, [B, K, K]; zero diagonal, rows sum to 1."""
     p = params["write"]
@@ -132,8 +182,7 @@ def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
     # Two [B,K,D] maps, broadcast-added, instead of a [B,K,K,2D] concat and matmul.
     target = tt.reshape(tt.linear(nodes, p["mlp_w1_target"], p["mlp_b1"]), (B, K, 1, D))
     source = tt.reshape(tt.linear(nodes, p["mlp_w1_source"]), (B, 1, K, D))
-    hidden = tt.tanh(target + source)
-    logits = tt.reshape(tt.linear(hidden, p["mlp_w2"]), (B, K, K))
+    logits = pair_logits(target, source, p["mlp_w2"])
     mask = np.full((K, K), 0.0, dtype=nodes.dtype)
     np.fill_diagonal(mask, _MASK_VALUE)
     return tt.softmax(logits + Tensor(mask), axis=2)
@@ -168,6 +217,9 @@ def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int
 # -- ablation reasoners --------------------------------------------------------
 
 BASELINE_KINDS = tuple(k for k in REASONER_KINDS if k != "graph_memory")
+# The reasoner kinds whose layers read the controller; gcn and
+# self_attention see only the nodes.
+CONTROLLER_KINDS = ("graph_memory", "gcn_fusion", "memory_network")
 
 
 def init_baseline_params(rng: np.random.Generator, kind: str, dim: int, dtype) -> dict:

@@ -11,10 +11,12 @@ nodes are then collapsed per frame by a query-guided attention (visual) and
 average pooling (semantic), giving frames [S, T, D].
 
 The sentences [S, 1, D] are the frame level's controllers; the object level
-broadcasts them into [S·T, 1, D].  The graph switches act only through the
-parameters: `init_level_params` builds "visual" for `use_visual_graph` and
-"semantic" plus "cross" for `use_semantic_graph`, and a level runs each
-reasoner and hop exactly when it holds it.
+broadcasts them into [S·T, 1, D] when its reasoner reads a controller
+(`graph_memory.CONTROLLER_KINDS`) and runs at least one step.  The graph
+switches act only through the parameters: `init_level_params` builds
+"visual" for `use_visual_graph` and "semantic" plus "cross" for
+`use_semantic_graph`, and a level runs each reasoner and hop exactly when
+it holds it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ import numpy as np
 from . import tensor as tt
 from .cross_space import enhance_batch, init_cross_space_params
 from .data import ModelConfig
-from .graph_memory import init_baseline_params, init_graph_memory_params, run_reasoner
+from .graph_memory import (
+    CONTROLLER_KINDS,
+    init_baseline_params,
+    init_graph_memory_params,
+    run_reasoner,
+)
 from .encoders import EncodedVideo
 from .params import weight, zeros
 from .tensor import Tensor
@@ -73,7 +80,8 @@ def _dual_space_pass(
     level_params: dict,
     config: ModelConfig,
 ):
-    """Level body over visual/semantic [B, K, D] under controllers [B, 1, D]."""
+    """Level body over visual/semantic [B, K, D] under controllers [B, 1, D]
+    (None when the level's reasoner reads none)."""
     kind, steps = config.reasoner_kind, config.reasoning_steps
     cross = level_params.get("cross")
     if "visual" in level_params:
@@ -93,7 +101,14 @@ def object_level_pass(
     """Per-frame object graphs over encoded [S,T,K,D] with sentences [S,1,D];
     returns (visual_nodes [S,T,K,D], semantic_nodes [S,T,K,D])."""
     S, T, K, D = encoded.visual.shape
-    controller = tt.reshape(tt.broadcast_to(sentences, (S, T, D)), (S * T, 1, D))
+    # Per-frame controllers only for a reasoner that reads them.
+    controller = None
+    if (
+        config.reasoner_kind in CONTROLLER_KINDS
+        and config.reasoning_steps > 0
+        and ("visual" in level_params or "semantic" in level_params)
+    ):
+        controller = tt.reshape(tt.broadcast_to(sentences, (S, T, D)), (S * T, 1, D))
     visual, semantic = _dual_space_pass(
         tt.reshape(encoded.visual, (S * T, K, D)),
         tt.reshape(encoded.semantic, (S * T, K, D)),

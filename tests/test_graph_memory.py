@@ -15,6 +15,7 @@ from hvsarn.graph_memory import (
     init_graph_memory_params,
     neighbor_attention,
     neighbor_context,
+    pair_logits,
     read_attention,
     read_batch,
     reason_batch,
@@ -210,6 +211,47 @@ def test_gated_update_rejects_shape_mismatch():
     for pre_shape in [(1, 6), (2, 3), (2, 5)]:
         with pytest.raises(ValueError, match="shape"):
             gated_update(Tensor(np.zeros((2, 3))), Tensor(np.zeros(pre_shape)))
+
+
+def test_pair_logits_fd_into_every_parent():
+    rng = np.random.default_rng(21)
+    B, K, D = 2, 4, 3
+    probe = Tensor(rng.normal(size=(B, K, K)))  # a non-uniform upstream gradient
+    fd_check(
+        lambda t, s, w2: pair_logits(t, s, w2) * probe,
+        rng.normal(size=(B, K, 1, D)),
+        rng.normal(size=(B, 1, K, D)),
+        rng.normal(size=(D, 1)),
+    )
+
+
+def test_pair_logits_forward_bytes_match_composed_ops():
+    rng = np.random.default_rng(5)
+    B, K, D = 3, 7, 8
+    target = rng.normal(scale=2.0, size=(B, K, 1, D)).astype(np.float32)
+    source = rng.normal(scale=2.0, size=(B, 1, K, D)).astype(np.float32)
+    w2 = rng.normal(size=(D, 1)).astype(np.float32)
+    fused = pair_logits(Tensor(target), Tensor(source), Tensor(w2)).data
+    composed = (np.tanh(np.add(target, source)) @ w2).reshape(B, K, K)
+    assert fused.dtype == np.float32
+    assert fused.tobytes() == composed.tobytes()
+
+
+def test_pair_logits_rejects_shape_mismatch():
+    B, K, D = 2, 3, 4
+    fits = {"t": (B, K, 1, D), "s": (B, 1, K, D), "w": (D, 1)}
+    bad_shapes = [
+        ("t", (B, K, D)),
+        ("t", (B, K, 1, D + 1)),
+        ("s", (B, K, 1, D)),
+        ("s", (B + 1, 1, K, D)),
+        ("w", (D, 2)),
+        ("w", (D + 1, 1)),
+    ]
+    for name, bad in bad_shapes:
+        shapes = dict(fits, **{name: bad})
+        with pytest.raises(ValueError, match="shape"):
+            pair_logits(*(Tensor(np.zeros(shapes[k])) for k in ("t", "s", "w")))
 
 
 def test_zero_steps_is_identity():
