@@ -151,7 +151,8 @@ class ModelConfig:
     `use_object_level` builds `object_level` and `fusion`, `use_frame_level`
     builds `frame_level`; within a level, `use_visual_graph` builds `visual`
     and `use_semantic_graph` builds `semantic` plus the cross-space `cross`.
-    `reasoning_steps=0` disables reasoning but keeps the reasoner parameters.
+    `reasoning_steps=0` disables reasoning and builds neither reasoner; the
+    cross-space hops still run, so `cross` stays.
     """
 
     hidden_size: int = 32

@@ -27,16 +27,19 @@ and `gated_update` turns their [..., 2D] sum into the new state as one
 tape node with a hand-written backward.
 
 The pair score m [B, K, K] is one tape node too, `pair_logits`, over the
-target map W1t v_k + b1, the source map W1s v_i and w2.  Its forward fills
-one [B, K, K, D] buffer y = tanh(target + source) and keeps it only while
-the tape is on; its backward never forms the [B, K, K, D] gradient of the
-pre-activation, because with g = dL/dm
+target map W1t v_k + b1, the source map W1s v_i and w2.  It never holds the
+[B, K, K, D] tanh output y: it walks blocks of (b, k) rows, each a few
+hundred KiB (`_BLOCK_BYTES`), fills one reused scratch buffer with
+y = tanh(target + source) for the block and consumes it there.  The forward
+writes the block's logits; the backward keeps nothing from the forward,
+recomputes each block and forms all three gradients from it while it is in
+cache, with g = dL/dm:
 
     dL/dtarget_k = w2 * (sum_i g_ki - sum_i g_ki y_ki^2)
     dL/dsource_i = w2 * (sum_k g_ki - sum_k g_ki y_ki^2)
     dL/dw2       = sum_{k,i} y_ki g_ki
 
-(elementwise in D), each a batched [1, K] @ [K, D] product.
+(elementwise in D), the first two as batched [1, K] @ [K, D] products.
 
 Everything is batched over independent graphs: controllers [B, 1, D],
 nodes [B, K, D].  For a group of S samples of T frames, the object level
@@ -135,11 +138,29 @@ def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     )
 
 
+# Bytes of tanh output one block of pair_logits holds: a few hundred KiB
+# stays in a core's L2 while the block is filled, reduced and reused.
+_BLOCK_BYTES = 1 << 18
+
+
+def _pair_blocks(B: int, K: int, row_bytes: int):
+    """(b, k) slices covering [B, K] in blocks of at most _BLOCK_BYTES of
+    [K, D] rows (one row when a row alone is larger): whole graphs when a
+    graph fits, else a run of k in one graph."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    nb, nk = max(1, rows // K), min(K, rows)
+    for b0 in range(0, B, nb):
+        for k0 in range(0, K, nk):
+            yield slice(b0, min(b0 + nb, B)), slice(k0, min(k0 + nk, K))
+
+
 def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
     """m[b, k, i] = w2 . tanh(target[b, k, 0] + source[b, 0, i]) as one node, [B, K, K].
 
-    target [B, K, 1, D], source [B, 1, K, D], w2 [D, 1].  The backward reads
-    only y = tanh(...), never dL/d(pre-activation):
+    target [B, K, 1, D], source [B, 1, K, D], w2 [D, 1].  Forward and
+    backward each hold one block of y = tanh(...) at a time, never the
+    [B, K, K, D] tensor; the backward recomputes y block by block, so it
+    saves nothing and can run twice.  With g = dL/dm,
     dL/dtarget[b, k] = w2 * (sum_i g[b,k,i] - sum_i g[b,k,i] y[b,k,i]^2), and
     the source likewise with k and i swapped.
     """
@@ -149,28 +170,56 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
             f"pair_logits shapes do not fit: target {target.shape}, "
             f"source {source.shape}, w2 {w2.shape}"
         )
-    # A broadcast copy plus an in-place add is the same IEEE add as
-    # target + source, into one [B, K, K, D] buffer that tanh then overwrites.
-    y = np.empty((B, K, K, D), dtype=np.result_type(target.data, source.data))
-    y[...] = source.data
-    y += target.data
-    np.tanh(y, out=y)
-    out_data = (y @ w2.data).reshape(B, K, K)
+    dtype = np.result_type(target.data, source.data)
+
+    def blocks():
+        """Each block's slices and its y, in one scratch buffer the size of
+        the first (largest) block."""
+        scratch = None
+        for bs, ks in _pair_blocks(B, K, K * D * dtype.itemsize):
+            size = (bs.stop - bs.start) * (ks.stop - ks.start) * K * D
+            if scratch is None:
+                scratch = np.empty(size, dtype=dtype)
+            y = scratch[:size].reshape(bs.stop - bs.start, ks.stop - ks.start, K, D)
+            # A broadcast copy plus an in-place add is the same IEEE add as
+            # target + source; tanh then overwrites the block.
+            y[...] = source.data[bs]
+            y += target.data[bs, ks]
+            yield bs, ks, np.tanh(y, out=y)
+
+    # Each [K, D] @ [D, 1] product is the one the whole stacked y @ w2 makes,
+    # so the logits are the same bytes however the rows are blocked.
+    out_data = np.empty((B, K, K, 1), dtype=np.result_type(dtype, w2.data))
+    for bs, ks, y in blocks():
+        np.matmul(y, w2.data, out=out_data[bs, ks])
 
     def backward(g):
-        if w2.requires_grad:
-            w2._accumulate(y.reshape(-1, D).T @ g.reshape(-1, 1))
+        dw2 = np.zeros((D, 1), dtype=dtype)
+        gy2_target = np.empty((B, K, 1, D), dtype=dtype)
+        gy2_source = np.empty((B, K, 1, D), dtype=dtype)  # [b, i, 0, :]
+        g_target = g[:, :, None, :]
+        g_source = np.swapaxes(g, 1, 2)[:, :, None, :]
+        for bs, ks, y in blocks():
+            dw2 += y.reshape(-1, D).T @ g[bs, ks].reshape(-1, 1)
+            y *= y
+            np.matmul(g_target[bs, ks], y, out=gy2_target[bs, ks])
+            # The first run of k writes the source sums; later runs add to them.
+            if ks.start == 0:
+                np.matmul(g_source[bs, :, :, ks], np.swapaxes(y, 1, 2), out=gy2_source[bs])
+            else:
+                gy2_source[bs] += g_source[bs, :, :, ks] @ np.swapaxes(y, 1, 2)
         w = w2.data[:, 0]
-        y2 = y * y
+        for gy2, gsum in ((gy2_target, g.sum(axis=2)), (gy2_source, g.sum(axis=1))):
+            np.subtract(gsum[:, :, None, None], gy2, out=gy2)
+            gy2 *= w
         if target.requires_grad:
-            gy2 = (g[:, :, None, :] @ y2).reshape(B, K, 1, D)
-            target._accumulate(w * (g.sum(axis=2)[:, :, None, None] - gy2))
+            target._accumulate(gy2_target)
         if source.requires_grad:
-            gt = np.swapaxes(g, 1, 2)
-            gy2 = (gt[:, :, None, :] @ np.swapaxes(y2, 1, 2)).reshape(B, 1, K, D)
-            source._accumulate(w * (g.sum(axis=1)[:, None, :, None] - gy2))
+            source._accumulate(gy2_source.reshape(B, 1, K, D))
+        if w2.requires_grad:
+            w2._accumulate(dw2)
 
-    return Tensor._result(out_data, (target, source, w2), backward)
+    return Tensor._result(out_data.reshape(B, K, K), (target, source, w2), backward)
 
 
 def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:

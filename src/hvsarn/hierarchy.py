@@ -11,12 +11,12 @@ nodes are then collapsed per frame by a query-guided attention (visual) and
 average pooling (semantic), giving frames [S, T, D].
 
 The sentences [S, 1, D] are the frame level's controllers; the object level
-broadcasts them into [S·T, 1, D] when its reasoner reads a controller
-(`graph_memory.CONTROLLER_KINDS`) and runs at least one step.  The graph
-switches act only through the parameters: `init_level_params` builds
-"visual" for `use_visual_graph` and "semantic" plus "cross" for
-`use_semantic_graph`, and a level runs each reasoner and hop exactly when
-it holds it.
+broadcasts them into [S·T, 1, D] when it holds a reasoner that reads a
+controller (`graph_memory.CONTROLLER_KINDS`).  The graph switches act only
+through the parameters: `init_level_params` builds "visual" for
+`use_visual_graph` and "semantic" for `use_semantic_graph`, both only when
+`reasoning_steps > 0`, and "cross" for `use_semantic_graph` at any step
+count; a level runs each reasoner and hop exactly when it holds it.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class FrameRepresentations:
 
 
 def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype) -> dict:
-    """Reasoners for the enabled graphs of one level, plus the cross-space
-    projections when the semantic graph is on."""
+    """Reasoners for the enabled graphs of one level when it reasons at all
+    (`reasoning_steps > 0`), plus the cross-space projections when the
+    semantic graph is on."""
     d = config.hidden_size
 
     def init_reasoner():
@@ -55,11 +56,13 @@ def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype) -> d
             return init_graph_memory_params(rng, d, dtype)
         return init_baseline_params(rng, config.reasoner_kind, d, dtype)
 
+    reasons = config.reasoning_steps > 0
     params = {}
-    if config.use_visual_graph:
+    if config.use_visual_graph and reasons:
         params["visual"] = init_reasoner()
     if config.use_semantic_graph:
-        params["semantic"] = init_reasoner()
+        if reasons:
+            params["semantic"] = init_reasoner()
         params["cross"] = init_cross_space_params(rng, d, dtype)
     return params
 
@@ -103,10 +106,8 @@ def object_level_pass(
     S, T, K, D = encoded.visual.shape
     # Per-frame controllers only for a reasoner that reads them.
     controller = None
-    if (
-        config.reasoner_kind in CONTROLLER_KINDS
-        and config.reasoning_steps > 0
-        and ("visual" in level_params or "semantic" in level_params)
+    if config.reasoner_kind in CONTROLLER_KINDS and (
+        "visual" in level_params or "semantic" in level_params
     ):
         controller = tt.reshape(tt.broadcast_to(sentences, (S, T, D)), (S * T, 1, D))
     visual, semantic = _dual_space_pass(

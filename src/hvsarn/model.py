@@ -45,7 +45,8 @@ from .tensor import Tensor
 # Samples per forward in predict_dataset.  Measured with one BLAS thread on
 # a 2-vCPU x86 host: a chunk of 8 scores 226 queries/s against 240 for the
 # whole set at T=32/K=8 and 49 against 42 at T=128/K=4, and a T=256/K=8
-# chunk adds ~180 MB to peak RSS, where the whole set grows without bound.
+# chunk adds ~50 MB to the peak RSS of a process that holds the default
+# float32 model, where the whole set grows without bound.
 EVAL_CHUNK = 8
 
 

@@ -3,12 +3,16 @@ the reasoning step is supposed to keep: simplex attention, strict gates,
 permutation equivariance, saturation identity, and step-count contracts.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hvsarn.tensor as tt
 from hvsarn.graph_memory import (
     BASELINE_KINDS,
+    _BLOCK_BYTES,
+    _pair_blocks,
     baseline_step,
     gated_update,
     init_baseline_params,
@@ -252,6 +256,74 @@ def test_pair_logits_rejects_shape_mismatch():
         shapes = dict(fits, **{name: bad})
         with pytest.raises(ValueError, match="shape"):
             pair_logits(*(Tensor(np.zeros(shapes[k])) for k in ("t", "s", "w")))
+
+
+def pair_operands(rng, B, K, D, dtype):
+    """target, source, w2 and an upstream gradient for pair_logits, as arrays."""
+    return (
+        rng.normal(scale=2.0, size=(B, K, 1, D)).astype(dtype),
+        rng.normal(scale=2.0, size=(B, 1, K, D)).astype(dtype),
+        rng.normal(size=(D, 1)).astype(dtype),
+        rng.normal(size=(B, K, K)).astype(dtype),
+    )
+
+
+def test_pair_logits_backward_is_pure():
+    # The backward squares each recomputed block in place; it saves nothing
+    # the squaring could change, so a second call adds the same amount.
+    target, source, w2, g = pair_operands(np.random.default_rng(6), 3, 5, 4, np.float64)
+    parents = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
+    out = pair_logits(*parents)
+    out._backward(g)
+    first = [p.grad.copy() for p in parents]
+    out._backward(g)
+    for p, once in zip(parents, first):
+        assert (p.grad - once).tobytes() == once.tobytes()
+
+
+def test_pair_logits_holds_no_pair_tensor():
+    # At frame level y would be [S, T, T, D]; the node holds one block of it.
+    B, K, D = 8, 128, 32
+    full = B * K * K * D * 4
+    target, source, w2, g = pair_operands(np.random.default_rng(7), B, K, D, np.float32)
+    parents = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = pair_logits(*parents)
+        held = tracemalloc.get_traced_memory()[0] - base
+        out.backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < full / 8, held / full
+    assert peak < full / 4, peak / full
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pair_logits_spans_several_blocks(dtype):
+    # Shapes from the byte budget: at K = 5 a block holds whole graphs and B
+    # spans three blocks; at the large K one graph exceeds a block, so both
+    # graphs span runs of k.  Both shapes end on a partial block.
+    itemsize, D = np.dtype(dtype).itemsize, 8
+    graphs = _BLOCK_BYTES // (5 * 5 * D * itemsize)
+    large_k = int(np.sqrt(_BLOCK_BYTES / (D * itemsize))) + 9
+    for B, K in ((2 * graphs + 3, 5), (2, large_k)):
+        blocks = list(_pair_blocks(B, K, K * D * itemsize))
+        assert len({bs.start for bs, _ in blocks}) > 1
+        assert (len({ks.start for _, ks in blocks}) > 1) == (K == large_k)
+        target, source, w2, g = pair_operands(np.random.default_rng(K), B, K, D, dtype)
+        if dtype == np.float32:
+            fused = pair_logits(Tensor(target), Tensor(source), Tensor(w2)).data
+            composed = (np.tanh(np.add(target, source)) @ w2).reshape(B, K, K)
+            assert fused.tobytes() == composed.tobytes()
+            continue
+        fused = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
+        pair_logits(*fused).backward(g)
+        chain = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
+        tt.matmul(tt.tanh(tt.add(chain[0], chain[1])), chain[2]).backward(g[..., None])
+        for a, b in zip(fused, chain):
+            assert np.abs(a.grad - b.grad).max() <= 1e-13 * np.abs(b.grad).max()
 
 
 def test_zero_steps_is_identity():
