@@ -5,11 +5,12 @@ maps into the hidden space and are summed; semantic (class/attribute) word
 vectors get their own affine map.  `encode_video` stacks a group of S
 same-shape videos on a leading sample axis, [S, T, K, D].  Query side:
 token vectors pass through one residual multi-head self-attention layer,
-then a bidirectional GRU; the sentence vector is the projected concatenation
-of the two final hidden states (the forward direction's at the last token,
-the backward direction's at the first).  Queries differ in length, so each is
-encoded on its own, as a one-row matrix [1, 1, D], and the caller stacks the
-sentences into the [S, 1, D] controllers of the reasoning layers.
+then the bidirectional GRU `recurrent.gru_sequence`; the sentence vector is
+the projected concatenation of the two final hidden states (the forward
+direction's at the last token, the backward direction's at the first).
+Queries differ in length, so each is encoded on its own, as a one-row
+matrix [1, 1, D], and the caller stacks the sentences into the [S, 1, D]
+controllers of the reasoning layers.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
     attended, _ = self_attention(tokens, params["attn"], heads)
     n, dw = attended.shape
     x = tt.reshape(attended, (1, n, dw))
-    fwd = gru_sequence(x, params["gru"]["fwd"])
-    bwd = gru_sequence(x, params["gru"]["bwd"], reverse=True)
-    final = tt.concat([fwd[:, n - 1 : n], bwd[:, :1]], axis=2)
+    states = gru_sequence(x, params["gru"])
+    hidden = states.shape[2] // 2
+    final = tt.concat([states[:, n - 1 : n, :hidden], states[:, :1, hidden:]], axis=2)
     return tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])

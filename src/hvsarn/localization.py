@@ -1,8 +1,8 @@
 """Frame fusion, temporal contextualization, and span prediction.
 
-The head concatenates per-frame visual/semantic vectors [S, T, 2D], runs a
-Bi-GRU over time on an [S, 1, H] state, and maps each frame to a start logit
-and an end logit, [S, T] each.  Candidate
+The head concatenates per-frame visual/semantic vectors [S, T, 2D], runs the
+Bi-GRU (`recurrent.gru_sequence`, both directions in one loop) over time,
+and maps each frame to a start logit and an end logit, [S, T] each.  Candidate
 segments are every frame pair (i, j) with i < j, scored by
 softmax(start)[i] * softmax(end)[j], emitted in descending score with ties
 broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  The
@@ -27,7 +27,7 @@ from . import tensor as tt
 from .data import GroundTruthSegment, frame_pair_to_fractions, segment_to_frame_indices
 from .hierarchy import FrameRepresentations
 from .params import weight
-from .recurrent import bigru, init_bigru_params
+from .recurrent import gru_sequence, init_bigru_params
 from .tensor import Tensor
 
 
@@ -49,7 +49,7 @@ def init_head_params(rng: np.random.Generator, input_width: int, hidden: int, dt
 def fuse_and_contextualize(frames: FrameRepresentations, params: dict) -> Tensor:
     """[visual, semantic] per frame through the Bi-GRU; returns [S, T, hidden]."""
     fused = tt.concat([frames.visual, frames.semantic], axis=2)
-    return bigru(fused, params["gru"])
+    return gru_sequence(fused, params["gru"])
 
 
 def _np_softmax(x: np.ndarray) -> np.ndarray:

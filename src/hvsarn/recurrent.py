@@ -1,4 +1,4 @@
-"""Gated recurrent unit, run on the tape as one node per direction.
+"""Bidirectional gated recurrent unit, run on the tape as one node.
 
 Update convention (documented here once; the verification oracles restate it):
 
@@ -7,28 +7,37 @@ Update convention (documented here once; the verification oracles restate it):
     g_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
     h_t = (1 - z_t) * h_{t-1} + z_t * g_t
 
-Sequences run in a batch of S independent samples of one length N:
-x [S, N, In], state [S, 1, H].  The initial state is zero.  Each direction
-stores its weights in the layout the tape consumes: w = [Wz | Wr | Wh]
-[In, 3H], b = [bz | br | bh] [3H], u_zr = [Uz | Ur] [H, 2H] and u_g = Uh
-[H, H].  The input terms of every step come from one [S, N, In] @ [In, 3H]
-projection on the tape.  The recurrence over that projection is a single
-tape node with parents (projection, u_zr, u_g) and output the stacked
-states [S, N, H].  Its forward steps in numpy, with one [S, 1, H] @ [H, 2H]
-product for Uz h_{t-1}, Ur h_{t-1} per step, and keeps the gate values only
-when the tape is on.  Its backward is hand-written backpropagation through
-time: a reverse loop carries dL/dh from step to step and writes the
-projection's gradient for each step, and the u_zr and u_g gradients are
-each one product over all steps.
-The state keeps its row axis so that each sample's product is a
-one-row matrix whatever S is: BLAS takes the same path for it alone as in a
-batch, and a sample's result does not depend on its batch companions.
+A Bi-GRU runs one GRU left-to-right and an independently parameterized one
+right-to-left over a batch of S independent samples of one length N,
+x [S, N, In], from zero initial states.  It returns the per-position states
+side by side, [S, N, 2H]: the forward direction's in the first H columns,
+the backward direction's in the last H.  A direction's final state is a
+position of its states: the last for left-to-right, the first for
+right-to-left.  Each direction stores its weights in the layout the tape
+consumes: w = [Wz | Wr | Wh] [In, 3H], b = [bz | br | bh] [3H],
+u_zr = [Uz | Ur] [H, 2H] and u_g = Uh [H, H].  Its input terms come from its
+own [S, N, In] @ [In, 3H] projection on the tape.
 
-A bidirectional pass runs one GRU left-to-right and an independently
-parameterized one right-to-left and concatenates the per-position states,
-so the output width is twice the hidden size.  A direction's final state
-is a position of its states: the last for left-to-right, the first for
-right-to-left.
+The two directions never read each other, so both recurrences are one tape
+node, with parents (both projections, both directions' u_zr and u_g), that
+steps them in one time loop.  The forward copies the projections once into a
+time-major buffer [N, 2, S, 1, 3H] that stores the backward direction
+reversed in time: step t advances the forward direction at position t and
+the backward direction at position N - 1 - t, reading one contiguous
+[2, S, 1, 3H] slab.  The recurrent products are [2, S, 1, H] @ [2, 1, H, .].
+The state keeps its row axis, so each sample and direction is a one-row
+matrix whatever S is: BLAS takes the same path for a sample alone as in a
+batch, and a sample's result does not depend on its batch companions.  The
+forward writes each step's states into a time-major states buffer and keeps
+the gate values only when the tape is on.
+
+The backward is hand-written backpropagation through time: one reverse loop
+over the same layout carries dL/dh from step to step for both directions and
+writes each step's projection gradient.  Each projection then gets its
+[S, N, 3H] gradient in position order.  The u_zr and u_g gradients are one
+product per direction over all its rows, taken in (sample, position) order:
+the row order fixes the product's summation order, and this one matches a
+direction run on its own.
 """
 
 from __future__ import annotations
@@ -62,42 +71,54 @@ def init_bigru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int,
     }
 
 
-def gru_sequence(x: Tensor, params: dict, reverse: bool = False) -> Tensor:
-    """Run the GRU over x [S, N, In]; returns the states [S, N, H]."""
-    proj = tt.linear(x, params["w"], params["b"])
-    return _recurrence(proj, params["u_zr"], params["u_g"], reverse)
+def _by_position(steps: np.ndarray, d: int) -> np.ndarray:
+    """Direction d of a time-major [N, 2, S, 1, k] array, as an [S, N, k] view
+    in position order (direction 1 is stored reversed in time)."""
+    view = steps[:, d, :, 0] if d == 0 else steps[::-1, d, :, 0]
+    return view.transpose(1, 0, 2)
 
 
-def _recurrence(proj: Tensor, u_zr: Tensor, u_g: Tensor, reverse: bool) -> Tensor:
-    """The GRU steps over the fused input projection proj [S, N, 3H], as one tape node."""
-    S, n, _ = proj.shape
-    hidden = u_g.shape[0]
-    proj_zr, proj_g = proj.data[:, :, : 2 * hidden], proj.data[:, :, 2 * hidden :]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    keep = tt.records((proj, u_zr, u_g))
-    states = np.empty((S, n, hidden), dtype=proj.dtype)
+def gru_sequence(x: Tensor, params: dict) -> Tensor:
+    """Bi-GRU over x [S, N, In] with {"fwd", "bwd"} params; returns the states [S, N, 2H]."""
+    directions = (params["fwd"], params["bwd"])
+    projs = [tt.linear(x, p["w"], p["b"]) for p in directions]
+    weights = [(p["u_zr"], p["u_g"]) for p in directions]
+    S, n, _ = projs[0].shape
+    hidden = weights[0][1].shape[0]
+    dtype = projs[0].dtype
+    proj = np.empty((n, 2, S, 1, 3 * hidden), dtype=dtype)
+    for d, p in enumerate(projs):
+        _by_position(proj, d)[...] = p.data
+    proj_zr, proj_g = proj[..., : 2 * hidden], proj[..., 2 * hidden :]
+    u_zr = np.stack([u.data for u, _ in weights])[:, None]  # [2, 1, H, 2H]
+    u_g = np.stack([u.data for _, u in weights])[:, None]  # [2, 1, H, H]
+    parents = (*projs, *weights[0], *weights[1])
+    keep = tt.records(parents)
+    states = np.empty((n, 2, S, 1, hidden), dtype=dtype)
     if keep:
-        zr_all = np.empty((S, n, 2 * hidden), dtype=proj.dtype)
+        zr_all = np.empty((n, 2, S, 1, 2 * hidden), dtype=dtype)
         g_all = np.empty_like(states)
-    h = np.zeros((S, 1, hidden), dtype=proj.dtype)
-    for t in order:
-        zr = tt.stable_sigmoid(proj_zr[:, t : t + 1] + h @ u_zr.data)
-        z, r = zr[:, :, :hidden], zr[:, :, hidden:]
-        g = np.tanh(proj_g[:, t : t + 1] + (r * h) @ u_g.data)
-        h = (1.0 - z) * h + z * g
-        states[:, t : t + 1] = h
+    h = np.zeros((2, S, 1, hidden), dtype=dtype)
+    for t in range(n):
+        zr = tt.stable_sigmoid(proj_zr[t] + h @ u_zr)
+        z, r = zr[..., :hidden], zr[..., hidden:]
+        g = np.tanh(proj_g[t] + (r * h) @ u_g)
+        h = np.add((1.0 - z) * h, z * g, out=states[t])
         if keep:
-            zr_all[:, t : t + 1] = zr
-            g_all[:, t : t + 1] = g
+            zr_all[t] = zr
+            g_all[t] = g
+    out = np.empty((S, n, 2 * hidden), dtype=dtype)
+    out[:, :, :hidden] = _by_position(states, 0)
+    out[:, :, hidden:] = _by_position(states, 1)
 
     def backward(grad):
-        # h_prev[:, t] is the state step t started from (zero for the first step).
+        dstates = np.empty_like(states)
+        _by_position(dstates, 0)[...] = grad[:, :, :hidden]
+        _by_position(dstates, 1)[...] = grad[:, :, hidden:]
+        # h_prev[t] is the state step t started from (zero for the first step).
         h_prev = np.zeros_like(states)
-        if reverse:
-            h_prev[:, :-1] = states[:, 1:]
-        else:
-            h_prev[:, 1:] = states[:, :-1]
-        z, r = zr_all[:, :, :hidden], zr_all[:, :, hidden:]
+        h_prev[1:] = states[:-1]
+        z, r = zr_all[..., :hidden], zr_all[..., hidden:]
         # With pre-activations a_z, a_r, a_g and m = r * h_prev, the factors that
         # turn dL/dh_t into dL/da_g, dL/da_z and dL/dh_prev (direct path), and
         # dL/dm into dL/da_r, for all steps at once.
@@ -105,31 +126,27 @@ def _recurrence(proj: Tensor, u_zr: Tensor, u_g: Tensor, reverse: bool) -> Tenso
         daz_dh = (g_all - h_prev) * z * (1.0 - z)
         dprev_dh = 1.0 - z
         dar_dm = h_prev * r * (1.0 - r)
-        u_zr_t, u_g_t = u_zr.data.T, u_g.data.T
-        dproj = np.empty_like(proj.data)
-        carry = np.zeros((S, 1, hidden), dtype=proj.dtype)
-        for t in reversed(order):
-            step = slice(t, t + 1)
-            dh = grad[:, step] + carry
-            da_g = np.multiply(dh, dag_dh[:, step], out=dproj[:, step, 2 * hidden :])
+        u_zr_t, u_g_t = np.swapaxes(u_zr, -1, -2), np.swapaxes(u_g, -1, -2)
+        dproj = np.empty_like(proj)
+        carry = np.zeros((2, S, 1, hidden), dtype=dtype)
+        for t in range(n - 1, -1, -1):
+            dh = dstates[t] + carry
+            da_g = np.multiply(dh, dag_dh[t], out=dproj[t, ..., 2 * hidden :])
             dm = da_g @ u_g_t
-            np.multiply(dh, daz_dh[:, step], out=dproj[:, step, :hidden])
-            np.multiply(dm, dar_dm[:, step], out=dproj[:, step, hidden : 2 * hidden])
-            carry = dh * dprev_dh[:, step] + dm * r[:, step] + dproj[:, step, : 2 * hidden] @ u_zr_t
-        if proj.requires_grad:
-            proj._accumulate(dproj)
+            np.multiply(dh, daz_dh[t], out=dproj[t, ..., :hidden])
+            np.multiply(dm, dar_dm[t], out=dproj[t, ..., hidden : 2 * hidden])
+            carry = dh * dprev_dh[t] + dm * r[t] + dproj[t, ..., : 2 * hidden] @ u_zr_t
+        m = r * h_prev
         rows = S * n
-        if u_zr.requires_grad:
-            u_zr._accumulate(h_prev.reshape(rows, hidden).T @ dproj[:, :, : 2 * hidden].reshape(rows, -1))
-        if u_g.requires_grad:
-            m = (r * h_prev).reshape(rows, hidden)
-            u_g._accumulate(m.T @ dproj[:, :, 2 * hidden :].reshape(rows, hidden))
+        for d, (p, (w_zr, w_g)) in enumerate(zip(projs, weights)):
+            dproj_d = np.ascontiguousarray(_by_position(dproj, d))
+            if p.requires_grad:
+                p._accumulate(dproj_d)
+            if w_zr.requires_grad:
+                h_rows = np.ascontiguousarray(_by_position(h_prev, d)).reshape(rows, hidden)
+                w_zr._accumulate(h_rows.T @ dproj_d[:, :, : 2 * hidden].reshape(rows, -1))
+            if w_g.requires_grad:
+                m_rows = np.ascontiguousarray(_by_position(m, d)).reshape(rows, hidden)
+                w_g._accumulate(m_rows.T @ dproj_d[:, :, 2 * hidden :].reshape(rows, hidden))
 
-    return Tensor._result(states, (proj, u_zr, u_g), backward)
-
-
-def bigru(x: Tensor, params: dict) -> Tensor:
-    """Bidirectional pass over x [S, N, In]; returns the per-position states [S, N, 2H]."""
-    states_f = gru_sequence(x, params["fwd"], reverse=False)
-    states_b = gru_sequence(x, params["bwd"], reverse=True)
-    return tt.concat([states_f, states_b], axis=2)
+    return Tensor._result(out, parents, backward)

@@ -234,9 +234,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a numpy array, exp of a non-positive argument only."""
+    """Logistic function on a numpy array, exp of a non-positive argument only.
+
+    The numerator exp(min(x, 0)) is exactly e for x < 0 and exactly 1 for
+    x >= 0, so this is the branch-per-sign form without a mask."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(x, 0)) / (1.0 + e)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
