@@ -11,7 +11,9 @@ A sample directory looks like::
 
 manifest.json carries {video_id, query_id, T, K, N, D_in, D_sem, D_w,
 annotation:{start,end}|null, tensors:[{name, shape, file}]}.  Feature dims
-are data properties, not package constants, so they live in the manifest.
+are data properties, not package constants, so they live in the manifest
+as integers.  The tensor table (`fileio.read_tensors`) lists the four
+tensors above once each, with the shapes the dims imply, by plain file name.
 
 Annotations are fractions of video duration in [0, 1]; conversion to frame
 indices is `segment_to_frame_indices` and is the only place that rounding
@@ -22,14 +24,28 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fileio import FormatError, atomic_write_json, read_blob, read_json, require_keys, write_blob
+from .fileio import (
+    FormatError,
+    atomic_write_json,
+    is_int,
+    is_plain_name,
+    read_json,
+    read_tensors,
+    require_keys,
+    write_tensors,
+)
 
 REASONER_KINDS = ("graph_memory", "gcn", "gcn_fusion", "self_attention", "memory_network")
+# The reasoner kinds whose layers read the controller; gcn and
+# self_attention see only the nodes.
+CONTROLLER_KINDS = ("graph_memory", "gcn_fusion", "memory_network")
 DIFFICULTIES = ("separable", "noisy")
 
 # Dims used by the synthetic generator (real data carries its own in the manifest).
@@ -69,6 +85,9 @@ class GroundTruthSegment:
     end: float
 
     def __post_init__(self):
+        for key, value in (("start", self.start), ("end", self.end)):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            _require(real, f"annotation: {key} {value!r} is not a real number")
         _require(0.0 <= self.start, f"annotation: start {self.start} < 0")
         _require(self.end <= 1.0, f"annotation: end {self.end} > 1")
         _require(self.start < self.end, f"annotation: start {self.start} >= end {self.end}")
@@ -153,6 +172,9 @@ class ModelConfig:
     and `use_semantic_graph` builds `semantic` plus the cross-space `cross`.
     `reasoning_steps=0` disables reasoning and builds neither reasoner; the
     cross-space hops still run, so `cross` stays.
+
+    Without the object level only the frame level's reasoners read the query,
+    so they must run: `reasoning_steps > 0`, a `CONTROLLER_KINDS` kind, a graph.
     """
 
     hidden_size: int = 32
@@ -170,6 +192,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):  # a bool is not an int here
+            value, hint = getattr(self, field.name), _CONFIG_TYPES[field.name]
+            if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+                raise ConfigError(f"{field.name}: expected {field.type}, got {value!r}")
         if self.hidden_size < 2 or self.hidden_size % 2 != 0:
             raise ConfigError(f"hidden_size: must be an even integer >= 2, got {self.hidden_size}")
         if self.reasoning_steps < 0:
@@ -185,8 +211,16 @@ class ModelConfig:
         if self.two_stream and not (self.use_object_level and self.use_frame_level):
             raise ConfigError("two_stream: requires both hierarchy levels enabled")
         if self.reasoner_kind not in REASONER_KINDS:
+            raise ConfigError(f"reasoner_kind: {self.reasoner_kind!r} not in {REASONER_KINDS}")
+        if not self.use_object_level and not (
+            self.reasoning_steps > 0
+            and self.reasoner_kind in CONTROLLER_KINDS
+            and (self.use_visual_graph or self.use_semantic_graph)
+        ):
             raise ConfigError(
-                f"reasoner_kind: {self.reasoner_kind!r} not in {REASONER_KINDS}"
+                "use_object_level: without it nothing reads the query unless reasoning_steps > 0,"
+                f" reasoner_kind is in {CONTROLLER_KINDS}"
+                " and use_visual_graph or use_semantic_graph is on"
             )
         if self.attn_heads < 1:
             raise ConfigError(f"attn_heads: must be >= 1, got {self.attn_heads}")
@@ -198,8 +232,7 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(ModelConfig)}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         return ModelConfig(**obj)
@@ -213,6 +246,9 @@ class ModelConfig:
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return ModelConfig.from_dict(obj)
+
+
+_CONFIG_TYPES = typing.get_type_hints(ModelConfig)
 
 
 def _snap_to_int(x: float) -> float:
@@ -251,9 +287,6 @@ def frame_pair_to_fractions(i: int, j: int, num_frames: int) -> tuple[float, flo
 
 # -- persistence -------------------------------------------------------------
 
-_TENSOR_FIELDS = ("object_features", "boxes", "semantic_embeddings", "token_embeddings")
-
-
 def save_sample(sample: Sample, path: str | Path) -> None:
     """Write one sample directory; tensor payloads round-trip bit-exactly."""
     video, query = sample
@@ -277,13 +310,8 @@ def save_sample(sample: Sample, path: str | Path) -> None:
         "annotation": None
         if video.annotation is None
         else {"start": video.annotation.start, "end": video.annotation.end},
-        "tensors": [
-            {"name": name, "shape": list(arr.shape), "file": f"{name}.f32"}
-            for name, arr in tensors.items()
-        ],
+        "tensors": write_tensors(path, tensors, "<f4", [f"{name}.f32" for name in tensors]),
     }
-    for name, arr in tensors.items():
-        write_blob(path / f"{name}.f32", arr, "<f4")
     atomic_write_json(path / "manifest.json", manifest)
 
 
@@ -291,16 +319,12 @@ def load_sample(path: str | Path) -> Sample:
     """Read and validate one sample directory; raises FormatError naming the field."""
     path = Path(path)
     manifest = read_json(path / "manifest.json")
-    require_keys(
-        manifest,
-        ("video_id", "query_id", "T", "K", "N", "D_in", "D_sem", "D_w", "tensors"),
-        "manifest.json",
-    )
-    for entry in manifest["tensors"]:
-        require_keys(entry, ("name", "shape", "file"), "manifest.json: tensors entry")
-    entries = {e["name"]: e for e in manifest["tensors"]}
-    for name in _TENSOR_FIELDS:
-        _require(name in entries, f"manifest.json: tensors missing entry {name!r}")
+    where = f"{path}: manifest.json"
+    dim_keys = ("T", "K", "N", "D_in", "D_sem", "D_w")
+    require_keys(manifest, ("video_id", "query_id", *dim_keys, "tensors"), where)
+    for key in dim_keys:
+        if not (is_int(manifest[key]) and manifest[key] >= 0):
+            raise FormatError(f"{where}: {key} {manifest[key]!r} is not a non-negative integer")
     T, K, N = manifest["T"], manifest["K"], manifest["N"]
     expected_shapes = {
         "object_features": (T, K, manifest["D_in"]),
@@ -308,32 +332,28 @@ def load_sample(path: str | Path) -> Sample:
         "semantic_embeddings": (T, K, manifest["D_sem"]),
         "token_embeddings": (N, manifest["D_w"]),
     }
-    arrays = {}
-    for name, shape in expected_shapes.items():
-        entry = entries[name]
-        _require(
-            tuple(entry["shape"]) == shape,
-            f"{name}: manifest shape {entry['shape']} != expected {list(shape)}",
-        )
-        arrays[name] = read_blob(path / entry["file"], shape, "<f4", name)
+    arrays = read_tensors(path, manifest["tensors"], expected_shapes, "<f4", where)
     ann = manifest.get("annotation")
     if ann is not None:
-        require_keys(ann, ("start", "end"), "manifest.json: annotation")
-    annotation = None if ann is None else GroundTruthSegment(ann["start"], ann["end"])
-    video = VideoSample(
-        video_id=manifest["video_id"],
-        num_frames=T,
-        num_objects=K,
-        object_features=arrays["object_features"],
-        boxes=arrays["boxes"],
-        semantic_embeddings=arrays["semantic_embeddings"],
-        annotation=annotation,
-    )
-    query = QuerySample(
-        query_id=manifest["query_id"],
-        token_embeddings=arrays["token_embeddings"],
-        num_tokens=N,
-    )
+        require_keys(ann, ("start", "end"), f"{where}: annotation")
+    try:
+        annotation = None if ann is None else GroundTruthSegment(ann["start"], ann["end"])
+        video = VideoSample(
+            video_id=manifest["video_id"],
+            num_frames=T,
+            num_objects=K,
+            object_features=arrays["object_features"],
+            boxes=arrays["boxes"],
+            semantic_embeddings=arrays["semantic_embeddings"],
+            annotation=annotation,
+        )
+        query = QuerySample(
+            query_id=manifest["query_id"],
+            token_embeddings=arrays["token_embeddings"],
+            num_tokens=N,
+        )
+    except FormatError as err:  # name the sample as well as the field
+        raise FormatError(f"{path}: {err}") from err
     return video, query
 
 
@@ -476,8 +496,8 @@ def load_dataset(data_dir: str | Path) -> list[Sample]:
         manifest = read_json(index)
         require_keys(manifest, ("samples",), str(index))
         names = manifest["samples"]
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise FormatError(f"{index}: samples must be a list of directory names, got {names!r}")
+        if not (isinstance(names, list) and all(is_plain_name(n) for n in names)):
+            raise FormatError(f"{index}: samples must be plain directory names, got {names!r}")
         dirs = [data_dir / n for n in names]
     else:
         dirs = sorted(p.parent for p in data_dir.glob("*/manifest.json"))

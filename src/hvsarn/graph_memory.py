@@ -155,22 +155,24 @@ def _pair_blocks(B: int, K: int, row_bytes: int):
 
 
 def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
-    """m[b, k, i] = w2 . tanh(target[b, k, 0] + source[b, 0, i]) as one node, [B, K, K].
+    """m[b, k, i] = w2 . tanh(target[b, k] + source[b, i]) as one node, [B, K, K].
 
-    target [B, K, 1, D], source [B, 1, K, D], w2 [D, 1].  Forward and
+    target [B, K, D], source [B, K, D], w2 [D, 1]; the node broadcasts
+    them as [B, K, 1, D] and [B, 1, K, D] views.  Forward and
     backward each hold one block of y = tanh(...) at a time, never the
     [B, K, K, D] tensor; the backward recomputes y block by block, so it
     saves nothing and can run twice.  With g = dL/dm,
     dL/dtarget[b, k] = w2 * (sum_i g[b,k,i] - sum_i g[b,k,i] y[b,k,i]^2), and
     the source likewise with k and i swapped.
     """
-    B, K, D = source.shape[0], target.shape[1], w2.shape[0]
-    if target.shape != (B, K, 1, D) or source.shape != (B, 1, K, D) or w2.shape != (D, 1):
+    if len(target.shape) != 3 or source.shape != target.shape or w2.shape != (target.shape[2], 1):
         raise ValueError(
             f"pair_logits shapes do not fit: target {target.shape}, "
             f"source {source.shape}, w2 {w2.shape}"
         )
+    B, K, D = target.shape
     dtype = np.result_type(target.data, source.data)
+    target_rows, source_cols = target.data[:, :, None], source.data[:, None]
 
     def blocks():
         """Each block's slices and its y, in one scratch buffer the size of
@@ -183,8 +185,8 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
             y = scratch[:size].reshape(bs.stop - bs.start, ks.stop - ks.start, K, D)
             # A broadcast copy plus an in-place add is the same IEEE add as
             # target + source; tanh then overwrites the block.
-            y[...] = source.data[bs]
-            y += target.data[bs, ks]
+            y[...] = source_cols[bs]
+            y += target_rows[bs, ks]
             yield bs, ks, np.tanh(y, out=y)
 
     # Each [K, D] @ [D, 1] product is the one the whole stacked y @ w2 makes,
@@ -213,9 +215,9 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
             np.subtract(gsum[:, :, None, None], gy2, out=gy2)
             gy2 *= w
         if target.requires_grad:
-            target._accumulate(gy2_target)
+            target._accumulate(gy2_target.reshape(B, K, D))
         if source.requires_grad:
-            source._accumulate(gy2_source.reshape(B, 1, K, D))
+            source._accumulate(gy2_source.reshape(B, K, D))
         if w2.requires_grad:
             w2._accumulate(dw2)
 
@@ -225,12 +227,12 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
 def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
     """Each node's weights over the other nodes, [B, K, K]; zero diagonal, rows sum to 1."""
     p = params["write"]
-    B, K, D = nodes.shape
+    K = nodes.shape[1]
     if K == 1:
         raise ValueError("a lone node has no neighbours to attend to")
     # Two [B,K,D] maps, broadcast-added, instead of a [B,K,K,2D] concat and matmul.
-    target = tt.reshape(tt.linear(nodes, p["mlp_w1_target"], p["mlp_b1"]), (B, K, 1, D))
-    source = tt.reshape(tt.linear(nodes, p["mlp_w1_source"]), (B, 1, K, D))
+    target = tt.linear(nodes, p["mlp_w1_target"], p["mlp_b1"])
+    source = tt.linear(nodes, p["mlp_w1_source"])
     logits = pair_logits(target, source, p["mlp_w2"])
     mask = np.full((K, K), 0.0, dtype=nodes.dtype)
     np.fill_diagonal(mask, _MASK_VALUE)
@@ -266,9 +268,6 @@ def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int
 # -- ablation reasoners --------------------------------------------------------
 
 BASELINE_KINDS = tuple(k for k in REASONER_KINDS if k != "graph_memory")
-# The reasoner kinds whose layers read the controller; gcn and
-# self_attention see only the nodes.
-CONTROLLER_KINDS = ("graph_memory", "gcn_fusion", "memory_network")
 
 
 def init_baseline_params(rng: np.random.Generator, kind: str, dim: int, dtype) -> dict:

@@ -12,7 +12,7 @@ average pooling (semantic), giving frames [S, T, D].
 
 The sentences [S, 1, D] are the frame level's controllers; the object level
 broadcasts them into [S·T, 1, D] when it holds a reasoner that reads a
-controller (`graph_memory.CONTROLLER_KINDS`).  The graph switches act only
+controller (`data.CONTROLLER_KINDS`).  The graph switches act only
 through the parameters: `init_level_params` builds "visual" for
 `use_visual_graph` and "semantic" for `use_semantic_graph`, both only when
 `reasoning_steps > 0`, and "cross" for `use_semantic_graph` at any step
@@ -27,13 +27,8 @@ import numpy as np
 
 from . import tensor as tt
 from .cross_space import enhance_batch, init_cross_space_params
-from .data import ModelConfig
-from .graph_memory import (
-    CONTROLLER_KINDS,
-    init_baseline_params,
-    init_graph_memory_params,
-    run_reasoner,
-)
+from .data import CONTROLLER_KINDS, ModelConfig
+from .graph_memory import init_baseline_params, init_graph_memory_params, run_reasoner
 from .encoders import EncodedVideo
 from .params import weight, zeros
 from .tensor import Tensor

@@ -98,27 +98,23 @@ class Model:
     def frame_features(self, encoded: EncodedVideo, sentences: Tensor) -> FrameRepresentations:
         """Route encoder outputs through the configured hierarchy variant."""
         cfg = self.config
-        if cfg.two_stream:
-            nodes_v, nodes_s = object_level_pass(
-                encoded, sentences, self.params["object_level"], cfg
-            )
-            obj = fuse_objects(nodes_v, nodes_s, sentences, self.params["fusion"])
-            frm = frame_level_pass(
-                frames_from_encoder_mean(encoded), sentences, self.params["frame_level"], cfg
-            )
-            return FrameRepresentations(
-                visual=tt.concat([obj.visual, frm.visual], axis=2),
-                semantic=tt.concat([obj.semantic, frm.semantic], axis=2),
-            )
         if cfg.use_object_level:
             nodes_v, nodes_s = object_level_pass(
                 encoded, sentences, self.params["object_level"], cfg
             )
-            frames = fuse_objects(nodes_v, nodes_s, sentences, self.params["fusion"])
+            objects = fuse_objects(nodes_v, nodes_s, sentences, self.params["fusion"])
+        # Two streams run the frame level over the encoder mean, beside the objects.
+        if cfg.use_object_level and not cfg.two_stream:
+            frames = objects
         else:
             frames = frames_from_encoder_mean(encoded)
         if cfg.use_frame_level:
             frames = frame_level_pass(frames, sentences, self.params["frame_level"], cfg)
+        if cfg.two_stream:
+            return FrameRepresentations(
+                visual=tt.concat([objects.visual, frames.visual], axis=2),
+                semantic=tt.concat([objects.semantic, frames.semantic], axis=2),
+            )
         return frames
 
     def _contextualize(self, samples: list[tuple[VideoSample, QuerySample]]) -> Tensor:

@@ -22,10 +22,11 @@ from .fileio import (
     DTYPE_CODES,
     FormatError,
     atomic_write_json,
-    read_blob,
+    is_int,
     read_json,
+    read_tensors,
     require_keys,
-    write_blob,
+    write_tensors,
 )
 from .model import Model, build_model, group_by_shape
 from .params import zero_grads
@@ -94,21 +95,11 @@ def adam_update(state: TrainState, learning_rate: float) -> None:
         )
 
 
-class _BatchOrder:
-    """Reshuffled-epoch index stream."""
-
-    def __init__(self, count: int, seed: int):
-        self._rng = np.random.default_rng([abs(seed), count, 0x0B_A7C4])
-        self._count = count
-        self._queue: list[int] = []
-
-    def draw(self, k: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < k:
-            if not self._queue:
-                self._queue = list(self._rng.permutation(self._count))
-            out.append(int(self._queue.pop()))
-        return out
+def _batch_order(count: int, seed: int):
+    """Reshuffled-epoch index stream: each epoch is a permutation read from its end."""
+    rng = np.random.default_rng([abs(seed), count, 0x0B_A7C4])
+    while True:
+        yield from (int(i) for i in rng.permutation(count)[::-1])
 
 
 def batch_loss(model: Model, samples) -> Tensor:
@@ -146,11 +137,11 @@ def train(
     dims = InputDims.of(*dataset[0])
     model = build_model(config, dims, dtype)
     state = init_state(model)
-    order = _BatchOrder(len(dataset), config.seed)
+    order = _batch_order(len(dataset), config.seed)
     curve: list[float] = []
 
     for step in range(1, hyper.steps + 1):
-        batch = [dataset[i] for i in order.draw(hyper.batch_size)]
+        batch = [dataset[next(order)] for _ in range(hyper.batch_size)]
         zero_grads(model.params)
         mean_loss = batch_loss(model, batch)
         value = float(mean_loss.data)
@@ -175,15 +166,6 @@ _CHECKPOINT_KIND = "hvsarn-checkpoint"
 _FORMAT_VERSION = 3
 
 
-def _dtype_code(dtype) -> str:
-    dtype = np.dtype(dtype)
-    if dtype == np.float32:
-        return "<f4"
-    if dtype == np.float64:
-        return "<f8"
-    raise ValueError(f"unsupported checkpoint dtype {dtype}")
-
-
 def save_checkpoint(out_dir: str, state: TrainState) -> None:
     """Write model + optimizer state as manifest.json plus raw blobs.
 
@@ -192,25 +174,16 @@ def save_checkpoint(out_dir: str, state: TrainState) -> None:
     """
     os.makedirs(out_dir, exist_ok=True)
     named = state.model.named_parameters()
-    code = _dtype_code(next(iter(named.values())).data.dtype)
+    code = next(iter(named.values())).data.dtype.newbyteorder("<").str
+    if code not in DTYPE_CODES:
+        raise ValueError(f"unsupported checkpoint dtype {code}")
     ext = ".f32" if code == "<f4" else ".f64"
 
-    groups = [
-        ("params", {k: t.data for k, t in named.items()}),
-        ("adam_m", state.moments_m),
-        ("adam_v", state.moments_v),
-    ]
-    tensors = []
-    i = 0
-    for prefix, group in groups:
-        for name in sorted(group):
-            arr = group[name]
-            filename = f"t{i:05d}{ext}"
-            write_blob(os.path.join(out_dir, filename), arr, code)
-            tensors.append(
-                {"name": f"{prefix}/{name}", "shape": list(arr.shape), "file": filename}
-            )
-            i += 1
+    params = {k: t.data for k, t in named.items()}
+    groups = (("params", params), ("adam_m", state.moments_m), ("adam_v", state.moments_v))
+    arrays = {f"{prefix}/{k}": group[k] for prefix, group in groups for k in sorted(group)}
+    files = [f"t{i:05d}{ext}" for i in range(len(arrays))]
+    tensors = write_tensors(out_dir, arrays, code, files)
 
     manifest = {
         "kind": _CHECKPOINT_KIND,
@@ -246,68 +219,29 @@ def load_checkpoint(in_dir: str) -> TrainState:
     config = ModelConfig.from_dict(manifest["config"])
     dim_names = ("feature_dim", "semantic_dim", "word_dim")
     require_keys(manifest["dims"], dim_names, f"{where}: dims")
+    for key in dim_names:
+        value = manifest["dims"][key]
+        if not (is_int(value) and value > 0):
+            raise FormatError(f"{where}: dims {key} {value!r} is not a positive integer")
     dims = InputDims(*(manifest["dims"][k] for k in dim_names))
     step = manifest["step"]
-    if not _is_int(step) or step < 0:
+    if not is_int(step) or step < 0:
         raise FormatError(f"{where}: step {step!r} is not a non-negative integer")
-    if not isinstance(manifest["tensors"], list):
-        raise FormatError(f"{where}: tensors must be a list, got {manifest['tensors']!r}")
     model = build_model(config, dims, dtype)
     state = init_state(model)
     state.step = step
 
-    named = model.named_parameters()
     # Optimizer moments mirror the parameter tree, so every group is checked
     # against the same names and shapes.
-    loaded: dict[str, dict[str, np.ndarray]] = {
-        "params": {},
-        "adam_m": state.moments_m,
-        "adam_v": state.moments_v,
-    }
-    # Every entry is checked before any blob is read.
-    files: dict[str, str] = {}
-    for entry in manifest["tensors"]:
-        require_keys(entry, ("name", "shape", "file"), f"{where}: tensors entry")
-        full_name, shape = entry["name"], entry["shape"]
-        if not isinstance(full_name, str):
-            raise FormatError(f"{where}: tensors entry name {full_name!r} is not a string")
+    named = model.named_parameters()
+    groups = {"params": {}, "adam_m": state.moments_m, "adam_v": state.moments_v}
+    expected = {f"{prefix}/{k}": t.data.shape for prefix in groups for k, t in named.items()}
+    for full_name, arr in read_tensors(in_dir, manifest["tensors"], expected, code, where).items():
         prefix, _, name = full_name.partition("/")
-        if prefix not in loaded:
-            raise FormatError(f"{in_dir}: unknown tensor group {prefix!r}")
-        what = "parameter" if prefix == "params" else "optimizer entry"
-        if name not in named:
-            raise FormatError(f"{in_dir}: checkpoint has unknown {what} {full_name!r}")
-        if full_name in files:
-            raise FormatError(f"{in_dir}: {what} {full_name!r} is listed twice")
-        if not (isinstance(shape, list) and all(_is_int(n) for n in shape)):
-            raise FormatError(
-                f"{in_dir}: {what} {full_name!r} shape {shape!r} is not a list of integers"
-            )
-        expected = named[name].data.shape
-        if tuple(shape) != expected:
-            raise FormatError(
-                f"{in_dir}: {what} {full_name!r} has shape {tuple(shape)}, expected {expected}"
-            )
-        if not isinstance(entry["file"], str):
-            raise FormatError(
-                f"{in_dir}: {what} {full_name!r} file {entry['file']!r} is not a string"
-            )
-        files[full_name] = entry["file"]
-
-    missing = [f"{group}/{k}" for group in loaded for k in named if f"{group}/{k}" not in files]
-    if missing:
-        raise FormatError(f"{in_dir}: checkpoint is missing tensors {missing[:4]}")
-    for full_name, filename in files.items():
-        prefix, _, name = full_name.partition("/")
-        shape = named[name].data.shape
-        loaded[prefix][name] = read_blob(os.path.join(in_dir, filename), shape, code, full_name)
-    for name, arr in loaded["params"].items():
+        groups[prefix][name] = arr
+    for name, arr in groups["params"].items():
         named[name].data = arr
     return state
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # -- gradient verification ---------------------------------------------------

@@ -273,6 +273,52 @@ def test_train_on_malformed_dataset_index_prints_error(tmp_path, capsys, index):
     assert err.startswith("error: ") and "samples" in err
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda m: m["tensors"][1].update(file="../sample_00000/boxes.f32"),
+            "not a plain file name",
+        ),
+        (lambda m: m["tensors"][1].update(shape=5), "'boxes' shape 5 is not [4, 2, 4]"),
+        (lambda m: m.update(T=4.0), "T 4.0"),
+        (lambda m: m["annotation"].update(start="0.1"), "annotation: start '0.1'"),
+    ],
+    ids=["file_outside", "shape_type", "T_float", "start_str"],
+)
+def test_eval_on_dataset_with_malformed_sample_prints_error(tmp_path, capsys, mutate, message):
+    data = tmp_path / "data"
+    assert synth(data) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(tmp_path / "run"), *TINY]) == 0
+    manifest_path = data / "sample_00002" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    mutate(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(
+        [
+            "eval",
+            "--checkpoint",
+            str(tmp_path / "run" / "checkpoint"),
+            "--data-dir",
+            str(data),
+            "--out-dir",
+            str(tmp_path / "e"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample_00002" in err and message in err
+
+
+def test_gradcheck_with_wrong_typed_config_prints_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"hidden_size": "8"}))
+    assert main(["gradcheck", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hidden_size: expected int")
+
+
 def test_eval_of_single_frame_video_prints_error(tmp_path, capsys):
     # such a sample loads, but no segment fits in one frame
     data = tmp_path / "data"

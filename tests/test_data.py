@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -155,6 +157,61 @@ def test_config_validation():
     ModelConfig(reasoning_steps=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("use_object_level", "no"),
+        ("two_stream", 1),
+        ("hidden_size", "8"),
+        ("hidden_size", 8.0),
+        ("reasoning_steps", 1.5),
+        ("reasoning_steps", True),
+        ("max_frames", None),
+        ("attn_heads", [4]),
+        ("reasoner_kind", 3),
+        ("max_segments", 2.0),
+        ("seed", "0"),
+    ],
+)
+def test_config_rejects_wrong_typed_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: expected"):
+        ModelConfig.from_dict({field: value})
+
+
+def test_config_accepts_none_max_segments():
+    assert ModelConfig(max_segments=None).max_segments is None
+    assert ModelConfig(max_segments=3).max_segments == 3
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"reasoning_steps": 0},
+        {"reasoner_kind": "gcn"},
+        {"reasoner_kind": "self_attention"},
+        {"use_visual_graph": False, "use_semantic_graph": False},
+    ],
+    ids=["zero_steps", "gcn", "self_attention", "no_graph"],
+)
+def test_config_rejects_query_blind_frame_level_only(fields):
+    # Without the object level the query reaches the model only as the
+    # frame-level reasoners' controller.
+    with pytest.raises(ConfigError, match="use_object_level: without it nothing reads the query"):
+        ModelConfig(use_object_level=False, **fields)
+    ModelConfig(**fields)
+
+
+@pytest.mark.parametrize("kind", ["graph_memory", "gcn_fusion", "memory_network"])
+@pytest.mark.parametrize("graphs", [(True, False), (False, True)])
+def test_config_accepts_frame_level_only_reading_the_query(kind, graphs):
+    ModelConfig(
+        use_object_level=False,
+        reasoner_kind=kind,
+        use_visual_graph=graphs[0],
+        use_semantic_graph=graphs[1],
+    )
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"hidden_size": 8, "seed": 3}))
@@ -240,6 +297,83 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
     path = saved_manifest_with(tmp_path, lambda m: m["tensors"][1].pop(key))
     with pytest.raises(FormatError, match=f"tensors entry: missing key '{key}'"):
         load_sample(path)
+
+
+# Malformed tensor tables, shared with the checkpoint tests: id -> (mutation
+# of the table at entry i, the message naming that entry).
+TABLE_PROBES = {
+    "file_type": (
+        lambda t, i: t[i].update(file=3),
+        "tensor {name!r} file 3 is not a plain file name",
+    ),
+    "shape_type": (lambda t, i: t[i].update(shape=5), "tensor {name!r} shape 5 is not ["),
+    "duplicate": (lambda t, i: t.append(dict(t[i])), "tensor {name!r} is listed twice"),
+    "unknown": (lambda t, i: t.append(dict(t[i], name="extra")), "unknown tensor 'extra'"),
+    "file_outside": (
+        lambda t, i: t[i].update(file="../ok/" + t[i]["file"]),
+        "tensor {name!r} file '../ok/{file}' is not a plain file name",
+    ),
+    "file_separator": (
+        lambda t, i: t[i].update(file="ok/" + t[i]["file"]),
+        "tensor {name!r} file 'ok/{file}' is not a plain file name",
+    ),
+    "file_parent": (
+        lambda t, i: t[i].update(file=".."),
+        "tensor {name!r} file '..' is not a plain file name",
+    ),
+}
+
+
+def table_probe(probe, table, i):
+    """Apply TABLE_PROBES[probe] to `table` at entry i; returns the message regex."""
+    mutate, message = TABLE_PROBES[probe]
+    entry = dict(table[i])
+    mutate(table, i)
+    return re.escape(message.format(name=entry["name"], file=entry["file"]))
+
+
+@pytest.mark.parametrize("probe", sorted(TABLE_PROBES))
+def test_load_sample_rejects_malformed_tensor_table(tmp_path, probe):
+    # A valid blob waits where a path outside the sample would lead.
+    messages = []
+    path = saved_manifest_with(
+        tmp_path, lambda m: messages.append(table_probe(probe, m["tensors"], 1))
+    )
+    for sub in ("ok", "s/ok"):
+        (tmp_path / sub).mkdir()
+        shutil.copy(path / "boxes.f32", tmp_path / sub)
+    with pytest.raises(FormatError, match=messages[0]):
+        load_sample(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda m: m.update(T=4.0), "T 4.0 is not a non-negative integer"),
+        (lambda m: m.update(K="2"), "K '2' is not a non-negative integer"),
+        (lambda m: m.update(D_w=True), "D_w True is not a non-negative integer"),
+        (lambda m: m.update(N=-1), "N -1 is not a non-negative integer"),
+        (lambda m: m["annotation"].update(start="0.1"), "annotation: start '0.1' is not a real"),
+        (lambda m: m["annotation"].update(end=None), "annotation: end None is not a real"),
+        (lambda m: m.update(tensors={}), "tensors must be a list"),
+        (lambda m: m["tensors"].pop(2), "missing tensors ['semantic_embeddings']"),
+    ],
+    ids=["T_float", "K_str", "D_w_bool", "N_negative", "start_str", "end_null", "table", "missing"],
+)
+def test_load_sample_rejects_malformed_field(tmp_path, mutate, message):
+    path = saved_manifest_with(tmp_path, mutate)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_sample(path)
+
+
+def test_load_dataset_rejects_sample_names_outside_the_directory(tmp_path):
+    write_dataset(tmp_path / "data", count=1, num_frames=4, num_objects=2, seed=0,
+                  difficulty="separable")
+    shutil.copytree(tmp_path / "data" / "sample_00000", tmp_path / "outside")
+    for name in ("../outside", "sub/sample_00000", "..", ".", ""):
+        (tmp_path / "data" / "dataset.json").write_text(json.dumps({"samples": [name]}))
+        with pytest.raises(FormatError, match="samples must be plain directory names"):
+            load_dataset(tmp_path / "data")
 
 
 # -- synthetic generator -----------------------------------------------------------

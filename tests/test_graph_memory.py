@@ -223,8 +223,8 @@ def test_pair_logits_fd_into_every_parent():
     probe = Tensor(rng.normal(size=(B, K, K)))  # a non-uniform upstream gradient
     fd_check(
         lambda t, s, w2: pair_logits(t, s, w2) * probe,
-        rng.normal(size=(B, K, 1, D)),
-        rng.normal(size=(B, 1, K, D)),
+        rng.normal(size=(B, K, D)),
+        rng.normal(size=(B, K, D)),
         rng.normal(size=(D, 1)),
     )
 
@@ -232,23 +232,23 @@ def test_pair_logits_fd_into_every_parent():
 def test_pair_logits_forward_bytes_match_composed_ops():
     rng = np.random.default_rng(5)
     B, K, D = 3, 7, 8
-    target = rng.normal(scale=2.0, size=(B, K, 1, D)).astype(np.float32)
-    source = rng.normal(scale=2.0, size=(B, 1, K, D)).astype(np.float32)
+    target = rng.normal(scale=2.0, size=(B, K, D)).astype(np.float32)
+    source = rng.normal(scale=2.0, size=(B, K, D)).astype(np.float32)
     w2 = rng.normal(size=(D, 1)).astype(np.float32)
     fused = pair_logits(Tensor(target), Tensor(source), Tensor(w2)).data
-    composed = (np.tanh(np.add(target, source)) @ w2).reshape(B, K, K)
+    composed = (np.tanh(np.add(target[:, :, None], source[:, None])) @ w2).reshape(B, K, K)
     assert fused.dtype == np.float32
     assert fused.tobytes() == composed.tobytes()
 
 
 def test_pair_logits_rejects_shape_mismatch():
     B, K, D = 2, 3, 4
-    fits = {"t": (B, K, 1, D), "s": (B, 1, K, D), "w": (D, 1)}
+    fits = {"t": (B, K, D), "s": (B, K, D), "w": (D, 1)}
     bad_shapes = [
-        ("t", (B, K, D)),
-        ("t", (B, K, 1, D + 1)),
-        ("s", (B, K, 1, D)),
-        ("s", (B + 1, 1, K, D)),
+        ("t", (B, K, 1, D)),
+        ("t", (B, K, D + 1)),
+        ("s", (B, K + 1, D)),
+        ("s", (B + 1, K, D)),
         ("w", (D, 2)),
         ("w", (D + 1, 1)),
     ]
@@ -261,8 +261,8 @@ def test_pair_logits_rejects_shape_mismatch():
 def pair_operands(rng, B, K, D, dtype):
     """target, source, w2 and an upstream gradient for pair_logits, as arrays."""
     return (
-        rng.normal(scale=2.0, size=(B, K, 1, D)).astype(dtype),
-        rng.normal(scale=2.0, size=(B, 1, K, D)).astype(dtype),
+        rng.normal(scale=2.0, size=(B, K, D)).astype(dtype),
+        rng.normal(scale=2.0, size=(B, K, D)).astype(dtype),
         rng.normal(size=(D, 1)).astype(dtype),
         rng.normal(size=(B, K, K)).astype(dtype),
     )
@@ -315,13 +315,14 @@ def test_pair_logits_spans_several_blocks(dtype):
         target, source, w2, g = pair_operands(np.random.default_rng(K), B, K, D, dtype)
         if dtype == np.float32:
             fused = pair_logits(Tensor(target), Tensor(source), Tensor(w2)).data
-            composed = (np.tanh(np.add(target, source)) @ w2).reshape(B, K, K)
+            composed = (np.tanh(np.add(target[:, :, None], source[:, None])) @ w2).reshape(B, K, K)
             assert fused.tobytes() == composed.tobytes()
             continue
         fused = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
         pair_logits(*fused).backward(g)
         chain = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
-        tt.matmul(tt.tanh(tt.add(chain[0], chain[1])), chain[2]).backward(g[..., None])
+        pairs = tt.add(tt.reshape(chain[0], (B, K, 1, D)), tt.reshape(chain[1], (B, 1, K, D)))
+        tt.matmul(tt.tanh(pairs), chain[2]).backward(g[..., None])
         for a, b in zip(fused, chain):
             assert np.abs(a.grad - b.grad).max() <= 1e-13 * np.abs(b.grad).max()
 
