@@ -3,17 +3,19 @@
 A sample directory looks like::
 
     sample_000042/
-      manifest.json          # ids, dims, annotation, tensor table
-      object_features.f32    # [T, K, D_in]   little-endian float32, row-major
-      boxes.f32              # [T, K, 4]      normalized x1,y1,x2,y2
-      semantic_embeddings.f32# [T, K, D_sem]  class/attribute word vectors
-      token_embeddings.f32   # [N, D_w]       query word vectors
+      manifest.json   # ids, dims, annotation, tensor table
+      tensors.f32     # the four tensors below, back to back in table order,
+                      # little-endian float32, row-major:
+                      #   object_features      [T, K, D_in]
+                      #   boxes                [T, K, 4]      normalized x1,y1,x2,y2
+                      #   semantic_embeddings  [T, K, D_sem]  class/attribute word vectors
+                      #   token_embeddings     [N, D_w]       query word vectors
 
 manifest.json carries {video_id, query_id, T, K, N, D_in, D_sem, D_w,
-annotation:{start,end}|null, tensors:[{name, shape, file}]}.  Feature dims
-are data properties, not package constants, so they live in the manifest
-as integers.  The tensor table (`fileio.read_tensors`) lists the four
-tensors above once each, with the shapes the dims imply, by plain file name.
+annotation:{start,end}|null, tensors:[{name, shape}]}.  The ids are strings.
+Feature dims are data properties, not package constants, so they live in the
+manifest as integers.  The tensor table (`fileio.read_tensors`) lists the
+four tensors above once each, with the shapes the dims imply.
 
 Annotations are fractions of video duration in [0, 1]; conversion to frame
 indices is `segment_to_frame_indices` and is the only place that rounding
@@ -104,6 +106,7 @@ class VideoSample:
     annotation: GroundTruthSegment | None = None
 
     def __post_init__(self):
+        _require(isinstance(self.video_id, str), f"video_id: {self.video_id!r} is not a string")
         T, K = self.num_frames, self.num_objects
         _require(T >= 1, f"num_frames: {T} < 1")
         _require(K >= 1, f"num_objects: {K} < 1")
@@ -142,6 +145,7 @@ class QuerySample:
     num_tokens: int
 
     def __post_init__(self):
+        _require(isinstance(self.query_id, str), f"query_id: {self.query_id!r} is not a string")
         _require(self.num_tokens >= 1, f"num_tokens: {self.num_tokens} < 1")
         tok = _frozen_f32(self.token_embeddings, "token_embeddings")
         object.__setattr__(self, "token_embeddings", tok)
@@ -310,7 +314,7 @@ def save_sample(sample: Sample, path: str | Path) -> None:
         "annotation": None
         if video.annotation is None
         else {"start": video.annotation.start, "end": video.annotation.end},
-        "tensors": write_tensors(path, tensors, "<f4", [f"{name}.f32" for name in tensors]),
+        "tensors": write_tensors(path, tensors, "<f4"),
     }
     atomic_write_json(path / "manifest.json", manifest)
 

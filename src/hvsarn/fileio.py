@@ -1,24 +1,28 @@
 """Manifest + raw-blob persistence shared by samples and checkpoints.
 
-A stored object is a directory holding one JSON manifest plus one binary
-file per tensor.  Blobs are little-endian IEEE floats, row-major, with the
-dtype recorded in the manifest ("<f4" or "<f8").  The representation is
-byte-exact: load(save(x)) returns identical buffers.
+A stored object is a directory holding one JSON manifest plus one blob: the
+object's tensors back to back, in the order of the manifest's tensor table.
+The blob's name is fixed by the dtype recorded in the manifest: "<f4" is
+stored in `tensors.f32`, "<f8" in `tensors.f64`.  Each tensor is little-endian
+IEEE floats, row-major.  The representation is byte-exact: load(save(x))
+returns identical buffers.
 
-This module owns the manifest's tensor table `[{name, shape, file}]`:
-`write_tensors` writes it, and `read_tensors` checks every entry before it
-reads any blob.  A `file` is a plain name inside the object's directory.
+This module owns the manifest's tensor table `[{name, shape}]`:
+`write_tensors` writes it, and `read_tensors` checks every entry, then the
+blob's size, before it reads a byte.  No path is taken from a manifest.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 DTYPE_CODES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+BLOB_NAMES = {"<f4": "tensors.f32", "<f8": "tensors.f64"}
 
 
 class FormatError(Exception):
@@ -52,72 +56,94 @@ def atomic_write_json(path: Path | str, obj) -> None:
 
 
 def read_json(path: Path | str) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"missing file: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise FormatError(f"missing file: {path}") from None
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FormatError(f"{path}: not valid JSON ({err})") from err
 
 
-def write_blob(path: Path | str, array: np.ndarray, code: str) -> None:
-    Path(path).write_bytes(np.ascontiguousarray(array, dtype=DTYPE_CODES[code]).tobytes())
-
-
-def read_blob(path: Path | str, shape, code: str, field: str) -> np.ndarray:
-    try:
-        with open(path, "rb") as blob:
-            raw = blob.read()
-    except (FileNotFoundError, IsADirectoryError):
-        raise FormatError(f"{field}: missing file {path}") from None
+def write_blob(path: Path | str, arrays, code: str) -> None:
+    """Write `arrays` back to back: one open, one write per array, no concatenation."""
     dtype = DTYPE_CODES[code]
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{field}: blob {os.path.basename(path)} holds {len(raw)} bytes, "
-            f"manifest shape {list(shape)} needs {expected}"
-        )
-    # Over a bytearray the array is writable: a loaded checkpoint's parameters
-    # and optimizer moments are updated in place.
-    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+    with open(path, "wb") as blob:
+        for array in arrays:
+            blob.write(memoryview(np.ascontiguousarray(array, dtype=dtype)))
 
 
-def write_tensors(directory, arrays: dict, code: str, files) -> list[dict]:
-    """Write each array of `arrays` as a blob under the matching name of
-    `files`, in order; returns the manifest's tensor table."""
-    table = []
-    for (name, array), file in zip(arrays.items(), files, strict=True):
-        write_blob(os.path.join(directory, file), array, code)
-        table.append({"name": name, "shape": list(array.shape), "file": file})
-    return table
+def read_blob(path: Path | str, shapes: dict, code: str, where: str) -> dict:
+    """{name: array} for `shapes` ({name: shape tuple}, in blob order) from the
+    blob at `path`.  Its size is checked before a byte is read."""
+    dtype = DTYPE_CODES[code]
+    sizes = [math.prod(shape) * dtype.itemsize for shape in shapes.values()]
+    expected = sum(sizes)
+    name = os.path.basename(path)
+    with open(path, "rb") as blob:
+        held = os.fstat(blob.fileno()).st_size
+        if held < expected:
+            end = 0
+            for tensor, size in zip(shapes, sizes):
+                end += size
+                if end > held:
+                    raise FormatError(
+                        f"{where}: blob {name} holds {held} bytes, "
+                        f"too few for tensor {tensor!r}, which ends at byte {end}"
+                    )
+        if held > expected:
+            raise FormatError(
+                f"{where}: blob {name} holds {held} bytes, the tensor table needs {expected}"
+            )
+        raw = blob.read()
+    # One copy per tensor: each array owns a writable buffer of its own, as a
+    # loaded checkpoint's parameters and moments are updated in place.
+    flat, arrays, start = np.frombuffer(raw, dtype=dtype), {}, 0
+    for (tensor, shape), size in zip(shapes.items(), sizes):
+        end = start + size // dtype.itemsize
+        arrays[tensor] = flat[start:end].reshape(shape).copy()
+        start = end
+    return arrays
+
+
+def write_tensors(directory, arrays: dict, code: str) -> list[dict]:
+    """Write `arrays` into the directory's blob, in order; returns the
+    manifest's tensor table."""
+    write_blob(os.path.join(directory, BLOB_NAMES[code]), arrays.values(), code)
+    return [{"name": name, "shape": list(array.shape)} for name, array in arrays.items()]
 
 
 def read_tensors(directory, table, expected: dict, code: str, where: str) -> dict:
-    """{name: array} from the tensor table in `directory`; `table` must list each
-    name of `expected` ({name: shape tuple}) once, with that shape, in a
-    plain-named file.  Every entry is checked before any blob is read."""
+    """{name: array} from the tensor table and the blob in `directory`;
+    `table` must list each name of `expected` ({name: shape tuple}) once,
+    with that shape and no other key.  A missing blob is reported before the
+    table is checked, so an object stored with a file per tensor names it;
+    the table must hold before the blob is read."""
+    path = os.path.join(directory, BLOB_NAMES[code])
+    if not os.path.isfile(path):
+        raise FormatError(f"{where}: missing blob {path}")
     if not isinstance(table, list):
         raise FormatError(f"{where}: tensors must be a list, got {table!r}")
-    files: dict[str, str] = {}
+    shapes: dict[str, tuple] = {}
     for entry in table:
-        require_keys(entry, ("name", "shape", "file"), f"{where}: tensors entry")
-        name, shape, file = entry["name"], entry["shape"], entry["file"]
+        if not (isinstance(entry, dict) and entry.keys() == {"name", "shape"}):
+            require_keys(entry, ("name", "shape"), f"{where}: tensors entry")
+            extra = sorted(set(entry) - {"name", "shape"})
+            raise FormatError(f"{where}: tensor {entry['name']!r} has unknown key {extra[0]!r}")
+        name, shape = entry["name"], entry["shape"]
         if not (isinstance(name, str) and name in expected):
             raise FormatError(f"{where}: unknown tensor {name!r}")
-        if name in files:
+        if name in shapes:
             raise FormatError(f"{where}: tensor {name!r} is listed twice")
-        ints = isinstance(shape, list) and all(is_int(n) for n in shape)
+        # type(n) is int: a JSON 4.0 or true equals an int but is not one
+        ints = isinstance(shape, list) and all(type(n) is int for n in shape)
         if not ints or tuple(shape) != expected[name]:
             want = list(expected[name])
             raise FormatError(f"{where}: tensor {name!r} shape {shape!r} is not {want}")
-        if not is_plain_name(file):
-            raise FormatError(f"{where}: tensor {name!r} file {file!r} is not a plain file name")
-        files[name] = file
-    missing = [name for name in expected if name not in files]
+        shapes[name] = expected[name]
+    missing = [name for name in expected if name not in shapes]
     if missing:
         raise FormatError(f"{where}: missing tensors {missing[:4]}")
-    return {
-        name: read_blob(os.path.join(directory, file), expected[name], code, name)
-        for name, file in files.items()
-    }
+    return read_blob(path, shapes, code, where)

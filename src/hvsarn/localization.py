@@ -6,9 +6,10 @@ and maps each frame to a start logit and an end logit, [S, T] each.  Candidate
 segments are every frame pair (i, j) with i < j, scored by
 softmax(start)[i] * softmax(end)[j], emitted in descending score with ties
 broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  The
-ranking is vectorized: `np.triu_indices` yields the upper-triangle pairs
-already in (i, j) order, so one stable `np.argsort` on -score ranks them
-with that tie order, in float64 throughout.
+ranking is vectorized, in float64 throughout: `np.triu_indices` yields the
+upper-triangle pairs already in (i, j) order, an unstable `np.argsort` on
+-score ranks them, and a second argsort restores pair order within each
+run of equal scores.
 Training minimizes cross-entropy of the start/end distributions at the
 ground-truth frame indices, gathered per sample from the [S, T]
 log-softmaxes and summed over the S samples; it needs only the logits
@@ -66,7 +67,14 @@ def enumerate_segments(
     e = _np_softmax(np.asarray(end_logits, dtype=np.float64))
     i, j = np.triu_indices(T, k=1)
     score = s[i] * e[j]
-    order = np.argsort(-score, kind="stable")[:max_segments]
+    # The same permutation as a stable argsort of -score, faster: rank with the
+    # default sort, number the runs of equal scores, then sort on the unique
+    # key (run, pair index), which puts each run back in (i, j) order.
+    n = score.size
+    order = np.argsort(-score)
+    ranked = score[order]
+    run = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+    order = order[np.argsort(run * n + order)][:max_segments]
     lo, hi = frame_pair_to_fractions(i[order], j[order], T)
     return list(zip(lo.tolist(), hi.tolist(), score[order].tolist()))
 

@@ -163,27 +163,25 @@ def train(
 # -- checkpoints -------------------------------------------------------------
 
 _CHECKPOINT_KIND = "hvsarn-checkpoint"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 def save_checkpoint(out_dir: str, state: TrainState) -> None:
-    """Write model + optimizer state as manifest.json plus raw blobs.
+    """Write model + optimizer state as manifest.json plus one raw blob.
 
-    Round-trips are bit-exact: blobs hold the tensors' native little-endian
-    bytes and nothing is re-derived on load.
+    Round-trips are bit-exact: the blob holds the tensors' native
+    little-endian bytes and nothing is re-derived on load.
     """
     os.makedirs(out_dir, exist_ok=True)
     named = state.model.named_parameters()
     code = next(iter(named.values())).data.dtype.newbyteorder("<").str
     if code not in DTYPE_CODES:
         raise ValueError(f"unsupported checkpoint dtype {code}")
-    ext = ".f32" if code == "<f4" else ".f64"
 
     params = {k: t.data for k, t in named.items()}
     groups = (("params", params), ("adam_m", state.moments_m), ("adam_v", state.moments_v))
     arrays = {f"{prefix}/{k}": group[k] for prefix, group in groups for k in sorted(group)}
-    files = [f"t{i:05d}{ext}" for i in range(len(arrays))]
-    tensors = write_tensors(out_dir, arrays, code, files)
+    tensors = write_tensors(out_dir, arrays, code)
 
     manifest = {
         "kind": _CHECKPOINT_KIND,
@@ -228,20 +226,19 @@ def load_checkpoint(in_dir: str) -> TrainState:
     if not is_int(step) or step < 0:
         raise FormatError(f"{where}: step {step!r} is not a non-negative integer")
     model = build_model(config, dims, dtype)
-    state = init_state(model)
-    state.step = step
 
     # Optimizer moments mirror the parameter tree, so every group is checked
     # against the same names and shapes.
     named = model.named_parameters()
-    groups = {"params": {}, "adam_m": state.moments_m, "adam_v": state.moments_v}
+    groups = {"params": {}, "adam_m": {}, "adam_v": {}}
     expected = {f"{prefix}/{k}": t.data.shape for prefix in groups for k, t in named.items()}
     for full_name, arr in read_tensors(in_dir, manifest["tensors"], expected, code, where).items():
         prefix, _, name = full_name.partition("/")
         groups[prefix][name] = arr
-    for name, arr in groups["params"].items():
-        named[name].data = arr
-    return state
+    for name, param in named.items():
+        param.data = groups["params"][name]
+    m, v = groups["adam_m"], groups["adam_v"]
+    return TrainState(model, {k: m[k] for k in named}, {k: v[k] for k in named}, step)
 
 
 # -- gradient verification ---------------------------------------------------

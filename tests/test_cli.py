@@ -130,7 +130,7 @@ def test_train_precision_64(tmp_path, monkeypatch):
     assert main(["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]) == 0
     manifest = json.loads((run / "checkpoint" / "manifest.json").read_text())
     assert manifest["dtype"] == "<f8"
-    assert any(name.endswith(".f64") for name in os.listdir(run / "checkpoint"))
+    assert sorted(os.listdir(run / "checkpoint")) == ["manifest.json", "tensors.f64"]
 
 
 def test_invalid_precision_exits_nonzero(tmp_path, monkeypatch, capsys):
@@ -277,8 +277,8 @@ def test_train_on_malformed_dataset_index_prints_error(tmp_path, capsys, index):
     "mutate, message",
     [
         (
-            lambda m: m["tensors"][1].update(file="../sample_00000/boxes.f32"),
-            "not a plain file name",
+            lambda m: m["tensors"][1].update(file="../sample_00000/tensors.f32"),
+            "'boxes' has unknown key 'file'",
         ),
         (lambda m: m["tensors"][1].update(shape=5), "'boxes' shape 5 is not [4, 2, 4]"),
         (lambda m: m.update(T=4.0), "T 4.0"),

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,14 +254,14 @@ def test_round_trip_minimal_t1_k1(tmp_path):
 def test_load_errors_name_the_field(tmp_path):
     video, query = synth_sample(2, 4, 2)
     save_sample((video, query), tmp_path / "s")
-    (tmp_path / "s" / "boxes.f32").unlink()
-    with pytest.raises(FormatError, match="boxes"):
+    (tmp_path / "s" / "tensors.f32").unlink()
+    with pytest.raises(FormatError, match="missing blob .*tensors.f32"):
         load_sample(tmp_path / "s")
 
     save_sample((video, query), tmp_path / "t")
-    blob = tmp_path / "t" / "object_features.f32"
-    blob.write_bytes(blob.read_bytes()[:-4])  # truncate one float
-    with pytest.raises(FormatError, match="object_features"):
+    blob = tmp_path / "t" / "tensors.f32"
+    blob.write_bytes(blob.read_bytes()[:-4])  # truncate one float of the last tensor
+    with pytest.raises(FormatError, match="token_embeddings"):
         load_sample(tmp_path / "t")
 
     save_sample((video, query), tmp_path / "u")
@@ -268,6 +270,98 @@ def test_load_errors_name_the_field(tmp_path):
     (tmp_path / "u" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="D_w"):
         load_sample(tmp_path / "u")
+
+
+def test_sample_is_one_blob_of_the_tensors_in_table_order(tmp_path):
+    video, query = synth_sample(2, 4, 2)
+    save_sample((video, query), tmp_path / "s")
+    assert sorted(os.listdir(tmp_path / "s")) == ["manifest.json", "tensors.f32"]
+    table = json.loads((tmp_path / "s" / "manifest.json").read_text())["tensors"]
+    arrays = (video.object_features, video.boxes, video.semantic_embeddings, query.token_embeddings)
+    names = ["object_features", "boxes", "semantic_embeddings", "token_embeddings"]
+    assert table == [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)]
+    assert (tmp_path / "s" / "tensors.f32").read_bytes() == b"".join(a.tobytes() for a in arrays)
+    loaded_video, loaded_query = load_sample(tmp_path / "s")
+    loaded = (loaded_video.object_features, loaded_video.boxes,
+              loaded_video.semantic_embeddings, loaded_query.token_embeddings)
+    for array in loaded:  # each tensor owns its buffer, as before the one-blob layout
+        assert array.flags.c_contiguous and array.base is None
+
+
+def test_oversized_blob_is_rejected_before_it_is_read(tmp_path):
+    save_sample(synth_sample(2, 4, 2), tmp_path / "s")
+    blob = tmp_path / "s" / "tensors.f32"
+    needed = blob.stat().st_size
+    os.truncate(blob, 64 << 20)  # sparse: no byte of it is written
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            load_sample(tmp_path / "s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"tensors.f32 holds {64 << 20} bytes, the tensor table needs {needed}" in str(err.value)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "resize, message",
+    [
+        # object_features [4, 2, 16] fits; boxes [4, 2, 4] ends at byte 512 + 128
+        (lambda size: 520, "holds 520 bytes, too few for tensor 'boxes', which ends at byte 640"),
+        (lambda size: 0, "holds 0 bytes, too few for tensor 'object_features'"),
+        (lambda size: size + 4, "holds {long} bytes, the tensor table needs {size}"),
+    ],
+    ids=["short", "empty", "long"],
+)
+def test_blob_of_the_wrong_size_names_the_tensor_or_both_sizes(tmp_path, resize, message):
+    save_sample(synth_sample(2, 4, 2), tmp_path / "s")
+    blob = tmp_path / "s" / "tensors.f32"
+    size = blob.stat().st_size
+    os.truncate(blob, resize(size))
+    with pytest.raises(FormatError, match=re.escape(message.format(long=size + 4, size=size))):
+        load_sample(tmp_path / "s")
+
+
+@pytest.mark.parametrize("key, value", [("video_id", 5), ("query_id", ["x"])])
+def test_load_rejects_ids_that_are_not_strings(tmp_path, key, value):
+    path = saved_manifest_with(tmp_path, lambda m: m.update({key: value}))
+    with pytest.raises(FormatError, match=re.escape(f"{key}: {value!r} is not a string")):
+        load_sample(path)
+
+
+def test_samples_reject_ids_that_are_not_strings():
+    video = make_video()
+    with pytest.raises(FormatError, match="video_id: 5 is not a string"):
+        dataclasses.replace(video, video_id=5)
+    with pytest.raises(FormatError, match=re.escape("query_id: ['x'] is not a string")):
+        QuerySample(["x"], np.zeros((4, 8)), 4)
+
+
+def to_per_tensor_layout(directory):
+    """Rewrite a stored object in the layout before one blob per object: a file
+    per tensor, named by a `file` key in its table entry.  A checkpoint in
+    that layout was format_version 3."""
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    (blob,) = directory.glob("tensors.*")
+    raw, itemsize, offset = blob.read_bytes(), {".f32": 4, ".f64": 8}[blob.suffix], 0
+    for k, entry in enumerate(manifest["tensors"]):
+        size = int(np.prod(entry["shape"])) * itemsize
+        entry["file"] = f"t{k:05d}{blob.suffix}"
+        (directory / entry["file"]).write_bytes(raw[offset : offset + size])
+        offset += size
+    blob.unlink()
+    if "format_version" in manifest:
+        manifest["format_version"] = 3
+    path.write_text(json.dumps(manifest))
+
+
+def test_load_sample_in_the_per_tensor_layout_names_the_missing_blob(tmp_path):
+    save_sample(synth_sample(2, 4, 2), tmp_path / "s")
+    to_per_tensor_layout(tmp_path / "s")
+    with pytest.raises(FormatError, match="missing blob .*tensors.f32"):
+        load_sample(tmp_path / "s")
 
 
 def saved_manifest_with(tmp_path, mutate):
@@ -292,7 +386,7 @@ def test_load_rejects_annotation_that_is_not_an_object(tmp_path):
         load_sample(path)
 
 
-@pytest.mark.parametrize("key", ["name", "shape", "file"])
+@pytest.mark.parametrize("key", ["name", "shape"])
 def test_load_rejects_tensor_entry_without_key(tmp_path, key):
     path = saved_manifest_with(tmp_path, lambda m: m["tensors"][1].pop(key))
     with pytest.raises(FormatError, match=f"tensors entry: missing key '{key}'"):
@@ -300,48 +394,54 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
 
 
 # Malformed tensor tables, shared with the checkpoint tests: id -> (mutation
-# of the table at entry i, the message naming that entry).
+# of the table at entry i, given the object's directory; the message naming
+# that entry).  The file_* probes are the entries of the per-tensor layout,
+# which named a file: a leftover `file` key is refused whatever it names, and
+# no path is taken from the manifest.
 TABLE_PROBES = {
-    "file_type": (
-        lambda t, i: t[i].update(file=3),
-        "tensor {name!r} file 3 is not a plain file name",
+    "shape_type": (lambda t, i, d: t[i].update(shape=5), "tensor {name!r} shape 5 is not ["),
+    "duplicate": (lambda t, i, d: t.append(dict(t[i])), "tensor {name!r} is listed twice"),
+    "unknown": (lambda t, i, d: t.append(dict(t[i], name="extra")), "unknown tensor 'extra'"),
+    "unknown_key": (
+        lambda t, i, d: t[i].update(offset=0),
+        "tensor {name!r} has unknown key 'offset'",
     ),
-    "shape_type": (lambda t, i: t[i].update(shape=5), "tensor {name!r} shape 5 is not ["),
-    "duplicate": (lambda t, i: t.append(dict(t[i])), "tensor {name!r} is listed twice"),
-    "unknown": (lambda t, i: t.append(dict(t[i], name="extra")), "unknown tensor 'extra'"),
+    "file_type": (lambda t, i, d: t[i].update(file=3), "tensor {name!r} has unknown key 'file'"),
     "file_outside": (
-        lambda t, i: t[i].update(file="../ok/" + t[i]["file"]),
-        "tensor {name!r} file '../ok/{file}' is not a plain file name",
+        lambda t, i, d: t[i].update(file="../ok/tensors.f32"),
+        "tensor {name!r} has unknown key 'file'",
     ),
     "file_separator": (
-        lambda t, i: t[i].update(file="ok/" + t[i]["file"]),
-        "tensor {name!r} file 'ok/{file}' is not a plain file name",
+        lambda t, i, d: t[i].update(file="ok/tensors.f32"),
+        "tensor {name!r} has unknown key 'file'",
     ),
     "file_parent": (
-        lambda t, i: t[i].update(file=".."),
-        "tensor {name!r} file '..' is not a plain file name",
+        lambda t, i, d: t[i].update(file=".."),
+        "tensor {name!r} has unknown key 'file'",
     ),
+    "missing_blob": (lambda t, i, d: (d / "tensors.f32").unlink(), "missing blob"),
 }
 
 
-def table_probe(probe, table, i):
-    """Apply TABLE_PROBES[probe] to `table` at entry i; returns the message regex."""
+def table_probe(probe, table, i, directory):
+    """Apply TABLE_PROBES[probe] to `table` at entry i of the object stored in
+    `directory`, after planting a copy of its blob where the file_* probes
+    lead; returns the message regex."""
+    for sub in (directory.parent / "ok", directory / "ok"):
+        sub.mkdir()
+        shutil.copy(directory / "tensors.f32", sub)
     mutate, message = TABLE_PROBES[probe]
-    entry = dict(table[i])
-    mutate(table, i)
-    return re.escape(message.format(name=entry["name"], file=entry["file"]))
+    name = table[i]["name"]
+    mutate(table, i, directory)
+    return re.escape(message.format(name=name))
 
 
 @pytest.mark.parametrize("probe", sorted(TABLE_PROBES))
 def test_load_sample_rejects_malformed_tensor_table(tmp_path, probe):
-    # A valid blob waits where a path outside the sample would lead.
     messages = []
     path = saved_manifest_with(
-        tmp_path, lambda m: messages.append(table_probe(probe, m["tensors"], 1))
+        tmp_path, lambda m: messages.append(table_probe(probe, m["tensors"], 1, tmp_path / "s"))
     )
-    for sub in ("ok", "s/ok"):
-        (tmp_path / sub).mkdir()
-        shutil.copy(path / "boxes.f32", tmp_path / sub)
     with pytest.raises(FormatError, match=messages[0]):
         load_sample(path)
 

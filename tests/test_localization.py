@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hvsarn.data import GroundTruthSegment, segment_to_frame_indices, synth_sample
 from hvsarn.hierarchy import FrameRepresentations
@@ -71,6 +72,32 @@ def test_max_segments_is_a_prefix_of_the_full_ranking():
     full = enumerate_segments(start, end)
     for m in (0, 1, 7, 65, 66, 100):
         assert enumerate_segments(start, end, max_segments=m) == full[:m]
+
+
+def stable_ranking(start, end, max_segments):
+    """The ranking as one stable argsort of -score, which keeps (i, j) order in ties."""
+    T = start.shape[0]
+    s, e = np.exp(start - start.max()), np.exp(end - end.max())
+    s, e = s / s.sum(), e / e.sum()
+    i, j = np.triu_indices(T, k=1)
+    score = s[i] * e[j]
+    order = np.argsort(-score, kind="stable")[:max_segments]
+    return list(zip((i[order] / T).tolist(), ((j[order] + 1) / T).tolist(), score[order].tolist()))
+
+
+@pytest.mark.parametrize("max_segments", [None, 5])
+@pytest.mark.parametrize("logits", ["random", "zero", "repeated"])
+@pytest.mark.parametrize("T", [2, 3, 24, 128, 256])
+def test_ranking_equals_the_stable_argsort(T, logits, max_segments):
+    rng = np.random.default_rng([T, len(logits)])
+    start, end = {
+        "random": lambda: (rng.normal(size=T), rng.normal(size=T)),
+        "zero": lambda: (np.zeros(T), np.zeros(T)),
+        # three values: long runs of equal scores, spread over the ranking
+        "repeated": lambda: (rng.integers(0, 3, T) * 0.5, rng.integers(0, 3, T) * 0.5),
+    }[logits]()
+    want = stable_ranking(start, end, max_segments)
+    assert enumerate_segments(start, end, max_segments) == want
 
 
 def test_two_frame_video_has_single_candidate():

@@ -5,7 +5,6 @@ import filecmp
 import itertools
 import json
 import os
-import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +32,7 @@ from hvsarn.training import (
     train,
 )
 from oracles import adam_oracle
-from test_data import TABLE_PROBES, table_probe
+from test_data import TABLE_PROBES, table_probe, to_per_tensor_layout
 
 SMALL = ModelConfig(hidden_size=8, reasoning_steps=1, seed=3)
 
@@ -207,7 +206,7 @@ def test_checkpoint_in_float64(tmp_path):
     save_checkpoint(str(out), state)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["dtype"] == "<f8"
-    assert any(name.endswith(".f64") for name in os.listdir(out))
+    assert sorted(os.listdir(out)) == ["manifest.json", "tensors.f64"]
     loaded = load_checkpoint(str(out))
     assert next(iter(loaded.model.named_parameters().values())).data.dtype == np.float64
 
@@ -361,7 +360,7 @@ def test_load_rejects_missing_manifest_key(tmp_path, key):
         load_checkpoint(str(out))
 
 
-@pytest.mark.parametrize("key", ["name", "shape", "file"])
+@pytest.mark.parametrize("key", ["name", "shape"])
 def test_load_rejects_tensor_entry_without_key(tmp_path, key):
     out = saved_checkpoint(tmp_path)
     corrupt_manifest(out, lambda m: m["tensors"][3].pop(key))
@@ -375,9 +374,9 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
         (lambda m: m["dims"].pop("word_dim"), "dims: missing key 'word_dim'"),
         (lambda m: m.update(config=["hidden_size"]), "config: expected a JSON object, got list"),
         (lambda m: m.update(dtype="<f2"), "dtype '<f2'"),
-        (lambda m: m.update(format_version=99), "format_version 99 is not 3"),
-        (lambda m: m.update(format_version=1), "format_version 1 is not 3"),
-        (lambda m: m.update(format_version=2), "format_version 2 is not 3"),
+        (lambda m: m.update(format_version=99), "format_version 99 is not 4"),
+        (lambda m: m.update(format_version=1), "format_version 1 is not 4"),
+        (lambda m: m.update(format_version=2), "format_version 2 is not 4"),
         (lambda m: m.update(step="x"), "step 'x' is not a non-negative integer"),
         (lambda m: m.update(step=-1), "step -1 is not a non-negative integer"),
         (lambda m: m.update(tensors=None), "tensors must be a list"),
@@ -387,7 +386,7 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
             r"shape \['a'\] is not \[",
         ),
         (lambda m: m["tensors"][3].update(name=7), "unknown tensor 7"),
-        (lambda m: m["tensors"][3].update(file=None), "file None is not a plain file name"),
+        (lambda m: m["tensors"][3].update(file=None), "has unknown key 'file'"),
         (lambda m: m["tensors"].append(dict(m["tensors"][3])), "is listed twice"),
     ],
     ids=[
@@ -416,17 +415,34 @@ def test_load_rejects_malformed_field(tmp_path, mutate, message):
 
 @pytest.mark.parametrize("probe", sorted(TABLE_PROBES))
 def test_load_rejects_malformed_tensor_table(tmp_path, probe):
-    # The samples' table cases, through the same reader.  A valid blob waits
-    # where a path outside the checkpoint would lead.
+    # The samples' table cases, through the same reader.
     out = saved_checkpoint(tmp_path)
     messages = []
-    corrupt_manifest(out, lambda m: messages.append(table_probe(probe, m["tensors"], 3)))
-    for sub in (tmp_path / "ok", out / "ok"):
-        sub.mkdir()
-        for blob in out.glob("t*.f*"):
-            shutil.copy(blob, sub)
+    corrupt_manifest(out, lambda m: messages.append(table_probe(probe, m["tensors"], 3, out)))
     with pytest.raises(FormatError, match=messages[0]):
         load_checkpoint(str(out))
+
+
+def test_load_rejects_a_format_3_checkpoint(tmp_path):
+    # The per-tensor layout is rejected by its version, before its table.
+    out = saved_checkpoint(tmp_path)
+    to_per_tensor_layout(out)
+    with pytest.raises(FormatError, match="format_version 3 is not 4"):
+        load_checkpoint(str(out))
+
+
+def test_checkpoint_is_one_blob_of_the_tensors_in_table_order(tmp_path):
+    state = trained_state(tmp_path)
+    out = tmp_path / "ckpt"
+    save_checkpoint(str(out), state)
+    table = json.loads((out / "manifest.json").read_text())["tensors"]
+    groups = {"params": named_data(state), "adam_m": state.moments_m, "adam_v": state.moments_v}
+    arrays = []
+    for entry in table:
+        prefix, _, name = entry["name"].partition("/")
+        arrays.append(groups[prefix][name])
+    assert [e["shape"] for e in table] == [list(a.shape) for a in arrays]
+    assert (out / "tensors.f32").read_bytes() == b"".join(a.tobytes() for a in arrays)
 
 
 @pytest.mark.parametrize(
