@@ -2,8 +2,9 @@
 """What a sample looks like and how it moves through files.
 
 Walks through the synthetic generator, the frame-index <-> fraction mapping
-that start/end training targets rely on, and the on-disk formats (per-sample
-JSON, dataset directory, predictions JSONL).
+that start/end training targets rely on, and the on-disk formats (sample
+directory of manifest.json plus one tensors.f32 blob, dataset directory with
+its dataset.json index, predictions JSONL).
 """
 
 import json
@@ -48,12 +49,13 @@ print("\nfractions", (video.annotation.start, video.annotation.end))
 print("indices  ", (s, e))
 print("back     ", frame_pair_to_fractions(s, e, video.num_frames))
 
-# %% per-sample JSON and dataset directories --------------------------------
+# %% sample and dataset directories ------------------------------------------
 
 tmp = Path(tempfile.mkdtemp(prefix="hvsarn-demo-"))
-save_sample((video, query), tmp / "one.json")
-v2, q2 = load_sample(tmp / "one.json")
-print("\nsample round trip bit-exact:",
+save_sample((video, query), tmp / "one")
+print("\nsample dir   ", sorted(p.name for p in (tmp / "one").iterdir()))
+v2, q2 = load_sample(tmp / "one")
+print("round trip bit-exact:",
       np.array_equal(v2.object_features, video.object_features)
       and np.array_equal(q2.token_embeddings, query.token_embeddings))
 

@@ -15,7 +15,13 @@ manifest.json carries {video_id, query_id, T, K, N, D_in, D_sem, D_w,
 annotation:{start,end}|null, tensors:[{name, shape}]}.  The ids are strings.
 Feature dims are data properties, not package constants, so they live in the
 manifest as integers.  The tensor table (`fileio.read_tensors`) lists the
-four tensors above once each, with the shapes the dims imply.
+four tensors above once each, with the shapes the dims imply, and is checked
+against them before the blob is read.  In memory a `VideoSample` or
+`QuerySample` holds only its ids, arrays and annotation: every size is read
+from the arrays, so no count can disagree with them.
+
+A dataset directory holds sample directories plus a dataset.json index whose
+`samples` list names them; `load_dataset` reads the index and nothing else.
 
 Annotations are fractions of video duration in [0, 1]; conversion to frame
 indices is `segment_to_frame_indices` and is the only place that rounding
@@ -70,6 +76,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _frozen_f32(x, field: str, shape=None) -> np.ndarray:
+    """The one copy of a sample array: float32, C-order, read-only."""
     arr = np.array(x, dtype=np.float32, order="C")
     if shape is not None and arr.shape != tuple(shape):
         raise FormatError(f"{field}: expected shape {tuple(shape)}, got {arr.shape}")
@@ -97,9 +104,9 @@ class GroundTruthSegment:
 
 @dataclass(frozen=True)
 class VideoSample:
+    """One video's per-object arrays; T, K and the dims are read from them."""
+
     video_id: str
-    num_frames: int
-    num_objects: int
     object_features: np.ndarray  # [T, K, D_in]
     boxes: np.ndarray  # [T, K, 4]
     semantic_embeddings: np.ndarray  # [T, K, D_sem]
@@ -107,16 +114,12 @@ class VideoSample:
 
     def __post_init__(self):
         _require(isinstance(self.video_id, str), f"video_id: {self.video_id!r} is not a string")
-        T, K = self.num_frames, self.num_objects
-        _require(T >= 1, f"num_frames: {T} < 1")
-        _require(K >= 1, f"num_objects: {K} < 1")
-        object.__setattr__(
-            self, "object_features", _frozen_f32(self.object_features, "object_features")
-        )
-        _require(
-            self.object_features.ndim == 3 and self.object_features.shape[:2] == (T, K),
-            f"object_features: leading dims {self.object_features.shape[:2]} != ({T}, {K})",
-        )
+        feats = _frozen_f32(self.object_features, "object_features")
+        object.__setattr__(self, "object_features", feats)
+        _require(feats.ndim == 3, f"object_features: shape {feats.shape} is not [T, K, D_in]")
+        T, K = feats.shape[:2]
+        _require(T >= 1, f"object_features: T = {T} < 1")
+        _require(K >= 1, f"object_features: K = {K} < 1")
         object.__setattr__(self, "boxes", _frozen_f32(self.boxes, "boxes", (T, K, 4)))
         b = self.boxes
         _require(bool(np.all(b >= 0.0) and np.all(b <= 1.0)), "boxes: coordinates outside [0, 1]")
@@ -130,6 +133,14 @@ class VideoSample:
         )
 
     @property
+    def num_frames(self) -> int:
+        return self.object_features.shape[0]
+
+    @property
+    def num_objects(self) -> int:
+        return self.object_features.shape[1]
+
+    @property
     def feature_dim(self) -> int:
         return self.object_features.shape[2]
 
@@ -140,19 +151,21 @@ class VideoSample:
 
 @dataclass(frozen=True)
 class QuerySample:
+    """One query's token vectors; N and D_w are read from them."""
+
     query_id: str
     token_embeddings: np.ndarray  # [N, D_w]
-    num_tokens: int
 
     def __post_init__(self):
         _require(isinstance(self.query_id, str), f"query_id: {self.query_id!r} is not a string")
-        _require(self.num_tokens >= 1, f"num_tokens: {self.num_tokens} < 1")
         tok = _frozen_f32(self.token_embeddings, "token_embeddings")
         object.__setattr__(self, "token_embeddings", tok)
-        _require(
-            tok.ndim == 2 and tok.shape[0] == self.num_tokens,
-            f"token_embeddings: shape {tok.shape} inconsistent with N={self.num_tokens}",
-        )
+        _require(tok.ndim == 2, f"token_embeddings: shape {tok.shape} is not [N, D_w]")
+        _require(tok.shape[0] >= 1, f"token_embeddings: N = {tok.shape[0]} < 1")
+
+    @property
+    def num_tokens(self) -> int:
+        return self.token_embeddings.shape[0]
 
     @property
     def word_dim(self) -> int:
@@ -344,18 +357,12 @@ def load_sample(path: str | Path) -> Sample:
         annotation = None if ann is None else GroundTruthSegment(ann["start"], ann["end"])
         video = VideoSample(
             video_id=manifest["video_id"],
-            num_frames=T,
-            num_objects=K,
             object_features=arrays["object_features"],
             boxes=arrays["boxes"],
             semantic_embeddings=arrays["semantic_embeddings"],
             annotation=annotation,
         )
-        query = QuerySample(
-            query_id=manifest["query_id"],
-            token_embeddings=arrays["token_embeddings"],
-            num_tokens=N,
-        )
+        query = QuerySample(manifest["query_id"], arrays["token_embeddings"])
     except FormatError as err:  # name the sample as well as the field
         raise FormatError(f"{path}: {err}") from err
     return video, query
@@ -451,16 +458,12 @@ def synth_sample(
     tag = f"synth-{difficulty}-{seed:06d}"
     video = VideoSample(
         video_id=tag,
-        num_frames=T,
-        num_objects=K,
-        object_features=feats.astype(np.float32),
-        boxes=boxes.astype(np.float32),
-        semantic_embeddings=sem.astype(np.float32),
+        object_features=feats,
+        boxes=boxes,
+        semantic_embeddings=sem,
         annotation=GroundTruthSegment(t0 / T, (t0 + length) / T),
     )
-    query = QuerySample(
-        query_id=tag, token_embeddings=tokens.astype(np.float32), num_tokens=n_tokens
-    )
+    query = QuerySample(query_id=tag, token_embeddings=tokens)
     return video, query
 
 
@@ -493,19 +496,11 @@ def write_dataset(
 
 
 def load_dataset(data_dir: str | Path) -> list[Sample]:
-    """Load every sample under a dataset directory (index order if present)."""
-    data_dir = Path(data_dir)
-    index = data_dir / "dataset.json"
-    if index.is_file():
-        manifest = read_json(index)
-        require_keys(manifest, ("samples",), str(index))
-        names = manifest["samples"]
-        if not (isinstance(names, list) and all(is_plain_name(n) for n in names)):
-            raise FormatError(f"{index}: samples must be plain directory names, got {names!r}")
-        dirs = [data_dir / n for n in names]
-    else:
-        dirs = sorted(p.parent for p in data_dir.glob("*/manifest.json"))
-    if not dirs and not index.is_file():
-        raise FormatError(f"{data_dir}: no samples found (no dataset.json, no */manifest.json)")
-    return [load_sample(d) for d in dirs]
-
+    """Load the samples a dataset directory's dataset.json lists, in index order."""
+    index = Path(data_dir) / "dataset.json"
+    manifest = read_json(index)
+    require_keys(manifest, ("samples",), str(index))
+    names = manifest["samples"]
+    if not (isinstance(names, list) and all(is_plain_name(n) for n in names)):
+        raise FormatError(f"{index}: samples must be plain directory names, got {names!r}")
+    return [load_sample(index.parent / n) for n in names]

@@ -125,8 +125,6 @@ def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
     """Self-attend the token vectors, run the Bi-GRU, project the final states to [1, 1, D]."""
     dtype = _param_dtype(params)
     tokens = Tensor(sample.token_embeddings.astype(dtype))
-    if tokens.shape[0] < 1:
-        raise ValueError("query has no tokens")
     if tokens.shape[1] != params["attn"]["wq"].shape[0]:
         raise ValueError(
             f"token dim {tokens.shape[1]} != encoder dim {params['attn']['wq'].shape[0]}"

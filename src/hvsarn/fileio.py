@@ -76,8 +76,9 @@ def write_blob(path: Path | str, arrays, code: str) -> None:
 
 
 def read_blob(path: Path | str, shapes: dict, code: str, where: str) -> dict:
-    """{name: array} for `shapes` ({name: shape tuple}, in blob order) from the
-    blob at `path`.  Its size is checked before a byte is read."""
+    """{name: read-only array} for `shapes` ({name: shape tuple}, in blob
+    order) from the blob at `path`.  Its size is checked before a byte is
+    read; the arrays are views of one buffer."""
     dtype = DTYPE_CODES[code]
     sizes = [math.prod(shape) * dtype.itemsize for shape in shapes.values()]
     expected = sum(sizes)
@@ -98,12 +99,11 @@ def read_blob(path: Path | str, shapes: dict, code: str, where: str) -> dict:
                 f"{where}: blob {name} holds {held} bytes, the tensor table needs {expected}"
             )
         raw = blob.read()
-    # One copy per tensor: each array owns a writable buffer of its own, as a
-    # loaded checkpoint's parameters and moments are updated in place.
+    # Read-only views of the one read: the caller copies each tensor it keeps.
     flat, arrays, start = np.frombuffer(raw, dtype=dtype), {}, 0
     for (tensor, shape), size in zip(shapes.items(), sizes):
         end = start + size // dtype.itemsize
-        arrays[tensor] = flat[start:end].reshape(shape).copy()
+        arrays[tensor] = flat[start:end].reshape(shape)
         start = end
     return arrays
 
@@ -116,7 +116,7 @@ def write_tensors(directory, arrays: dict, code: str) -> list[dict]:
 
 
 def read_tensors(directory, table, expected: dict, code: str, where: str) -> dict:
-    """{name: array} from the tensor table and the blob in `directory`;
+    """{name: read-only array} from the tensor table and the blob in `directory`;
     `table` must list each name of `expected` ({name: shape tuple}) once,
     with that shape and no other key.  A missing blob is reported before the
     table is checked, so an object stored with a file per tensor names it;

@@ -130,9 +130,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, self._lift(other))
 
-    def __radd__(self, other):
-        return add(self._lift(other), self)
-
     def __sub__(self, other):
         return add(self, neg(self._lift(other)))
 
@@ -151,20 +148,8 @@ class Tensor:
     def __truediv__(self, other):
         return mul(self, self._lift(1.0 / other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"

@@ -235,10 +235,12 @@ def load_checkpoint(in_dir: str) -> TrainState:
     for full_name, arr in read_tensors(in_dir, manifest["tensors"], expected, code, where).items():
         prefix, _, name = full_name.partition("/")
         groups[prefix][name] = arr
+    # The blob's arrays are read-only views: each is copied once, into the
+    # parameter array build_model allocated or into a moment of its own.
     for name, param in named.items():
-        param.data = groups["params"][name]
-    m, v = groups["adam_m"], groups["adam_v"]
-    return TrainState(model, {k: m[k] for k in named}, {k: v[k] for k in named}, step)
+        param.data[...] = groups["params"][name]
+    moments = ({k: groups[prefix][k].copy() for k in named} for prefix in ("adam_m", "adam_v"))
+    return TrainState(model, *moments, step)
 
 
 # -- gradient verification ---------------------------------------------------
@@ -341,18 +343,12 @@ def _gradcheck_sample(seed: int = 7, num_frames: int = 3, num_objects: int = 3, 
     boxes = np.stack([x0, y0, x0 + w, y0 + h], axis=2)
     video = VideoSample(
         video_id=f"gradcheck-{seed}",
-        num_frames=num_frames,
-        num_objects=num_objects,
         object_features=rng.normal(size=(num_frames, num_objects, feature_dim)),
         boxes=boxes,
         semantic_embeddings=rng.normal(size=(num_frames, num_objects, semantic_dim)),
         annotation=GroundTruthSegment(0.34, 1.0),
     )
-    query = QuerySample(
-        query_id=f"gradcheck-{seed}-q",
-        token_embeddings=rng.normal(size=(num_tokens, word_dim)),
-        num_tokens=num_tokens,
-    )
+    query = QuerySample(f"gradcheck-{seed}-q", rng.normal(size=(num_tokens, word_dim)))
     return video, query
 
 

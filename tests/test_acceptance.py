@@ -360,8 +360,6 @@ def test_c7_serialization_round_trips(tmp_path):
         if i % 5 == 0:
             video = video.__class__(
                 video_id=video.video_id,
-                num_frames=video.num_frames,
-                num_objects=video.num_objects,
                 object_features=video.object_features,
                 boxes=video.boxes,
                 semantic_embeddings=video.semantic_embeddings,

@@ -327,8 +327,6 @@ def test_eval_of_single_frame_video_prints_error(tmp_path, capsys):
     video, query = load_dataset(data)[0]
     short = VideoSample(
         video_id="one-frame",
-        num_frames=1,
-        num_objects=video.num_objects,
         object_features=video.object_features[:1],
         boxes=video.boxes[:1],
         semantic_embeddings=video.semantic_embeddings[:1],

@@ -35,8 +35,6 @@ def make_video(T=3, K=2, d_in=5, d_sem=4, annotation=None, rng=None):
     boxes = np.stack([x0, y0, x0 + 0.3, y0 + 0.3], axis=-1)
     return VideoSample(
         video_id="v",
-        num_frames=T,
-        num_objects=K,
         object_features=rng.normal(size=(T, K, d_in)),
         boxes=boxes,
         semantic_embeddings=rng.normal(size=(T, K, d_sem)),
@@ -58,16 +56,16 @@ def test_segment_validation():
 
 
 def test_video_sample_validation():
-    with pytest.raises(FormatError, match="object_features"):
-        VideoSample("v", 2, 2, np.zeros((3, 2, 5)), np.zeros((2, 2, 4)), np.zeros((2, 2, 3)))
+    with pytest.raises(FormatError, match="boxes"):
+        VideoSample("v", np.zeros((3, 2, 5)), np.zeros((2, 2, 4)), np.zeros((2, 2, 3)))
+    with pytest.raises(FormatError, match="object_features: T = 0 < 1"):
+        VideoSample("v", np.zeros((0, 2, 5)), np.zeros((0, 2, 4)), np.zeros((0, 2, 3)))
     bad_boxes = np.zeros((2, 2, 4))
     bad_boxes[0, 0] = [0.5, 0.1, 0.2, 0.4]  # x1 > x2
     with pytest.raises(FormatError, match="boxes"):
-        VideoSample("v", 2, 2, np.zeros((2, 2, 5)), bad_boxes, np.zeros((2, 2, 3)))
+        VideoSample("v", np.zeros((2, 2, 5)), bad_boxes, np.zeros((2, 2, 3)))
     with pytest.raises(FormatError, match="NaN"):
-        VideoSample(
-            "v", 2, 2, np.full((2, 2, 5), np.nan), np.zeros((2, 2, 4)), np.zeros((2, 2, 3))
-        )
+        VideoSample("v", np.full((2, 2, 5), np.nan), np.zeros((2, 2, 4)), np.zeros((2, 2, 3)))
 
 
 def test_sample_arrays_are_frozen_f32():
@@ -78,12 +76,10 @@ def test_sample_arrays_are_frozen_f32():
 
 
 def test_query_sample_validation():
-    q = QuerySample("q", np.zeros((4, 8)), 4)
+    q = QuerySample("q", np.zeros((4, 8)))
     assert q.word_dim == 8
     with pytest.raises(FormatError):
-        QuerySample("q", np.zeros((4, 8)), 5)
-    with pytest.raises(FormatError):
-        QuerySample("q", np.zeros((0, 8)), 0)
+        QuerySample("q", np.zeros((0, 8)))
 
 
 # -- frame quantization ----------------------------------------------------------
@@ -244,11 +240,11 @@ def test_save_load_round_trip_bit_exact(tmp_path):
 
 def test_round_trip_minimal_t1_k1(tmp_path):
     video = make_video(T=1, K=1)
-    query = QuerySample("q", np.random.default_rng(1).normal(size=(1, 6)), 1)
+    query = QuerySample("q", np.random.default_rng(1).normal(size=(1, 6)))
     save_sample((video, query), tmp_path / "s")
     v2, q2 = load_sample(tmp_path / "s")
     assert v2.object_features.tobytes() == video.object_features.tobytes()
-    assert q2.num_tokens == 1
+    assert (v2.num_frames, v2.num_objects, q2.num_tokens) == (1, 1, 1)
 
 
 def test_load_errors_name_the_field(tmp_path):
@@ -335,7 +331,7 @@ def test_samples_reject_ids_that_are_not_strings():
     with pytest.raises(FormatError, match="video_id: 5 is not a string"):
         dataclasses.replace(video, video_id=5)
     with pytest.raises(FormatError, match=re.escape("query_id: ['x'] is not a string")):
-        QuerySample(["x"], np.zeros((4, 8)), 4)
+        QuerySample(["x"], np.zeros((4, 8)))
 
 
 def to_per_tensor_layout(directory):

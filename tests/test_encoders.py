@@ -28,7 +28,7 @@ def make_params(seed=0, hidden=6, heads=4, dtype=np.float64):
 
 def make_query(seed=0, n=5):
     rng = np.random.default_rng(seed)
-    return QuerySample("q", rng.normal(size=(n, DIMS.word_dim)), n)
+    return QuerySample("q", rng.normal(size=(n, DIMS.word_dim)))
 
 
 # -- GRU -------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def test_encode_query_token_dim_mismatch():
     params = make_params()
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="token dim"):
-        encode_query(QuerySample("q", rng.normal(size=(4, 6)), 4), params, heads=2)
+        encode_query(QuerySample("q", rng.normal(size=(4, 6))), params, heads=2)
 
 
 def test_encoder_gradcheck():

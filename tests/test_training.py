@@ -88,8 +88,6 @@ def test_train_input_validation():
     video, query = synth_sample(0, 4, 2, "separable")
     stripped = video.__class__(
         video_id=video.video_id,
-        num_frames=video.num_frames,
-        num_objects=video.num_objects,
         object_features=video.object_features,
         boxes=video.boxes,
         semantic_embeddings=video.semantic_embeddings,
@@ -443,6 +441,11 @@ def test_checkpoint_is_one_blob_of_the_tensors_in_table_order(tmp_path):
         arrays.append(groups[prefix][name])
     assert [e["shape"] for e in table] == [list(a.shape) for a in arrays]
     assert (out / "tensors.f32").read_bytes() == b"".join(a.tobytes() for a in arrays)
+    loaded = load_checkpoint(str(out))
+    params = {k: t.data for k, t in loaded.model.named_parameters().items()}
+    for tree in (params, loaded.moments_m, loaded.moments_v):
+        for array in tree.values():  # each owns its buffer, as a loaded sample tensor does
+            assert array.flags.writeable and array.flags.c_contiguous and array.base is None
 
 
 @pytest.mark.parametrize(
