@@ -10,15 +10,16 @@ printed weights, no training involved.
 
 import numpy as np
 
-from hvsarn.cross_space import cross_attention, enhance_batch, init_cross_space_params
+from hvsarn.cross_space import cross_attention, cross_space_params, enhance_batch
 from hvsarn.graph_memory import (
-    init_graph_memory_params,
+    graph_memory_params,
     neighbor_attention,
     read_attention,
     read_batch,
     reason_batch,
     write_batch,
 )
+from hvsarn.params import init_params
 from hvsarn.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -33,7 +34,7 @@ nodes_np = 0.3 * rng.normal(size=(1, K, D))
 nodes_np[0, 2] += 3.0 * direction  # node 2 is the one worth reading
 nodes = Tensor(nodes_np)
 
-params = init_graph_memory_params(rng, D, np.float64)
+params = init_params(graph_memory_params(D), rng, np.float64)
 attn = read_attention(controller, nodes, params)
 controller_new = read_batch(controller, nodes, params)
 print("read attention over nodes:", np.round(attn.data[0, 0], 3))
@@ -49,7 +50,7 @@ print("summary ~ node 2?  cosine =",
 
 # The controller update is G * old + (1 - G) * candidate, elementwise.
 # Saturating the gate bias pins it to "keep": the controller passes through.
-saturated = init_graph_memory_params(rng, D, np.float64)
+saturated = init_params(graph_memory_params(D), rng, np.float64)
 saturated["read"]["b"].data[D:] = 20.0  # the bias is [candidate | gate]; set the gate half
 kept = read_batch(controller, nodes, saturated)
 print("\nwith gate bias +20, |new - old| =", float(np.abs(kept.data - controller.data).max()))
@@ -79,7 +80,7 @@ print("  controller ignores node order:",
 # Semantic nodes pull in attention-pooled visual evidence (and vice versa).
 # The source attention row lives on the simplex; it is the same for every
 # target node, so each graph computes it once.
-cross = init_cross_space_params(rng, D, np.float64)
+cross = init_params(cross_space_params(D), rng, np.float64)
 semantic = Tensor(0.5 * rng.normal(size=(1, K, D)))
 enhanced = enhance_batch(nodes, semantic, cross["v2s"])
 cross_attn = cross_attention(nodes, cross["v2s"])

@@ -140,12 +140,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     config = _load_config(args)
+    hyper = _hyper(args)
     dataset = load_dataset(args.data_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     state, curve = train(
         dataset,
         config,
-        _hyper(args),
+        hyper,
         dtype=precision_dtype(),
         out_dir=args.out_dir,
         checkpoint_every=args.checkpoint_every,

@@ -27,24 +27,18 @@ node sets share K.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as tt
-from .params import weight, xavier_uniform, zeros
 from .tensor import Tensor
 
 
-def init_cross_space_params(rng: np.random.Generator, dim: int, dtype) -> dict:
-    def one_direction():
-        pair_score = xavier_uniform(rng, (2 * dim, 1), dtype)
-        return {
-            "attn_w": Tensor(pair_score[:dim].copy(), requires_grad=True),
-            "value_w": weight(rng, (dim, dim), dtype),
-            "proj_w": weight(rng, (2 * dim, dim), dtype),
-            "proj_b": zeros((dim,), dtype),
-        }
-
-    return {"v2s": one_direction(), "s2v": one_direction()}
+def cross_space_params(dim: int) -> dict:
+    one_direction = [
+        (("attn_w", None), (2 * dim, 1)),
+        ("value_w", (dim, dim)),
+        ("proj_w", (2 * dim, dim)),
+        ("proj_b", (dim,)),
+    ]
+    return {"v2s": one_direction, "s2v": one_direction}
 
 
 def cross_attention(source: Tensor, params: dict) -> Tensor:

@@ -243,6 +243,8 @@ class ModelConfig:
             raise ConfigError(f"attn_heads: must be >= 1, got {self.attn_heads}")
         if self.max_segments is not None and self.max_segments < 1:
             raise ConfigError(f"max_segments: must be None or >= 1, got {self.max_segments}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import tensor as tt
 from .data import QuerySample, VideoSample
-from .params import weight, zeros
-from .recurrent import gru_sequence, init_bigru_params
+from .recurrent import bigru_params, gru_sequence
 from .tensor import Tensor
 
 
@@ -45,29 +44,27 @@ class EncodedVideo:
     semantic: Tensor  # [S, T, K, D]
 
 
-def init_encoder_params(
-    rng: np.random.Generator, dims: InputDims, hidden: int, heads: int, dtype
-) -> dict:
+def encoder_params(dims: InputDims, hidden: int, heads: int) -> dict:
     if dims.word_dim % heads != 0:
         raise ValueError(
             f"word_dim {dims.word_dim} not divisible by attn_heads {heads}"
         )
     dw = dims.word_dim
     return {
-        "visual": {"w": weight(rng, (dims.feature_dim, hidden), dtype), "b": zeros((hidden,), dtype)},
-        "box": {"w": weight(rng, (4, hidden), dtype), "b": zeros((hidden,), dtype)},
-        "semantic": {"w": weight(rng, (dims.semantic_dim, hidden), dtype), "b": zeros((hidden,), dtype)},
-        "attn": {
-            "wq": weight(rng, (dw, dw), dtype),
-            "bq": zeros((dw,), dtype),
-            "wk": weight(rng, (dw, dw), dtype),
-            "wv": weight(rng, (dw, dw), dtype),
-            "bv": zeros((dw,), dtype),
-            "wo": weight(rng, (dw, dw), dtype),
-            "bo": zeros((dw,), dtype),
-        },
-        "gru": init_bigru_params(rng, dw, hidden // 2, dtype),
-        "sentence": {"w": weight(rng, (hidden, hidden), dtype), "b": zeros((hidden,), dtype)},
+        "visual": [("w", (dims.feature_dim, hidden)), ("b", (hidden,))],
+        "box": [("w", (4, hidden)), ("b", (hidden,))],
+        "semantic": [("w", (dims.semantic_dim, hidden)), ("b", (hidden,))],
+        "attn": [
+            ("wq", (dw, dw)),
+            ("bq", (dw,)),
+            ("wk", (dw, dw)),
+            ("wv", (dw, dw)),
+            ("bv", (dw,)),
+            ("wo", (dw, dw)),
+            ("bo", (dw,)),
+        ],
+        "gru": bigru_params(dw, hidden // 2),
+        "sentence": [("w", (hidden, hidden)), ("b", (hidden,))],
     }
 
 

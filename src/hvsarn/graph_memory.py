@@ -62,22 +62,14 @@ import numpy as np
 
 from . import tensor as tt
 from .data import REASONER_KINDS
-from .params import weight, xavier_uniform, zeros
 from .tensor import Tensor
 
 _MASK_VALUE = -1e9  # exp() underflows to exactly 0, so diagonal weights vanish
 
 
-def _gated_params(rng: np.random.Generator, inputs: tuple[str, ...], dim: int, dtype) -> dict:
+def _gated_params(inputs: tuple[str, ...], dim: int) -> list:
     """One [D, 2D] weight [candidate | gate] per input, candidates drawn first, and a [2D] bias."""
-    blocks = [xavier_uniform(rng, (dim, dim), dtype) for _ in range(2 * len(inputs))]
-    cand, gate = blocks[: len(inputs)], blocks[len(inputs) :]
-    params = {
-        name: Tensor(np.concatenate([c, g], axis=1), requires_grad=True)
-        for name, c, g in zip(inputs, cand, gate)
-    }
-    params["b"] = zeros((2 * dim,), dtype)
-    return params
+    return [(name, (dim, dim)) for name in 2 * inputs] + [("b", (2 * dim,))]
 
 
 def gated_update(state: Tensor, pre: Tensor) -> Tensor:
@@ -101,24 +93,18 @@ def gated_update(state: Tensor, pre: Tensor) -> Tensor:
     return Tensor._result(out_data, (state, pre), backward)
 
 
-def init_graph_memory_params(rng: np.random.Generator, dim: int, dtype) -> dict:
+def graph_memory_params(dim: int) -> dict:
     d = dim
-    read = {
-        "attn_w1": weight(rng, (d, d), dtype),
-        "attn_w2": weight(rng, (d, d), dtype),
-        "attn_b": zeros((d,), dtype),
-        "attn_v": weight(rng, (d, 1), dtype),
+    read = [("attn_w1", (d, d)), ("attn_w2", (d, d)), ("attn_b", (d,)), ("attn_v", (d, 1))]
+    write = [
+        (("mlp_w1_target", "mlp_w1_source"), (2 * d, d)),
+        ("mlp_b1", (d,)),
+        ("mlp_w2", (d, 1)),
+    ]
+    return {
+        "read": read + _gated_params(("wq", "wr"), d),
+        "write": write + _gated_params(("wv", "wq", "wc"), d),
     }
-    read.update(_gated_params(rng, ("wq", "wr"), d, dtype))
-    w1 = xavier_uniform(rng, (2 * d, d), dtype)
-    write = {
-        "mlp_w1_target": Tensor(w1[:d].copy(), requires_grad=True),
-        "mlp_w1_source": Tensor(w1[d:].copy(), requires_grad=True),
-        "mlp_b1": zeros((d,), dtype),
-        "mlp_w2": weight(rng, (d, 1), dtype),
-    }
-    write.update(_gated_params(rng, ("wv", "wq", "wc"), d, dtype))
-    return {"read": read, "write": write}
 
 
 def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
@@ -270,20 +256,16 @@ def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int
 BASELINE_KINDS = tuple(k for k in REASONER_KINDS if k != "graph_memory")
 
 
-def init_baseline_params(rng: np.random.Generator, kind: str, dim: int, dtype) -> dict:
+def baseline_params(kind: str, dim: int) -> list:
     d = dim
     if kind == "gcn":
-        return {"w": weight(rng, (d, d), dtype), "b": zeros((d,), dtype)}
+        return [("w", (d, d)), ("b", (d,))]
     if kind == "gcn_fusion":
-        return {"w": weight(rng, (2 * d, d), dtype), "b": zeros((d,), dtype)}
+        return [("w", (2 * d, d)), ("b", (d,))]
     if kind == "self_attention":
-        return {
-            "wq": weight(rng, (d, d), dtype),
-            "wk": weight(rng, (d, d), dtype),
-            "wv": weight(rng, (d, d), dtype),
-        }
+        return [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d))]
     if kind == "memory_network":
-        return _gated_params(rng, ("wv", "wq"), d, dtype)
+        return _gated_params(("wv", "wq"), d)
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 
 

@@ -13,7 +13,7 @@ average pooling (semantic), giving frames [S, T, D].
 The sentences [S, 1, D] are the frame level's controllers; the object level
 broadcasts them into [S·T, 1, D] when it holds a reasoner that reads a
 controller (`data.CONTROLLER_KINDS`).  The graph switches act only
-through the parameters: `init_level_params` builds "visual" for
+through the parameters: `level_params` declares "visual" for
 `use_visual_graph` and "semantic" for `use_semantic_graph`, both only when
 `reasoning_steps > 0`, and "cross" for `use_semantic_graph` at any step
 count; a level runs each reasoner and hop exactly when it holds it.
@@ -23,14 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as tt
-from .cross_space import enhance_batch, init_cross_space_params
+from .cross_space import cross_space_params, enhance_batch
 from .data import CONTROLLER_KINDS, ModelConfig
-from .graph_memory import init_baseline_params, init_graph_memory_params, run_reasoner
+from .graph_memory import baseline_params, graph_memory_params, run_reasoner
 from .encoders import EncodedVideo
-from .params import weight, zeros
 from .tensor import Tensor
 
 
@@ -40,35 +37,29 @@ class FrameRepresentations:
     semantic: Tensor  # [S, T, D_s]
 
 
-def init_level_params(rng: np.random.Generator, config: ModelConfig, dtype) -> dict:
+def level_params(config: ModelConfig) -> dict:
     """Reasoners for the enabled graphs of one level when it reasons at all
     (`reasoning_steps > 0`), plus the cross-space projections when the
     semantic graph is on."""
     d = config.hidden_size
-
-    def init_reasoner():
-        if config.reasoner_kind == "graph_memory":
-            return init_graph_memory_params(rng, d, dtype)
-        return init_baseline_params(rng, config.reasoner_kind, d, dtype)
-
+    if config.reasoner_kind == "graph_memory":
+        reasoner = graph_memory_params(d)
+    else:
+        reasoner = baseline_params(config.reasoner_kind, d)
     reasons = config.reasoning_steps > 0
-    params = {}
+    spec = {}
     if config.use_visual_graph and reasons:
-        params["visual"] = init_reasoner()
+        spec["visual"] = reasoner
     if config.use_semantic_graph:
         if reasons:
-            params["semantic"] = init_reasoner()
-        params["cross"] = init_cross_space_params(rng, d, dtype)
-    return params
+            spec["semantic"] = reasoner
+        spec["cross"] = cross_space_params(d)
+    return spec
 
 
-def init_fusion_params(rng: np.random.Generator, dim: int, dtype) -> dict:
-    return {
-        "attn_w": weight(rng, (dim, dim), dtype),
-        "attn_u": weight(rng, (dim, dim), dtype),
-        "attn_b": zeros((dim,), dtype),
-        "attn_v": weight(rng, (dim, 1), dtype),
-    }
+def fusion_params(dim: int) -> list:
+    square = (dim, dim)
+    return [("attn_w", square), ("attn_u", square), ("attn_b", (dim,)), ("attn_v", (dim, 1))]
 
 
 def _dual_space_pass(

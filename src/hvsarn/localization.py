@@ -27,8 +27,7 @@ import numpy as np
 from . import tensor as tt
 from .data import GroundTruthSegment, frame_pair_to_fractions, segment_to_frame_indices
 from .hierarchy import FrameRepresentations
-from .params import weight
-from .recurrent import gru_sequence, init_bigru_params
+from .recurrent import bigru_params, gru_sequence
 from .tensor import Tensor
 
 
@@ -39,11 +38,11 @@ class SegmentPrediction:
     top_segments: list[tuple[float, float, float]]  # (start_frac, end_frac, score), sorted
 
 
-def init_head_params(rng: np.random.Generator, input_width: int, hidden: int, dtype) -> dict:
+def head_params(input_width: int, hidden: int) -> dict:
     return {
-        "gru": init_bigru_params(rng, input_width, hidden // 2, dtype),
-        "start": {"w": weight(rng, (hidden, 1), dtype)},
-        "end": {"w": weight(rng, (hidden, 1), dtype)},
+        "gru": bigru_params(input_width, hidden // 2),
+        "start": [("w", (hidden, 1))],
+        "end": [("w", (hidden, 1))],
     }
 
 

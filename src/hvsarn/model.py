@@ -1,8 +1,9 @@
 """Full network: encoders -> hierarchical reasoning -> span head.
 
-Parameter construction is a pure function of (config, input dims, dtype),
-seeded from config.seed; the init order below is fixed so checkpoints and
-repeat runs agree bit-for-bit.
+The parameter tree is declared once as a spec (`model_params`), a pure
+function of (config, input dims); `build_model` draws it seeded from
+config.seed in the spec's fixed order, so checkpoints and repeat runs agree
+bit-for-bit.
 
 `Model.forward` and `Model.loss` take a list of (video, query) samples that
 share (num_frames, num_objects) and run them as one tape with a leading
@@ -21,25 +22,19 @@ import numpy as np
 
 from . import tensor as tt
 from .data import ModelConfig, QuerySample, VideoSample, segment_to_frame_indices
-from .encoders import EncodedVideo, InputDims, encode_query, encode_video, init_encoder_params
+from .encoders import EncodedVideo, InputDims, encode_query, encode_video, encoder_params
 from .hierarchy import (
     FrameRepresentations,
     frame_level_pass,
     frames_from_encoder_mean,
     fuse_objects,
-    init_fusion_params,
-    init_level_params,
+    fusion_params,
+    level_params,
     object_level_pass,
 )
-from .localization import (
-    SegmentPrediction,
-    fuse_and_contextualize,
-    init_head_params,
-    predict,
-    span_logits,
-)
+from .localization import SegmentPrediction, fuse_and_contextualize, head_params, predict, span_logits
 from .localization import loss as span_loss
-from .params import flatten
+from .params import flatten, init_params
 from .tensor import Tensor
 
 # Samples per forward in predict_dataset.  Measured with one BLAS thread on
@@ -150,20 +145,24 @@ def head_input_width(config: ModelConfig) -> int:
     return 4 * config.hidden_size if config.two_stream else 2 * config.hidden_size
 
 
-def build_model(config: ModelConfig, dims: InputDims, dtype=np.float32) -> Model:
-    """Build only the groups the config runs, drawing in the fixed order
+def model_params(config: ModelConfig, dims: InputDims) -> dict:
+    """The spec of only the groups the config runs, in the fixed draw order
     encoder, object_level, frame_level, fusion, head; a skipped group draws
     nothing from the generator."""
-    rng = np.random.default_rng(config.seed)
     d = config.hidden_size
-    params = {"encoder": init_encoder_params(rng, dims, d, config.attn_heads, dtype)}
+    spec = {"encoder": encoder_params(dims, d, config.attn_heads)}
     if config.use_object_level:
-        params["object_level"] = init_level_params(rng, config, dtype)
+        spec["object_level"] = level_params(config)
     if config.use_frame_level:
-        params["frame_level"] = init_level_params(rng, config, dtype)
+        spec["frame_level"] = level_params(config)
     if config.use_object_level:
-        params["fusion"] = init_fusion_params(rng, d, dtype)
-    params["head"] = init_head_params(rng, head_input_width(config), d, dtype)
+        spec["fusion"] = fusion_params(d)
+    spec["head"] = head_params(head_input_width(config), d)
+    return spec
+
+
+def build_model(config: ModelConfig, dims: InputDims, dtype=np.float32) -> Model:
+    params = init_params(model_params(config, dims), np.random.default_rng(config.seed), dtype)
     return Model(config=config, dims=dims, params=params)
 
 

@@ -45,30 +45,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tt
-from .params import xavier_uniform, zeros
 from .tensor import Tensor
 
 
-def init_gru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int, dtype) -> dict:
-    """Draw each gate's w [In, H] then u [H, H] (update, reset, candidate),
-    with that gate's own fans, then concatenate them into the stored layout."""
-    w, u = [], []
-    for _ in range(3):  # update, reset, candidate
-        w.append(xavier_uniform(rng, (input_dim, hidden_dim), dtype))
-        u.append(xavier_uniform(rng, (hidden_dim, hidden_dim), dtype))
-    return {
-        "w": Tensor(np.concatenate(w, axis=1), requires_grad=True),
-        "b": zeros((3 * hidden_dim,), dtype),
-        "u_zr": Tensor(np.concatenate(u[:2], axis=1), requires_grad=True),
-        "u_g": Tensor(u[2], requires_grad=True),
-    }
+def gru_params(input_dim: int, hidden_dim: int) -> list:
+    """Each gate's w [In, H] then u [H, H] (update, reset, candidate), with
+    that gate's own fans, laid side by side in the stored layout."""
+    w, u, b = (input_dim, hidden_dim), (hidden_dim, hidden_dim), (3 * hidden_dim,)
+    return [("w", w), ("u_zr", u), ("w", w), ("u_zr", u), ("w", w), ("u_g", u), ("b", b)]
 
 
-def init_bigru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int, dtype) -> dict:
-    return {
-        "fwd": init_gru_params(rng, input_dim, hidden_dim, dtype),
-        "bwd": init_gru_params(rng, input_dim, hidden_dim, dtype),
-    }
+def bigru_params(input_dim: int, hidden_dim: int) -> dict:
+    return {"fwd": gru_params(input_dim, hidden_dim), "bwd": gru_params(input_dim, hidden_dim)}
 
 
 def _by_position(steps: np.ndarray, d: int) -> np.ndarray:

@@ -28,8 +28,8 @@ from .fileio import (
     require_keys,
     write_tensors,
 )
-from .model import Model, build_model, group_by_shape
-from .params import zero_grads
+from .model import Model, build_model, group_by_shape, model_params
+from .params import param_shapes, tree_from, zero_grads
 from .tensor import Tensor
 
 
@@ -44,6 +44,8 @@ class TrainHyper:
     batch_size: int = 8
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
@@ -97,7 +99,7 @@ def adam_update(state: TrainState, learning_rate: float) -> None:
 
 def _batch_order(count: int, seed: int):
     """Reshuffled-epoch index stream: each epoch is a permutation read from its end."""
-    rng = np.random.default_rng([abs(seed), count, 0x0B_A7C4])
+    rng = np.random.default_rng([seed, count, 0x0B_A7C4])
     while True:
         yield from (int(i) for i in rng.permutation(count)[::-1])
 
@@ -225,21 +227,19 @@ def load_checkpoint(in_dir: str) -> TrainState:
     step = manifest["step"]
     if not is_int(step) or step < 0:
         raise FormatError(f"{where}: step {step!r} is not a non-negative integer")
-    model = build_model(config, dims, dtype)
-
     # Optimizer moments mirror the parameter tree, so every group is checked
-    # against the same names and shapes.
-    named = model.named_parameters()
+    # against the same names and shapes; nothing is drawn.
+    spec = model_params(config, dims)
+    shapes = param_shapes(spec)
     groups = {"params": {}, "adam_m": {}, "adam_v": {}}
-    expected = {f"{prefix}/{k}": t.data.shape for prefix in groups for k, t in named.items()}
+    expected = {f"{prefix}/{k}": shape for prefix in groups for k, shape in shapes.items()}
     for full_name, arr in read_tensors(in_dir, manifest["tensors"], expected, code, where).items():
         prefix, _, name = full_name.partition("/")
         groups[prefix][name] = arr
     # The blob's arrays are read-only views: each is copied once, into the
-    # parameter array build_model allocated or into a moment of its own.
-    for name, param in named.items():
-        param.data[...] = groups["params"][name]
-    moments = ({k: groups[prefix][k].copy() for k in named} for prefix in ("adam_m", "adam_v"))
+    # parameter tree or into a moment of its own.
+    model = Model(config, dims, tree_from(spec, groups["params"]))
+    moments = ({k: groups[prefix][k].copy() for k in shapes} for prefix in ("adam_m", "adam_v"))
     return TrainState(model, *moments, step)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 import hvsarn.tensor as tt
 from hvsarn.cli import main
-from hvsarn.cross_space import cross_attention, enhance_batch, init_cross_space_params
+from hvsarn.cross_space import cross_attention, cross_space_params, enhance_batch
 from hvsarn.data import (
     ModelConfig,
     load_sample,
@@ -41,15 +41,16 @@ from hvsarn.evaluation import (
     temporal_iou,
 )
 from hvsarn.graph_memory import (
-    init_graph_memory_params,
+    graph_memory_params,
     neighbor_attention,
     read_attention,
     read_batch,
     reason_batch,
     write_batch,
 )
-from hvsarn.hierarchy import fuse_objects, fusion_attention, init_fusion_params
+from hvsarn.hierarchy import fuse_objects, fusion_attention, fusion_params
 from hvsarn.model import predict_dataset
+from hvsarn.params import init_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import (
     TrainHyper,
@@ -106,7 +107,7 @@ def test_c2_formula_oracles():
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, 6))
         D = int(rng.integers(3, 9))
-        params = init_graph_memory_params(rng, D, np.float64)
+        params = init_params(graph_memory_params(D), rng, np.float64)
         q = rng.normal(size=D)
         nodes = rng.normal(size=(K, D))
 
@@ -121,7 +122,7 @@ def test_c2_formula_oracles():
         ref_nodes = write_oracle(ref_q_new, nodes, as_np(params)["write"])
         worst = max(worst, np.abs(nodes_new.data[0] - ref_nodes).max())
 
-        cross = init_cross_space_params(rng, D, np.float64)
+        cross = init_params(cross_space_params(D), rng, np.float64)
         visual = rng.normal(size=(K, D))
         semantic = rng.normal(size=(K, D))
         v2s = enhance_batch(Tensor(visual[None]), Tensor(semantic[None]), cross["v2s"])
@@ -151,7 +152,7 @@ def test_c3_invariant_suite():
         B = int(rng.integers(1, 4))
         K = int(rng.integers(2, 6))
         D = 2 * int(rng.integers(2, 5))
-        params = init_graph_memory_params(rng, D, np.float64)
+        params = init_params(graph_memory_params(D), rng, np.float64)
         controller = Tensor(rng.normal(size=(B, 1, D)))
         nodes = Tensor(rng.normal(size=(B, K, D)))
 
@@ -160,11 +161,11 @@ def test_c3_invariant_suite():
         simplex_worst = max(simplex_worst, np.abs(read_attn.data.sum(axis=-1) - 1.0).max())
         write_attn = neighbor_attention(nodes, params)
         simplex_worst = max(simplex_worst, np.abs(write_attn.data.sum(axis=-1) - 1.0).max())
-        cross = init_cross_space_params(rng, D, np.float64)
+        cross = init_params(cross_space_params(D), rng, np.float64)
         rng.normal(size=(B, K, D))  # the row reads no targets; drawn so later draws stay put
         cross_attn = cross_attention(nodes, cross["v2s"])
         simplex_worst = max(simplex_worst, np.abs(cross_attn.data.sum(axis=-1) - 1.0).max())
-        fusion = init_fusion_params(rng, D, np.float64)
+        fusion = init_params(fusion_params(D), rng, np.float64)
         fusion_attn = fusion_attention(
             Tensor(rng.normal(size=(1, B, K, D))), Tensor(rng.normal(size=(1, 1, D))), fusion
         )
@@ -179,7 +180,7 @@ def test_c3_invariant_suite():
         simplex_worst = max(simplex_worst, np.abs(self_attn.data.sum(axis=-1) - 1.0).max())
 
         # gate saturation: +20 bias keeps state identical to 1e-6
-        saturated = init_graph_memory_params(rng, D, np.float64)
+        saturated = init_params(graph_memory_params(D), rng, np.float64)
         saturated["read"]["b"].data[D:] = 20.0  # the gate half of [candidate | gate]
         saturated["write"]["b"].data[D:] = 20.0
         q_keep = read_batch(controller, nodes, saturated)

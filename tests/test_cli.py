@@ -141,6 +141,16 @@ def test_invalid_precision_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert "HVSARN_PRECISION" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["-1e-3", "nan", "inf"])
+def test_invalid_learning_rate_exits_nonzero(tmp_path, capsys, rate):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert synth(data) == 0
+    capsys.readouterr()
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(run), f"--lr={rate}"]) == 1
+    assert capsys.readouterr().err.startswith("error: learning_rate")
+    assert not run.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     data, run = tmp_path / "data", tmp_path / "run"
     assert synth(data) == 0

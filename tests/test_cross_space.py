@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import hvsarn.tensor as tt
-from hvsarn.cross_space import cross_attention, enhance_batch, init_cross_space_params
-from hvsarn.params import flatten
+from hvsarn.cross_space import cross_attention, cross_space_params, enhance_batch
+from hvsarn.params import flatten, init_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
 from oracles import as_np, cross_space_oracle
@@ -20,7 +20,7 @@ def enhance_one(source, target, params):
 
 def make_instance(seed, K=4, D=5):
     rng = np.random.default_rng(seed)
-    params = init_cross_space_params(rng, D, np.float64)
+    params = init_params(cross_space_params(D), rng, np.float64)
     visual = rng.normal(size=(K, D))
     semantic = rng.normal(size=(K, D))
     return params, visual, semantic
@@ -45,7 +45,7 @@ def test_semantic_to_visual_matches_oracle():
 def test_enhance_batch_matches_oracle_per_graph_at_scale():
     rng = np.random.default_rng(17)
     B, K, D = 2, 9, 5
-    params = init_cross_space_params(rng, D, np.float64)
+    params = init_params(cross_space_params(D), rng, np.float64)
     source = rng.normal(size=(B, K, D))
     target = rng.normal(size=(B, K, D))
     enhanced = enhance_batch(Tensor(source), Tensor(target), params["v2s"])
@@ -100,7 +100,7 @@ def test_shape_mismatch_raises():
 
 def test_round_trip_gradcheck():
     rng = np.random.default_rng(5)
-    params = init_cross_space_params(rng, 4, np.float64)
+    params = init_params(cross_space_params(4), rng, np.float64)
     visual = Tensor(rng.normal(size=(3, 4)))
     semantic = Tensor(rng.normal(size=(3, 4)))
     probe = Tensor(rng.normal(size=(3, 4)))

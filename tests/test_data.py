@@ -150,6 +150,8 @@ def test_config_validation():
         ModelConfig(reasoner_kind="transformer")
     with pytest.raises(ConfigError, match="unknown config field"):
         ModelConfig.from_dict({"hidden_sizes": 4})
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        ModelConfig(seed=-1)
     # reasoning can be disabled entirely: both graphs off is a valid ablation
     ModelConfig(use_visual_graph=False, use_semantic_graph=False)
     ModelConfig(reasoning_steps=0)

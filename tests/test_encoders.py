@@ -9,11 +9,11 @@ from hvsarn.encoders import (
     InputDims,
     encode_query,
     encode_video,
-    init_encoder_params,
+    encoder_params,
     self_attention,
 )
-from hvsarn.params import flatten, xavier_uniform, zero_grads
-from hvsarn.recurrent import gru_sequence, init_bigru_params, init_gru_params
+from hvsarn.params import flatten, init_params, xavier_uniform, zero_grads
+from hvsarn.recurrent import bigru_params, gru_params, gru_sequence
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
 from oracles import as_np, bigru_oracle, gru_sequence_oracle, multi_head_attention_oracle
@@ -23,7 +23,7 @@ DIMS = InputDims(feature_dim=5, semantic_dim=4, word_dim=8)
 
 
 def make_params(seed=0, hidden=6, heads=4, dtype=np.float64):
-    return init_encoder_params(np.random.default_rng(seed), DIMS, hidden, heads, dtype)
+    return init_params(encoder_params(DIMS, hidden, heads), np.random.default_rng(seed), dtype)
 
 
 def make_query(seed=0, n=5):
@@ -100,7 +100,7 @@ def test_gru_sequence_matches_oracle():
     # the first half of each position is the left-to-right GRU
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        params = init_bigru_params(rng, 5, 3, np.float64)
+        params = init_params(bigru_params(5, 3), rng, np.float64)
         x = rng.normal(size=(6, 5))
         states = gru_sequence(Tensor(x[None]), params)
         ref_states, ref_final = gru_sequence_oracle(x, as_np(params["fwd"]))
@@ -111,7 +111,7 @@ def test_gru_sequence_matches_oracle():
 def test_gru_reverse_runs_right_to_left():
     # the second half of each position is the right-to-left GRU
     rng = np.random.default_rng(3)
-    params = init_bigru_params(rng, 4, 3, np.float64)
+    params = init_params(bigru_params(4, 3), rng, np.float64)
     x = rng.normal(size=(5, 4))
     states = gru_sequence(Tensor(x[None]), params)
     ref_states, ref_final = gru_sequence_oracle(x, as_np(params["bwd"]), reverse=True)
@@ -132,7 +132,7 @@ def oracle_half(x, params, reverse):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_gru_sequence_matches_oracle_at_length_40(reverse):
     rng = np.random.default_rng(40)
-    params = init_bigru_params(rng, 7, 5, np.float64)
+    params = init_params(bigru_params(7, 5), rng, np.float64)
     x = rng.normal(size=(40, 7))
     states = gru_sequence(Tensor(x[None]), params)
     ref_states, ref_final, cols = oracle_half(x, params, reverse)
@@ -144,7 +144,7 @@ def test_gru_sequence_matches_oracle_at_length_40(reverse):
 def test_gru_batch_rows_match_oracle_per_sample(reverse):
     # S sequences on the leading axis run as independent Bi-GRUs
     rng = np.random.default_rng(41)
-    params = init_bigru_params(rng, 4, 3, np.float64)
+    params = init_params(bigru_params(4, 3), rng, np.float64)
     for n in (1, 6, 40):
         x = rng.normal(size=(5, n, 4))
         states = gru_sequence(Tensor(x), params)
@@ -158,7 +158,7 @@ def test_gru_batch_rows_match_oracle_per_sample(reverse):
 def test_bigru_concatenates_directions():
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        params = init_bigru_params(rng, 4, 3, np.float64)
+        params = init_params(bigru_params(4, 3), rng, np.float64)
         x = rng.normal(size=(6, 4))
         contextual = gru_sequence(Tensor(x[None]), params)
         ref_ctx, ref_final = bigru_oracle(x, as_np(params))
@@ -171,7 +171,7 @@ def test_bigru_concatenates_directions():
 
 def test_gru_single_step_sequence():
     rng = np.random.default_rng(4)
-    params = init_bigru_params(rng, 4, 2, np.float64)
+    params = init_params(bigru_params(4, 2), rng, np.float64)
     x = rng.normal(size=(1, 1, 4))
     contextual = gru_sequence(Tensor(x), params)
     assert contextual.shape == (1, 1, 4)
@@ -182,7 +182,7 @@ def test_gru_single_step_sequence():
 
 def test_gru_gradcheck():
     rng = np.random.default_rng(5)
-    params = init_bigru_params(rng, 3, 2, np.float64)
+    params = init_params(bigru_params(3, 2), rng, np.float64)
     x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
@@ -200,7 +200,7 @@ def test_gru_final_state_gradcheck(reverse):
     # states node: the forward one at the last position, the backward one at
     # the first.  Reading one direction leaves the other's weights unused.
     rng = np.random.default_rng(6)
-    params = init_bigru_params(rng, 3, 2, np.float64)
+    params = init_params(bigru_params(3, 2), rng, np.float64)
     x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 1, 2)))
 
@@ -223,7 +223,7 @@ def test_gru_sequence_bytes_match_per_direction_loops(S, n):
     # float32 states and every gradient are the bytes of each direction run
     # as its own loop and node
     rng = np.random.default_rng(10 * S + n)
-    params = init_bigru_params(rng, 5, 4, np.float32)
+    params = init_params(bigru_params(5, 4), rng, np.float32)
     x_data = rng.normal(size=(S, n, 5)).astype(np.float32)
     probe = rng.normal(size=(S, n, 8)).astype(np.float32)
     results = []
@@ -248,7 +248,7 @@ def test_gru_sequence_bytes_match_per_direction_loops(S, n):
 def test_gru_sequence_backward_is_pure():
     # a second call of the node's backward adds the same amount again
     rng = np.random.default_rng(8)
-    params = init_bigru_params(rng, 3, 2, np.float64)
+    params = init_params(bigru_params(3, 2), rng, np.float64)
     states = gru_sequence(Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True), params)
     g = rng.normal(size=states.shape)
     states._backward(g)
@@ -261,7 +261,7 @@ def test_gru_sequence_backward_is_pure():
 def test_gru_init_blocks_equal_gate_by_gate_draws():
     # the stored layout concatenates each gate's own draw: w then u for the
     # update, reset and candidate gates, each with that gate's fans
-    params = init_gru_params(np.random.default_rng(9), 5, 3, np.float32)
+    params = init_params(gru_params(5, 3), np.random.default_rng(9), np.float32)
     rng = np.random.default_rng(9)
     w, u = [], []
     for _ in range(3):
@@ -272,10 +272,10 @@ def test_gru_init_blocks_equal_gate_by_gate_draws():
     assert params["u_g"].data.tobytes() == u[2].tobytes()
     assert params["b"].shape == (9,) and not params["b"].data.any()
     # the backward direction continues from the same generator
-    bi = init_bigru_params(np.random.default_rng(9), 5, 3, np.float32)
+    bi = init_params(bigru_params(5, 3), np.random.default_rng(9), np.float32)
     again = np.random.default_rng(9)
-    init_gru_params(again, 5, 3, np.float32)
-    bwd = init_gru_params(again, 5, 3, np.float32)
+    init_params(gru_params(5, 3), again, np.float32)
+    bwd = init_params(gru_params(5, 3), again, np.float32)
     assert bi["bwd"]["w"].data.tobytes() == bwd["w"].data.tobytes()
 
 
@@ -290,7 +290,7 @@ def test_gru_sequence_node_count_does_not_grow_with_length(monkeypatch):
         return out
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(counted_result))
-    params = init_bigru_params(np.random.default_rng(7), 3, 2, np.float64)
+    params = init_params(bigru_params(3, 2), np.random.default_rng(7), np.float64)
     counts = []
     for n in (4, 40):
         built.clear()
@@ -371,7 +371,7 @@ def test_encode_query_single_token():
 
 def test_encoder_head_divisibility_checked():
     with pytest.raises(ValueError, match="divisible"):
-        init_encoder_params(np.random.default_rng(0), DIMS, 6, 3, np.float64)
+        init_params(encoder_params(DIMS, 6, 3), np.random.default_rng(0), np.float64)
 
 
 def test_encode_query_token_dim_mismatch():

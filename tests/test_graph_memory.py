@@ -13,10 +13,10 @@ from hvsarn.graph_memory import (
     BASELINE_KINDS,
     _BLOCK_BYTES,
     _pair_blocks,
+    baseline_params,
     baseline_step,
     gated_update,
-    init_baseline_params,
-    init_graph_memory_params,
+    graph_memory_params,
     neighbor_attention,
     neighbor_context,
     pair_logits,
@@ -26,7 +26,7 @@ from hvsarn.graph_memory import (
     run_reasoner,
     write_batch,
 )
-from hvsarn.params import flatten, xavier_uniform
+from hvsarn.params import flatten, init_params, xavier_uniform
 from hvsarn.tensor import Tensor
 from oracles import as_np, per_gate, read_oracle, reason_oracle, softmax_1d, write_oracle
 from test_tensor import fd_check
@@ -50,7 +50,7 @@ def baseline_one(kind, nodes, controller, params):
 
 def make_instance(seed, K=4, D=6):
     rng = np.random.default_rng(seed)
-    params = init_graph_memory_params(rng, D, np.float64)
+    params = init_params(graph_memory_params(D), rng, np.float64)
     q = rng.normal(size=D)
     nodes = rng.normal(size=(K, D))
     return params, q, nodes
@@ -79,7 +79,7 @@ def test_write_matches_oracle_many_seeds():
 def test_write_batch_matches_oracle_per_graph_at_scale():
     rng = np.random.default_rng(41)
     B, K, D = 3, 12, 6
-    params = init_graph_memory_params(rng, D, np.float64)
+    params = init_params(graph_memory_params(D), rng, np.float64)
     q = rng.normal(size=(B, D))
     nodes = rng.normal(size=(B, K, D))
     out = write_batch(Tensor(q[:, None]), Tensor(nodes), params)
@@ -101,7 +101,7 @@ def test_multi_step_reason_matches_oracle():
 
 def test_batch_equals_per_graph_loop():
     rng = np.random.default_rng(11)
-    params = init_graph_memory_params(rng, 6, np.float64)
+    params = init_params(graph_memory_params(6), rng, np.float64)
     B, K, D = 5, 3, 6
     qs = rng.normal(size=(B, D))
     nodes = rng.normal(size=(B, K, D))
@@ -147,7 +147,7 @@ def test_init_blocks_equal_gate_by_gate_draws():
     # every input's candidate block is drawn before any gate block, each as
     # its own [D, D] matrix, exactly as a per-gate layout would draw them
     D = 4
-    params = init_graph_memory_params(np.random.default_rng(11), D, np.float32)
+    params = init_params(graph_memory_params(D), np.random.default_rng(11), np.float32)
     rng = np.random.default_rng(11)
 
     def block():
@@ -178,7 +178,7 @@ def test_init_blocks_equal_gate_by_gate_draws():
         "b", "mlp_b1", "mlp_w1_source", "mlp_w1_target", "mlp_w2", "wc", "wq", "wv"
     ]
 
-    baseline = init_baseline_params(np.random.default_rng(12), "memory_network", D, np.float32)
+    baseline = init_params(baseline_params("memory_network", D), np.random.default_rng(12), np.float32)
     rng = np.random.default_rng(12)
     cand_v, cand_q, gate_v, gate_q = (block() for _ in range(4))
     assert baseline["wv"].data.tobytes() == np.concatenate([cand_v, gate_v], axis=1).tobytes()
@@ -379,7 +379,7 @@ def test_reason_gradcheck_small():
     # softmax is constant and grads vanish by construction).
     for B in (1, 2):
         rng = np.random.default_rng(2)
-        params = init_graph_memory_params(rng, 4, np.float64)
+        params = init_params(graph_memory_params(4), rng, np.float64)
         q = Tensor(rng.normal(size=(B, 1, 4)))
         nodes = Tensor(rng.normal(size=(B, 3, 4)))
         probe = Tensor(rng.normal(size=(B, 3, 4)))
@@ -398,7 +398,7 @@ def test_reason_gradcheck_small():
 
 def test_gcn_is_neighbor_mean_affine():
     rng = np.random.default_rng(31)
-    params = init_baseline_params(rng, "gcn", 4, np.float64)
+    params = init_params(baseline_params("gcn", 4), rng, np.float64)
     nodes = rng.normal(size=(3, 4))
     out = baseline_one("gcn", nodes, rng.normal(size=4), params)
     for k in range(3):
@@ -418,14 +418,14 @@ def test_gcn_identity_weights_two_clique():
 
 def test_gcn_single_node_sees_zero_context():
     rng = np.random.default_rng(32)
-    params = init_baseline_params(rng, "gcn", 4, np.float64)
+    params = init_params(baseline_params("gcn", 4), rng, np.float64)
     out = baseline_one("gcn", rng.normal(size=(1, 4)), np.zeros(4), params)
     np.testing.assert_allclose(out[0], np.tanh(params["b"].data), atol=1e-12)
 
 
 def test_gcn_fusion_concatenates_controller():
     rng = np.random.default_rng(33)
-    params = init_baseline_params(rng, "gcn_fusion", 3, np.float64)
+    params = init_params(baseline_params("gcn_fusion", 3), rng, np.float64)
     nodes = rng.normal(size=(4, 3))
     ctrl = rng.normal(size=3)
     out = baseline_one("gcn_fusion", nodes, ctrl, params)
@@ -438,7 +438,7 @@ def test_gcn_fusion_concatenates_controller():
 
 def test_self_attention_baseline_residual_and_simplex():
     rng = np.random.default_rng(34)
-    params = init_baseline_params(rng, "self_attention", 4, np.float64)
+    params = init_params(baseline_params("self_attention", 4), rng, np.float64)
     nodes = rng.normal(size=(1, 5, 4))
     out = baseline_step("self_attention", Tensor(nodes), Tensor(np.zeros((1, 1, 4))), params)
     q = nodes[0] @ params["wq"].data
@@ -452,7 +452,7 @@ def test_self_attention_baseline_residual_and_simplex():
 def test_memory_network_has_no_edges():
     # node k's update must not depend on any other node
     rng = np.random.default_rng(35)
-    params = init_baseline_params(rng, "memory_network", 4, np.float64)
+    params = init_params(baseline_params("memory_network", 4), rng, np.float64)
     ctrl = rng.normal(size=(1, 1, 4))
     nodes = rng.normal(size=(1, 3, 4))
     out1 = baseline_step("memory_network", Tensor(nodes), Tensor(ctrl), params)
@@ -464,7 +464,7 @@ def test_memory_network_has_no_edges():
 
 def test_memory_network_gradcheck():
     rng = np.random.default_rng(37)
-    params = init_baseline_params(rng, "memory_network", 4, np.float64)
+    params = init_params(baseline_params("memory_network", 4), rng, np.float64)
     q = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
     nodes = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 3, 4)))
@@ -484,11 +484,11 @@ def test_run_reasoner_dispatch():
     q = Tensor(rng.normal(size=(1, 1, 4)))
     nodes = Tensor(rng.normal(size=(1, 3, 4)))
     for kind in BASELINE_KINDS:
-        params = init_baseline_params(rng, kind, 4, np.float64)
+        params = init_params(baseline_params(kind, 4), rng, np.float64)
         nodes_out = run_reasoner(kind, q, nodes, params, 2)
         assert nodes_out.shape == nodes.shape
     with pytest.raises(ValueError, match="unknown baseline"):
-        init_baseline_params(rng, "mamba", 4, np.float64)
-    gm = init_graph_memory_params(rng, 4, np.float64)
+        init_params(baseline_params("mamba", 4), rng, np.float64)
+    gm = init_params(graph_memory_params(4), rng, np.float64)
     nodes_out = run_reasoner("graph_memory", q, nodes, gm, 1)
     np.testing.assert_array_equal(nodes_out.data, reason_batch(q, nodes, gm, 1)[1].data)

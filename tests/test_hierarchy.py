@@ -13,12 +13,12 @@ from hvsarn.hierarchy import (
     frames_from_encoder_mean,
     fuse_objects,
     fusion_attention,
-    init_fusion_params,
-    init_level_params,
+    fusion_params,
+    level_params,
     object_level_pass,
 )
 from hvsarn.model import build_model
-from hvsarn.params import flatten
+from hvsarn.params import flatten, init_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
 from oracles import as_np, fusion_oracle
@@ -30,7 +30,7 @@ DIMS = InputDims(feature_dim=5, semantic_dim=4, word_dim=8)
 def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64, S=1):
     config = config or ModelConfig(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(seed)
-    params = init_level_params(rng, config, dtype)
+    params = init_params(level_params(config), rng, dtype)
     encoded = EncodedVideo(
         visual=Tensor(rng.normal(size=(S, T, K, D))),
         semantic=Tensor(rng.normal(size=(S, T, K, D))),
@@ -97,8 +97,8 @@ def test_frame_level_holds_cross_exactly_with_semantic_graph():
     sentence = Tensor(rng.normal(size=(1, 1, D)))
     on = ModelConfig(**base)
     off = ModelConfig(**base, use_semantic_graph=False)
-    params_on = init_level_params(np.random.default_rng(5), on, np.float64)
-    params_off = init_level_params(np.random.default_rng(5), off, np.float64)
+    params_on = init_params(level_params(on), np.random.default_rng(5), np.float64)
+    params_off = init_params(level_params(off), np.random.default_rng(5), np.float64)
     assert sorted(params_on) == ["cross", "semantic", "visual"]
     assert sorted(params_off) == ["visual"]
     out_on = frame_level_pass(frames, sentence, params_on, on)
@@ -114,7 +114,7 @@ def test_frame_level_holds_cross_exactly_with_semantic_graph():
 def test_fusion_attention_matches_oracle():
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        params = init_fusion_params(rng, D, np.float64)
+        params = init_params(fusion_params(D), rng, np.float64)
         visual = rng.normal(size=(3, 4, D))
         semantic = rng.normal(size=(3, 4, D))
         sentence = rng.normal(size=D)
@@ -130,7 +130,7 @@ def test_fusion_attention_matches_oracle():
 
 def test_fuse_objects_is_permutation_invariant():
     rng = np.random.default_rng(8)
-    params = init_fusion_params(rng, D, np.float64)
+    params = init_params(fusion_params(D), rng, np.float64)
     visual = rng.normal(size=(3, 5, D))
     semantic = rng.normal(size=(3, 5, D))
     sentences = Tensor(rng.normal(size=(1, 1, D)))
@@ -146,7 +146,7 @@ def test_fuse_objects_is_permutation_invariant():
 def test_object_permutation_leaves_frame_representations_unchanged():
     # reasoning is equivariant and fusion invariant, so the composition is invariant
     config, params, encoded, sentence = make_level(seed=9, T=3, K=4, S=2)
-    fusion = init_fusion_params(np.random.default_rng(10), D, np.float64)
+    fusion = init_params(fusion_params(D), np.random.default_rng(10), np.float64)
     perm = np.random.default_rng(11).permutation(4)
     v1, s1 = object_level_pass(encoded, sentence, params, config)
     frames1 = fuse_objects(v1, s1, sentence, fusion)
@@ -178,8 +178,8 @@ def test_baseline_reasoner_config_plumbs_through():
 def test_object_fuse_frame_gradcheck():
     # end-to-end through both levels and the fusion, T=3 K=2 D=6 L=1
     config, params, encoded, sentence = make_level(seed=12)
-    fusion = init_fusion_params(np.random.default_rng(13), D, np.float64)
-    frame_params = init_level_params(np.random.default_rng(14), config, np.float64)
+    fusion = init_params(fusion_params(D), np.random.default_rng(13), np.float64)
+    frame_params = init_params(level_params(config), np.random.default_rng(14), np.float64)
     probe = Tensor(np.random.default_rng(15).normal(size=(1, 3, D)))
 
     named = {}

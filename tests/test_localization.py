@@ -10,12 +10,13 @@ from hvsarn.hierarchy import FrameRepresentations
 from hvsarn.localization import (
     enumerate_segments,
     fuse_and_contextualize,
-    init_head_params,
+    head_params,
     loss,
     predict,
     span_logits,
     write_predictions_jsonl,
 )
+from hvsarn.params import init_params
 from hvsarn.tensor import Tensor
 from oracles import span_enumeration_oracle
 
@@ -24,7 +25,7 @@ D = 6
 
 def head_setup(seed=0, T=5, S=1):
     rng = np.random.default_rng(seed)
-    params = init_head_params(rng, 2 * D, D, np.float64)
+    params = init_params(head_params(2 * D, D), rng, np.float64)
     frames = FrameRepresentations(
         visual=Tensor(rng.normal(size=(S, T, D))), semantic=Tensor(rng.normal(size=(S, T, D)))
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import itertools
 import json
 import os
@@ -99,6 +100,11 @@ def test_train_input_validation():
         TrainHyper(steps=-1)
     with pytest.raises(ValueError, match="batch_size"):
         TrainHyper(batch_size=0)
+    for rate in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainHyper(learning_rate=rate)
+    TrainHyper(learning_rate=0.0)
+    TrainHyper(learning_rate=1e18)
 
 
 def test_loss_rejects_a_truth_that_collapses_to_one_frame():
@@ -456,14 +462,37 @@ def test_checkpoint_is_one_blob_of_the_tensors_in_table_order(tmp_path):
         (lambda m: m["dims"].update(semantic_dim=4.0), FormatError, "dims semantic_dim 4.0"),
         (lambda m: m["config"].update(reasoning_steps=1.5), ConfigError, "reasoning_steps"),
         (lambda m: m["config"].update(use_object_level="no"), ConfigError, "use_object_level"),
+        (lambda m: m["config"].update(seed=-1), ConfigError, "seed: must be >= 0"),
     ],
-    ids=["word_dim_str", "feature_dim_zero", "semantic_dim_float", "steps_float", "switch_str"],
+    ids=[
+        "word_dim_str",
+        "feature_dim_zero",
+        "semantic_dim_float",
+        "steps_float",
+        "switch_str",
+        "seed_negative",
+    ],
 )
 def test_load_rejects_wrong_typed_scalar(tmp_path, mutate, error, message):
     out = saved_checkpoint(tmp_path)
     corrupt_manifest(out, mutate)
     with pytest.raises(error, match=message):
         load_checkpoint(str(out))
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    state, _ = train(tiny_dataset(count=2), ModelConfig(), TrainHyper(steps=1, batch_size=2))
+    save_checkpoint(str(tmp_path / "ckpt"), state)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint created a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = load_checkpoint(str(tmp_path / "ckpt"))
+    restored = loaded.model.named_parameters()
+    assert sorted(restored) == sorted(named_data(state))
+    for name, arr in named_data(state).items():
+        assert restored[name].data.tobytes() == arr.tobytes(), name
 
 
 def test_checkpoint_restores_both_moment_trees_bit_exactly(tmp_path):
@@ -497,6 +526,27 @@ def test_every_variant_checkpoint_round_trips_bit_exactly(tmp_path, variant):
 
 
 # -- parameter tree -------------------------------------------------------------
+
+
+# sha256 over every variant's fresh tree at the default config.  The values were
+# taken from the per-module init functions the specs replaced, so they pin the
+# draw order of every group, not only the GRU and graph-memory blocks.
+FRESH_TREE_DIGESTS = {
+    "float32": "93f0e5f1e84a7cf670c689be9baa31a10dfc106cd11533ecbb47559c6b098d43",
+    "float64": "0d83b3e482a7107ecfe8de9e9ad1862378f9383ca971448736e5770eac525639",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_fresh_trees_are_pinned(dtype):
+    dims = InputDims(feature_dim=10, semantic_dim=6, word_dim=8)
+    digest = hashlib.sha256()
+    for variant in STANDARD_ABLATIONS:
+        model = build_model(ablation_config(ModelConfig(), variant), dims, dtype)
+        for name, t in model.named_parameters().items():
+            digest.update(f"{variant}/{name}{t.shape}".encode())
+            digest.update(t.data.tobytes())
+    assert digest.hexdigest() == FRESH_TREE_DIGESTS[np.dtype(dtype).name]
 
 
 def test_every_variant_parameter_gets_a_gradient():
