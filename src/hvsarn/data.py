@@ -403,6 +403,11 @@ def _synth_basis():
 _BASIS = _synth_basis()
 
 
+def _check_synth_seed(seed: int) -> None:
+    if int(seed) < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+
+
 def synth_sample(
     seed: int, num_frames: int, num_objects: int, difficulty: str = "separable"
 ) -> Sample:
@@ -414,6 +419,7 @@ def synth_sample(
     Pinning the correct segment therefore rewards comparing object content
     against the query.  `noisy` keeps the same plant at ~1/3 the SNR.
     """
+    _check_synth_seed(seed)
     if num_frames < 3:
         raise ValueError(f"num_frames: must be >= 3, got {num_frames}")
     if num_objects < 1:
@@ -422,7 +428,7 @@ def synth_sample(
         raise ValueError(f"difficulty: {difficulty!r} not in {DIFFICULTIES}")
     T, K = num_frames, num_objects
     protos, words, sigs, anchor = _BASIS
-    rng = np.random.default_rng([abs(int(seed)), T, K, DIFFICULTIES.index(difficulty)])
+    rng = np.random.default_rng([int(seed), T, K, DIFFICULTIES.index(difficulty)])
 
     if difficulty == "separable":
         anchor_gain, sig_gain, noise = 2.0, 2.0, 0.5
@@ -476,6 +482,7 @@ def write_dataset(
     out_dir: str | Path, count: int, num_frames: int, num_objects: int, seed: int, difficulty: str
 ) -> list[Path]:
     """Write `count` synthetic samples plus a dataset.json index."""
+    _check_synth_seed(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []

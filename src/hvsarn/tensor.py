@@ -70,6 +70,8 @@ class Tensor:
         return out
 
     def _accumulate(self, g: np.ndarray):
+        # An intermediate node's gradient lives only until its backward has
+        # run (see `backward`); a leaf's accumulates across backward calls.
         if self.grad is None:
             # Copy into a buffer laid out like the data; keeping g's own layout
             # would change the summation order of later matmuls.
@@ -96,7 +98,14 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        """Backpropagate from this tensor; defaults to d(self)/d(self) = 1."""
+        """Backpropagate from this tensor; defaults to d(self)/d(self) = 1.
+
+        Each node with a backward drops its `.grad` as soon as that backward
+        has run, so the pass holds gradients only for the live frontier of
+        the tape. Afterwards only leaves (parameters and inputs created with
+        `requires_grad`) keep `.grad`, and a second backward on the same
+        tape adds the same gradient to them again.
+        """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -119,6 +128,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar ----------------------------------------------------
 

@@ -73,6 +73,13 @@ def test_synth_refuses_nonempty_dir_without_force(tmp_path, capsys):
     assert synth(out, extra=["--force"]) == 0
 
 
+def test_synth_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert synth(out, extra=["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed: must be >= 0, got -1")
+    assert not out.exists()
+
+
 def test_full_pipeline(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("HVSARN_PRECISION", raising=False)
     data, run, scored = tmp_path / "data", tmp_path / "run", tmp_path / "eval"

@@ -486,6 +486,16 @@ def test_synth_deterministic_and_seed_sensitive():
     assert a1.object_features.tobytes() != a3.object_features.tobytes()
 
 
+def test_synth_rejects_a_negative_seed(tmp_path):
+    # the generator would otherwise fold seed -1 onto seed 1
+    with pytest.raises(ValueError, match="seed: must be >= 0, got -1"):
+        synth_sample(-1, 8, 4)
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match="seed: must be >= 0, got -2"):
+        write_dataset(out, 3, 8, 4, seed=-2, difficulty="separable")
+    assert not out.exists()
+
+
 def test_synth_annotation_is_frame_aligned():
     for seed in range(30):
         video, _ = synth_sample(seed, 8, 3)

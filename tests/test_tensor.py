@@ -185,6 +185,23 @@ def test_diamond_graph_topological_order():
     np.testing.assert_allclose(x.grad, [36.0], atol=1e-12)
 
 
+def test_backward_keeps_only_the_leaf_gradients():
+    x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
+    loss = tt.tsum(tt.tanh(tt.matmul(x, w)) * x[:, :1])
+    loss.backward()
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert not [n.shape for n in nodes.values() if n._backward is not None and n.grad is not None]
+    leaves = [n for n in nodes.values() if n._backward is None]
+    assert {id(n) for n in leaves} == {id(x), id(w)}
+    assert all(n.grad is not None for n in leaves)
+
+
 def test_no_grad_blocks_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     with tt.no_grad():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -578,14 +579,23 @@ def test_every_variant_parameter_gets_a_gradient():
 
 
 def test_every_tape_node_reaches_the_loss(monkeypatch):
-    # A node that gets no gradient did work the loss never reads.
+    # A node whose backward never runs did work the loss never reads. The
+    # backward frees every intermediate gradient, so the test records which
+    # nodes' backward ran.
     result = Tensor.__dict__["_result"].__func__
-    built = []
+    built, reached = [], set()
 
     def recorded_result(data, parents, backward):
         out = result(data, parents, backward)
         if out.requires_grad:
             built.append(out)
+            node_id = id(out)
+
+            def recorded_backward(g):
+                reached.add(node_id)
+                backward(g)
+
+            out._backward = recorded_backward
         return out
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(recorded_result))
@@ -595,9 +605,46 @@ def test_every_tape_node_reaches_the_loss(monkeypatch):
         config = ablation_config(ModelConfig(hidden_size=D, reasoning_steps=2), variant)
         model = build_model(config, InputDims.of(*samples[0]), np.float64)
         built.clear()
+        reached.clear()
         batch_loss(model, samples).backward()
-        dead = [node.shape for node in built if node.grad is None]
+        dead = [node.shape for node in built if id(node) not in reached]
         assert not dead, (variant, dead)
+
+
+def test_a_repeated_backward_adds_the_gradient_of_one_fresh_tape():
+    # The backward frees each intermediate gradient, so a second call starts
+    # from the loss again. Not 2 * once: a parameter read in several places
+    # adds its parts one after another, which is not a bitwise doubling.
+    samples = [synth_sample(seed, 8, 3, "separable") for seed in range(2)]
+    config = ModelConfig(hidden_size=8, reasoning_steps=1)
+
+    def grads_after(tape_calls):
+        model = build_model(config, InputDims.of(*samples[0]), np.float64)
+        for calls in tape_calls:
+            loss = batch_loss(model, samples)
+            for _ in range(calls):
+                loss.backward()
+        return {name: t.grad.tobytes() for name, t in model.named_parameters().items()}
+
+    assert grads_after([2]) == grads_after([1, 1])
+
+
+def test_backward_peak_memory_stays_well_below_the_tape():
+    # Holding every intermediate gradient until the tape is dropped peaks
+    # near 1x the tape; freeing each once its node's backward has run keeps
+    # the peak near the live frontier (~0.07x at this shape).
+    samples = [synth_sample(seed, 32, 8, "separable") for seed in range(8)]
+    model = build_model(ModelConfig(), InputDims.of(*samples[0]), np.float32)
+    tracemalloc.start()
+    try:
+        loss = batch_loss(model, samples)
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - tape <= 0.25 * tape, (peak - tape, tape)
 
 
 # -- shape limits ---------------------------------------------------------------
