@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
             {
                 "query_id": query.query_id,
                 "video_id": video.video_id,
-                "segments": [[s, e, score] for s, e, score in pred.top_segments],
+                "segments": pred.top_segments.tolist(),
             }
         )
     write_predictions_jsonl(os.path.join(args.out_dir, "predictions.jsonl"), records)

@@ -48,10 +48,10 @@ def temporal_iou(a, b) -> float:
     return inter / union
 
 
-def _top_segments(prediction, n: int) -> list[tuple[float, float]]:
+def _top_segments(prediction, n: int) -> list:
     """The first n candidates as (start, end); only those are converted."""
     if isinstance(prediction, SegmentPrediction):
-        return [(s, e) for s, e, _ in prediction.top_segments[:n]]
+        return prediction.top_segments[:n, :2].tolist()
     return [_as_interval(seg) for seg in prediction[:n]]
 
 

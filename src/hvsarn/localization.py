@@ -9,7 +9,9 @@ broken lexicographically on (i, j), as fractions (i/T, (j+1)/T).  The
 ranking is vectorized, in float64 throughout: `np.triu_indices` yields the
 upper-triangle pairs already in (i, j) order, an unstable `np.argsort` on
 -score ranks them, and a second argsort restores pair order within each
-run of equal scores.
+run of equal scores.  The ranking is one read-only, C-contiguous [n, 3]
+float64 array of (start_frac, end_frac, score) rows; `.tolist()` gives the
+same numbers as Python floats.
 Training minimizes cross-entropy of the start/end distributions at the
 ground-truth frame indices, gathered per sample from the [S, T]
 log-softmaxes and summed over the S samples; it needs only the logits
@@ -35,7 +37,7 @@ from .tensor import Tensor
 class SegmentPrediction:
     start_logits: Tensor  # [T]
     end_logits: Tensor  # [T]
-    top_segments: list[tuple[float, float, float]]  # (start_frac, end_frac, score), sorted
+    top_segments: np.ndarray  # [n, 3] float64 (start_frac, end_frac, score) rows, read-only, ranked
 
 
 def head_params(input_width: int, hidden: int) -> dict:
@@ -59,8 +61,12 @@ def _np_softmax(x: np.ndarray) -> np.ndarray:
 
 def enumerate_segments(
     start_logits: np.ndarray, end_logits: np.ndarray, max_segments: int | None = None
-) -> list[tuple[float, float, float]]:
-    """Rank all (i, j), i < j by softmax(start)[i] * softmax(end)[j]."""
+) -> np.ndarray:
+    """Rank all (i, j), i < j by softmax(start)[i] * softmax(end)[j].
+
+    Returns a read-only [n, 3] float64 array of (start_frac, end_frac, score)
+    rows in rank order; n is T(T-1)/2, capped at `max_segments`.
+    """
     T = start_logits.shape[0]
     s = _np_softmax(np.asarray(start_logits, dtype=np.float64))
     e = _np_softmax(np.asarray(end_logits, dtype=np.float64))
@@ -75,7 +81,9 @@ def enumerate_segments(
     run = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
     order = order[np.argsort(run * n + order)][:max_segments]
     lo, hi = frame_pair_to_fractions(i[order], j[order], T)
-    return list(zip(lo.tolist(), hi.tolist(), score[order].tolist()))
+    segments = np.stack([lo, hi, score[order]], axis=1)
+    segments.flags.writeable = False
+    return segments
 
 
 def span_logits(contextual: Tensor, params: dict) -> tuple[Tensor, Tensor]:

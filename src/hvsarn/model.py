@@ -38,10 +38,11 @@ from .params import flatten, init_params
 from .tensor import Tensor
 
 # Samples per forward in predict_dataset.  Measured with one BLAS thread on
-# a 2-vCPU x86 host: a chunk of 8 scores 226 queries/s against 240 for the
-# whole set at T=32/K=8 and 49 against 42 at T=128/K=4, and a T=256/K=8
-# chunk adds ~50 MB to the peak RSS of a process that holds the default
-# float32 model, where the whole set grows without bound.
+# a 2-vCPU x86 host (default float32 model, best of 3): a chunk of 8 scores
+# ~385 queries/s against ~372 for a whole set of 48 at T=32/K=8 and ~129
+# against ~124 for 24 at T=128/K=4, and a T=256/K=8 chunk adds ~50 MB to the
+# peak RSS of a process that holds the model, where the whole set grows
+# without bound.
 EVAL_CHUNK = 8
 
 

@@ -150,6 +150,7 @@ def train(
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss {value!r} at step {step}")
         mean_loss.backward()
+        del mean_loss  # the tape, so the next step's forward does not run beside it
         adam_update(state, hyper.learning_rate)
         curve.append(value)
         if log is not None and (step % max(1, hyper.steps // 10) == 0 or step == 1):

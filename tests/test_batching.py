@@ -67,9 +67,9 @@ def test_float32_predictions_do_not_depend_on_batch_companions(hidden):
     for a, b in zip(alone, chunk + together[5:]):
         assert a.start_logits.data.tobytes() == b.start_logits.data.tobytes()
         assert a.end_logits.data.tobytes() == b.end_logits.data.tobytes()
-        assert a.top_segments == b.top_segments
+        assert a.top_segments.tobytes() == b.top_segments.tobytes()
     for a, b in zip(alone, together):
-        assert a.top_segments == b.top_segments
+        assert a.top_segments.tobytes() == b.top_segments.tobytes()
 
 
 def test_forward_rejects_samples_of_different_shape():

@@ -12,6 +12,7 @@ import pytest
 
 from hvsarn.cli import main, parse_metric_grid, precision_dtype
 from hvsarn.data import ConfigError, GroundTruthSegment, VideoSample, load_dataset, save_sample
+from hvsarn.model import predict_dataset
 from hvsarn.training import load_checkpoint
 
 TINY = ["--lr", "1e-3", "--steps", "4", "--batch-size", "2"]
@@ -118,6 +119,9 @@ def test_full_pipeline(tmp_path, capsys, monkeypatch):
         for seg in record["segments"]:
             assert isinstance(seg, list) and len(seg) == 3
             assert 0.0 <= seg[0] < seg[1] <= 1.0
+    # JSON round-trips a float exactly, so the file holds the ranking itself
+    predictions = predict_dataset(state.model, load_dataset(str(data)))
+    assert [r["segments"] for r in records] == [p.top_segments.tolist() for p in predictions]
 
     tsv = (scored / "metrics.tsv").read_text().strip().split("\n")
     assert tsv[0] == "model\tR@1,IoU=0.5\tR@5,IoU=0.5"

@@ -32,6 +32,13 @@ def head_setup(seed=0, T=5, S=1):
     return params, frames
 
 
+def assert_same_rows(got, want):
+    """`got` holds exactly the bytes of the (start, end, score) rows `want`."""
+    want = np.asarray(want, dtype=np.float64).reshape(-1, 3)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_enumeration_matches_oracle():
     for seed in range(15):
         rng = np.random.default_rng(seed)
@@ -63,7 +70,7 @@ def test_uniform_logits_tie_order_at_t24():
     segs = enumerate_segments(np.zeros(T), np.zeros(T))
     pairs = [(round(lo * T), round(hi * T) - 1) for lo, hi, _ in segs]
     assert pairs == [(i, j) for i in range(T) for j in range(i + 1, T)]
-    assert segs == span_enumeration_oracle(np.zeros(T), np.zeros(T))
+    assert_same_rows(segs, span_enumeration_oracle(np.zeros(T), np.zeros(T)))
 
 
 def test_max_segments_is_a_prefix_of_the_full_ranking():
@@ -72,7 +79,7 @@ def test_max_segments_is_a_prefix_of_the_full_ranking():
     start[3] = start[5]  # equal start scores force (i, j) tie-breaks
     full = enumerate_segments(start, end)
     for m in (0, 1, 7, 65, 66, 100):
-        assert enumerate_segments(start, end, max_segments=m) == full[:m]
+        assert_same_rows(enumerate_segments(start, end, max_segments=m), full[:m])
 
 
 def stable_ranking(start, end, max_segments):
@@ -98,12 +105,12 @@ def test_ranking_equals_the_stable_argsort(T, logits, max_segments):
         "repeated": lambda: (rng.integers(0, 3, T) * 0.5, rng.integers(0, 3, T) * 0.5),
     }[logits]()
     want = stable_ranking(start, end, max_segments)
-    assert enumerate_segments(start, end, max_segments) == want
+    assert_same_rows(enumerate_segments(start, end, max_segments), want)
 
 
 def test_two_frame_video_has_single_candidate():
     segs = enumerate_segments(np.zeros(2), np.zeros(2))
-    assert segs == [(0.0, 1.0, segs[0][2])]
+    assert_same_rows(segs, [(0.0, 1.0, segs[0][2])])
     np.testing.assert_allclose(segs[0][2], 0.25, atol=1e-12)
 
 
@@ -129,7 +136,40 @@ def test_training_span_is_always_a_candidate():
 
 
 def test_one_frame_video_has_no_candidates():
-    assert enumerate_segments(np.zeros(1), np.zeros(1)) == []
+    assert_same_rows(enumerate_segments(np.zeros(1), np.zeros(1)), [])
+
+
+def assert_segment_array(segs, n):
+    assert segs.dtype == np.float64
+    assert segs.shape == (n, 3)
+    assert segs.flags.c_contiguous
+    with pytest.raises(ValueError):
+        segs[0:1, 2] = 1.0
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 24])
+def test_enumerate_segments_returns_a_read_only_float64_array(T):
+    rng = np.random.default_rng(T)
+    start, end = rng.normal(size=T), rng.normal(size=T)
+    full = enumerate_segments(start, end)
+    assert_segment_array(full, T * (T - 1) // 2)
+    for m in (0, 1, 3, T * (T - 1) // 2, 1000):
+        capped = enumerate_segments(start, end, max_segments=m)
+        assert_segment_array(capped, min(m, full.shape[0]))
+        assert capped.tobytes() == full[:m].tobytes()
+
+
+def test_predict_returns_read_only_float64_arrays():
+    params, frames = head_setup(seed=9, S=2)
+    contextual = fuse_and_contextualize(frames, params)
+    full = predict(contextual, params)
+    assert len(full) == 2
+    for m in (0, 1, 4, 10, 11):
+        capped = predict(contextual, params, max_segments=m)
+        for a, b in zip(full, capped):
+            assert_segment_array(a.top_segments, 10)  # C(5, 2)
+            assert_segment_array(b.top_segments, min(m, 10))
+            assert b.top_segments.tobytes() == a.top_segments[:m].tobytes()
 
 
 def test_uniform_logits_tie_break_is_lexicographic():

@@ -647,6 +647,23 @@ def test_backward_peak_memory_stays_well_below_the_tape():
     assert peak - tape <= 0.25 * tape, (peak - tape, tape)
 
 
+def test_a_step_does_not_hold_the_previous_steps_tape():
+    # Step n's tape is dropped after its backward, so step n + 1's forward
+    # peaks no higher than the first step's (1.84x when it was kept).
+    samples = [synth_sample(seed, 32, 8, "separable") for seed in range(8)]
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            train(samples, ModelConfig(), TrainHyper(steps=steps, batch_size=8))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(1), peak(2)
+    assert two <= 1.1 * one, (two, one)
+
+
 # -- shape limits ---------------------------------------------------------------
 
 
