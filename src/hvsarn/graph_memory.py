@@ -77,18 +77,19 @@ def gated_update(state: Tensor, pre: Tensor) -> Tensor:
     D = state.shape[-1]
     if pre.shape != state.shape[:-1] + (2 * D,):
         raise ValueError(f"pre shape {pre.shape} does not fit state shape {state.shape}")
+    state_node, pre_node, state_data = state._node, pre._node, state.data
     g = tt.stable_sigmoid(pre.data[..., D:])
     c = np.tanh(pre.data[..., :D])
-    out_data = g * state.data + (1.0 - g) * c
+    out_data = g * state_data + (1.0 - g) * c
 
     def backward(grad):
-        if state.requires_grad:
-            state._accumulate(grad * g)
-        if pre.requires_grad:
-            dpre = np.empty_like(pre.data)
+        if state_node is not None:
+            state_node._accumulate(grad * g)
+        if pre_node is not None:
+            dpre = np.empty(pre_node.shape, dtype=pre_node.dtype)
             dpre[..., :D] = grad * (1.0 - g) * (1.0 - c * c)
-            dpre[..., D:] = grad * (state.data - c) * g * (1.0 - g)
-            pre._accumulate(dpre)
+            dpre[..., D:] = grad * (state_data - c) * g * (1.0 - g)
+            pre_node._accumulate(dpre)
 
     return Tensor._result(out_data, (state, pre), backward)
 
@@ -157,6 +158,7 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
             f"source {source.shape}, w2 {w2.shape}"
         )
     B, K, D = target.shape
+    nodes, w2_data = (target._node, source._node, w2._node), w2.data
     dtype = np.result_type(target.data, source.data)
     target_rows, source_cols = target.data[:, :, None], source.data[:, None]
 
@@ -177,9 +179,9 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
 
     # Each [K, D] @ [D, 1] product is the one the whole stacked y @ w2 makes,
     # so the logits are the same bytes however the rows are blocked.
-    out_data = np.empty((B, K, K, 1), dtype=np.result_type(dtype, w2.data))
+    out_data = np.empty((B, K, K, 1), dtype=np.result_type(dtype, w2_data))
     for bs, ks, y in blocks():
-        np.matmul(y, w2.data, out=out_data[bs, ks])
+        np.matmul(y, w2_data, out=out_data[bs, ks])
 
     def backward(g):
         dw2 = np.zeros((D, 1), dtype=dtype)
@@ -196,16 +198,13 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
                 np.matmul(g_source[bs, :, :, ks], np.swapaxes(y, 1, 2), out=gy2_source[bs])
             else:
                 gy2_source[bs] += g_source[bs, :, :, ks] @ np.swapaxes(y, 1, 2)
-        w = w2.data[:, 0]
+        w = w2_data[:, 0]
         for gy2, gsum in ((gy2_target, g.sum(axis=2)), (gy2_source, g.sum(axis=1))):
             np.subtract(gsum[:, :, None, None], gy2, out=gy2)
             gy2 *= w
-        if target.requires_grad:
-            target._accumulate(gy2_target.reshape(B, K, D))
-        if source.requires_grad:
-            source._accumulate(gy2_source.reshape(B, K, D))
-        if w2.requires_grad:
-            w2._accumulate(dw2)
+        for node, grad in zip(nodes, (gy2_target.reshape(B, K, D), gy2_source.reshape(B, K, D), dw2)):
+            if node is not None:
+                node._accumulate(grad)
 
     return Tensor._result(out_data.reshape(B, K, K), (target, source, w2), backward)
 

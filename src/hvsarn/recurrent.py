@@ -81,6 +81,8 @@ def gru_sequence(x: Tensor, params: dict) -> Tensor:
     u_zr = np.stack([u.data for u, _ in weights])[:, None]  # [2, 1, H, 2H]
     u_g = np.stack([u.data for _, u in weights])[:, None]  # [2, 1, H, H]
     parents = (*projs, *weights[0], *weights[1])
+    proj_nodes = [p._node for p in projs]
+    weight_nodes = [(zr._node, g._node) for zr, g in weights]
     keep = tt.records(parents)
     states = np.empty((n, 2, S, 1, hidden), dtype=dtype)
     if keep:
@@ -115,7 +117,7 @@ def gru_sequence(x: Tensor, params: dict) -> Tensor:
         dprev_dh = 1.0 - z
         dar_dm = h_prev * r * (1.0 - r)
         u_zr_t, u_g_t = np.swapaxes(u_zr, -1, -2), np.swapaxes(u_g, -1, -2)
-        dproj = np.empty_like(proj)
+        dproj = np.empty((n, 2, S, 1, 3 * hidden), dtype=dtype)
         carry = np.zeros((2, S, 1, hidden), dtype=dtype)
         for t in range(n - 1, -1, -1):
             dh = dstates[t] + carry
@@ -126,14 +128,14 @@ def gru_sequence(x: Tensor, params: dict) -> Tensor:
             carry = dh * dprev_dh[t] + dm * r[t] + dproj[t, ..., : 2 * hidden] @ u_zr_t
         m = r * h_prev
         rows = S * n
-        for d, (p, (w_zr, w_g)) in enumerate(zip(projs, weights)):
+        for d, (p, (w_zr, w_g)) in enumerate(zip(proj_nodes, weight_nodes)):
             dproj_d = np.ascontiguousarray(_by_position(dproj, d))
-            if p.requires_grad:
+            if p is not None:
                 p._accumulate(dproj_d)
-            if w_zr.requires_grad:
+            if w_zr is not None:
                 h_rows = np.ascontiguousarray(_by_position(h_prev, d)).reshape(rows, hidden)
                 w_zr._accumulate(h_rows.T @ dproj_d[:, :, : 2 * hidden].reshape(rows, -1))
-            if w_g.requires_grad:
+            if w_g is not None:
                 m_rows = np.ascontiguousarray(_by_position(m, d)).reshape(rows, hidden)
                 w_g._accumulate(m_rows.T @ dproj_d[:, :, 2 * hidden :].reshape(rows, hidden))
 

@@ -6,6 +6,16 @@ stable (log-)softmax, sum/mean reductions, concat, indexing (`take`), and
 reshape/swapaxes/broadcast_to.
 Dtype is inherited from the operands, so the same code runs in float32
 for training and float64 for finite-difference verification.
+
+The tape links `_Node`s, not values. A `Tensor` is a value (`.data`) plus,
+when it requires a gradient, its node. A node holds its gradient, its
+parent nodes, its backward closure, and the shape, dtype and stride order
+of its gradient buffer; it references no `Tensor` and no output array.
+Each backward closure holds its parents' nodes and exactly the arrays it
+reads: a matmul or mul its operands, a tanh or (log-)softmax its own
+output, an add or a reshape only shapes. So the tape keeps only what some
+backward reads, and an output that none reads is freed as soon as the
+forward drops its last reference to it.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ def no_grad():
 
 def records(parents) -> bool:
     """True when an op on `parents` goes on the tape (some parent needs a gradient)."""
-    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p._node is not None for p in parents)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -48,15 +58,63 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _layout(data: np.ndarray):
+    """The axes of `data`, outermost first, in the order np.empty_like(data)
+    lays out a new buffer; None for C order."""
+    if data.ndim <= 1 or data.flags.c_contiguous:
+        return None
+    if data.flags.f_contiguous:
+        return tuple(range(data.ndim - 1, -1, -1))
+    # Descending |stride|, ties in axis order (numpy's stable stride sort).
+    return tuple(sorted(range(data.ndim), key=lambda i: -abs(data.strides[i])))
+
+
+class _Node:
+    """One vertex of the tape: a gradient, the parents it flows to, and how."""
+
+    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "_layout")
+
+    def __init__(self, data: np.ndarray, parents: tuple = (), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self._layout = _layout(data)
+
+    def _buffer(self, alloc):
+        """A new gradient buffer from `alloc` (np.empty or np.zeros), laid out
+        as np.empty_like of the node's output would be."""
+        if self._layout is None:
+            return alloc(self.shape, self.dtype)
+        outer_first = alloc(tuple(self.shape[i] for i in self._layout), self.dtype)
+        return outer_first.transpose(np.argsort(self._layout))
+
+    def _accumulate(self, g: np.ndarray):
+        # An intermediate node's gradient lives only until its backward has
+        # run (see `Tensor.backward`); a leaf's accumulates across backward calls.
+        if self.grad is None:
+            # Copy into a buffer laid out like the output; keeping g's own
+            # layout would change the summation order of later matmuls.
+            self.grad = self._buffer(np.empty)
+            self.grad[...] = g
+        else:
+            self.grad += g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A value and, when it requires a gradient, its node on the tape.
+
+    A leaf made with `requires_grad` gets a parent-less node at once; an op's
+    result gets one from `_result` only when the op goes on the tape. `grad`,
+    `_parents`, `_backward` and `_accumulate` read and write the node.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = _Node(self.data) if requires_grad else None
 
     # -- construction ------------------------------------------------------
 
@@ -64,21 +122,41 @@ class Tensor:
     def _result(data, parents, backward):
         out = Tensor(data)
         if records(parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+            nodes = tuple(p._node for p in parents if p._node is not None)
+            out._node = _Node(out.data, nodes, backward)
         return out
 
+    # -- the node ----------------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ValueError("only a tensor that requires grad holds a gradient")
+
+    @property
+    def _parents(self):
+        return self._node._parents
+
+    @property
+    def _backward(self):
+        return self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
+
     def _accumulate(self, g: np.ndarray):
-        # An intermediate node's gradient lives only until its backward has
-        # run (see `backward`); a leaf's accumulates across backward calls.
-        if self.grad is None:
-            # Copy into a buffer laid out like the data; keeping g's own layout
-            # would change the summation order of later matmuls.
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
-        else:
-            self.grad += g
+        self._node._accumulate(g)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -100,31 +178,36 @@ class Tensor:
     def backward(self, grad=None):
         """Backpropagate from this tensor; defaults to d(self)/d(self) = 1.
 
-        Each node with a backward drops its `.grad` as soon as that backward
-        has run, so the pass holds gradients only for the live frontier of
-        the tape. Afterwards only leaves (parameters and inputs created with
+        `grad`, when given, must have this tensor's shape. Each node with a
+        backward drops its `.grad` as soon as that backward has run, so the
+        pass holds gradients only for the live frontier of the tape.
+        Afterwards only leaves (parameters and inputs created with
         `requires_grad`) keep `.grad`, and a second backward on the same
         tape adds the same gradient to them again.
         """
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise ValueError("backward() on a tensor that does not require grad")
-        if grad is None:
-            grad = np.ones_like(self.data)
+        grad = np.asarray(np.ones_like(self.data) if grad is None else grad, dtype=self.data.dtype)
+        if grad.shape != self.data.shape:
+            raise ValueError(
+                f"seed gradient shape {grad.shape} does not match the tensor's shape {self.data.shape}"
+            )
         # Iterative topological order (graphs can be deep for long sequences).
-        order, seen, stack = [], set(), [(self, False)]
+        order, seen, stack = [], set(), [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p not in seen:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        root._accumulate(grad)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -166,35 +249,45 @@ class Tensor:
 
 
 # -- primitives ------------------------------------------------------------
+#
+# Each backward closure holds the parents' nodes (None for a parent that
+# needs no gradient) and only the arrays it reads.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
+    an, bn = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if an is not None:
+            an._accumulate(_unbroadcast(g, an.shape))
+        if bn is not None:
+            bn._accumulate(_unbroadcast(g, bn.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
+    an = a._node
+
     def backward(g):
-        a._accumulate(-g)
+        an._accumulate(-g)
 
     return Tensor._result(-a.data, (a,), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
+    an, bn = a._node, b._node
+    # Each operand's gradient reads the other operand alone.
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if an is not None:
+            an._accumulate(_unbroadcast(g * b_data, an.shape))
+        if bn is not None:
+            bn._accumulate(_unbroadcast(g * a_data, bn.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -203,27 +296,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
     out_data = a.data @ b.data
+    an, bn = a._node, b._node
+    # Each operand's gradient reads the other operand alone.
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            if b.ndim == 2:
+        if an is not None:
+            an._accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape))
+        if bn is not None:
+            if len(bn.shape) == 2:
                 # A weight shared by a stack of matrices: one [m, rows] @ [rows, p]
                 # product instead of a [batch, m, p] stack summed afterwards.
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            b._accumulate(gb)
+                gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, bn.shape)
+            bn._accumulate(gb)
 
     return Tensor._result(out_data, (a, b), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
+    an = a._node
     y = np.tanh(a.data)
 
     def backward(g):
-        a._accumulate(g * (1.0 - y * y))
+        an._accumulate(g * (1.0 - y * y))
 
     return Tensor._result(y, (a,), backward)
 
@@ -238,36 +336,39 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    an = a._node
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
         s = (g * y).sum(axis=axis, keepdims=True)
-        a._accumulate(y * (g - s))
+        an._accumulate(y * (g - s))
 
     return Tensor._result(y, (a,), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    an = a._node
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
 
     def backward(g):
-        a._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        an._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     return Tensor._result(y, (a,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    an = a._node
 
     def backward(g):
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
+        an._accumulate(np.broadcast_to(g, an.shape))
 
     return Tensor._result(out_data, (a,), backward)
 
@@ -284,51 +385,57 @@ def concat(tensors, axis: int = -1) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+                node._accumulate(g[tuple(idx)])
 
     return Tensor._result(out_data, tuple(tensors), backward)
 
 
 def take(a: Tensor, idx) -> Tensor:
     out_data = a.data[idx]
+    an = a._node
 
     def backward(g):
         # np.add.at sums the rows of repeated fancy indices, where
         # `a.grad[idx] += g` would keep only one of them.
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+        if an.grad is None:
+            an.grad = an._buffer(np.zeros)
+        np.add.at(an.grad, idx, g)
 
     return Tensor._result(out_data, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    an = a._node
+
     def backward(g):
-        a._accumulate(g.reshape(a.data.shape))
+        an._accumulate(g.reshape(an.shape))
 
     return Tensor._result(a.data.reshape(shape), (a,), backward)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    an = a._node
+
     def backward(g):
-        a._accumulate(np.swapaxes(g, ax1, ax2))
+        an._accumulate(np.swapaxes(g, ax1, ax2))
 
     return Tensor._result(np.swapaxes(a.data, ax1, ax2), (a,), backward)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    out_data = np.broadcast_to(a.data, shape)
+    an = a._node
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
+        an._accumulate(_unbroadcast(g, an.shape))
 
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(np.broadcast_to(a.data, shape), (a,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -1,6 +1,7 @@
 """Per-op finite-difference checks and tape semantics for the autodiff core."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -198,8 +199,75 @@ def test_backward_keeps_only_the_leaf_gradients():
             stack.extend(node._parents)
     assert not [n.shape for n in nodes.values() if n._backward is not None and n.grad is not None]
     leaves = [n for n in nodes.values() if n._backward is None]
-    assert {id(n) for n in leaves} == {id(x), id(w)}
+    assert {id(n) for n in leaves} == {id(x._node), id(w._node)}
     assert all(n.grad is not None for n in leaves)
+
+
+def recording_result(monkeypatch, record):
+    """Wrap `Tensor._result` so that `record(op, out, backward)` sees every
+    tensor an op returns; `op` is the name of the function that built it."""
+    result = Tensor.__dict__["_result"].__func__
+
+    def recorded_result(data, parents, backward):
+        out = result(data, parents, backward)
+        record(backward.__qualname__.split(".")[0], out, backward)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(recorded_result))
+
+
+def test_the_tape_keeps_only_the_outputs_a_backward_reads(monkeypatch):
+    # No backward reads the matmul's or the bias add's output, so each dies
+    # with the forward's last reference to it; tanh's backward reads its own.
+    outputs = {}
+    recording_result(monkeypatch, lambda op, out, _: outputs.setdefault(op, weakref.ref(out.data)))
+    arrays = [RNG.normal(size=shape) for shape in ((4, 3), (3, 2), (2,))]
+    x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+    loss = tt.tsum(tt.tanh(tt.linear(x, w, b)))
+    assert outputs["matmul"]() is None
+    assert outputs["add"]() is None
+    assert outputs["tanh"]() is not None and loss.requires_grad
+    fd_check(lambda x, w, b: tt.tanh(tt.linear(x, w, b)), *arrays)
+
+
+def test_gradient_buffers_are_laid_out_like_their_outputs(monkeypatch):
+    # A node's first gradient buffer takes the strides np.empty_like of its
+    # output would have, as the later matmuls' summation order depends on it.
+    # The swapaxes output here reaches the loss only through takes, so its
+    # buffer is take's zero fill.
+    checked = []
+
+    def record(op, out, backward):
+        if out.requires_grad:
+            want, strided = np.empty_like(out.data).strides, not out.data.flags.c_contiguous
+
+            def recorded_backward(g):
+                checked.append((op, g.strides, want, strided))
+                backward(g)
+
+            out._backward = recorded_backward
+
+    recording_result(monkeypatch, record)
+    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    y = tt.tanh(x)
+    s = tt.swapaxes(y, 0, 2)  # [4, 3, 2]
+    r = tt.matmul(tt.swapaxes(y, 1, 2), w)  # [2, 4, 3] @ [3, 2]
+    c = tt.broadcast_to(y[:, :1], (5, 2, 3, 4))
+    loss = tt.tsum(s[1:, :, :1] * 3.0) + tt.tsum(s[:2] * s[:2]) + tt.tsum(r * r) + tt.tsum(c * c)
+    loss.backward()
+    assert [(op, got, want) for op, got, want, _ in checked if got != want] == []
+    assert {"swapaxes", "broadcast_to", "take"} <= {op for op, *_, strided in checked if strided}
+
+
+def test_backward_rejects_a_seed_of_another_shape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = x * 2.0
+    with pytest.raises(ValueError, match=r"\(1,\).*\(3,\)"):
+        y.backward(np.ones(1))
+    assert x.grad is None
+    tt.tsum(y).backward(3.0)  # a scalar seed on a 0-d loss
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
 
 
 def test_no_grad_blocks_tape():
