@@ -22,9 +22,10 @@ controller:
 
 Each gated layer (the read's, the write's, the memory_network baseline's)
 stores one [D, 2D] weight [candidate | gate] per input ([Wq | Wq'] as `wq`,
-and so on) and one [2D] bias [b | b'].  Each input takes one projection,
-and `gated_update` turns their [..., 2D] sum into the new state as one
-tape node with a hand-written backward.
+and so on) and one [2D] bias [b | b'].  The projections of all inputs and
+the bias are one `tt.affine` node, and `gated_update` turns that [..., 2D]
+sum into the new state as one tape node with a hand-written backward.  The
+read's score input W1a Q + W2a v_k + ba is one `tt.affine` node too.
 
 The pair score m [B, K, K] is one tape node too, `pair_logits`, over the
 target map W1t v_k + b1, the source map W1s v_i and w2.  It never holds the
@@ -80,16 +81,31 @@ def gated_update(state: Tensor, pre: Tensor) -> Tensor:
     state_node, pre_node, state_data = state._node, pre._node, state.data
     g = tt.stable_sigmoid(pre.data[..., D:])
     c = np.tanh(pre.data[..., :D])
-    out_data = g * state_data + (1.0 - g) * c
+    out_data = g * state_data
+    mix = np.subtract(1.0, g)
+    mix *= c
+    out_data += mix
 
     def backward(grad):
-        if state_node is not None:
-            state_node._accumulate(grad * g)
+        # dL/dpre = [grad * (1 - g) * (1 - c^2) | grad * (state - c) * g * (1 - g)],
+        # each product in that order, with two scratch buffers; the second
+        # then holds dL/dstate = grad * g.
+        scratch = np.empty_like(g)
         if pre_node is not None:
             dpre = np.empty(pre_node.shape, dtype=pre_node.dtype)
-            dpre[..., :D] = grad * (1.0 - g) * (1.0 - c * c)
-            dpre[..., D:] = grad * (state_data - c) * g * (1.0 - g)
-            pre_node._accumulate(dpre)
+            dcand, dgate = dpre[..., :D], dpre[..., D:]
+            one_minus_g = np.subtract(1.0, g)
+            np.multiply(grad, one_minus_g, out=dcand)
+            np.multiply(c, c, out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            dcand *= scratch
+            np.subtract(state_data, c, out=scratch)
+            np.multiply(grad, scratch, out=dgate)
+            dgate *= g
+            dgate *= one_minus_g
+            pre_node._accumulate(dpre, owned=True)
+        if state_node is not None:
+            state_node._accumulate(np.multiply(grad, g, out=scratch), owned=True)
 
     return Tensor._result(out_data, (state, pre), backward)
 
@@ -112,7 +128,7 @@ def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
     p = params["read"]
     B, K, _ = nodes.shape
-    h = tt.tanh(tt.linear(controller, p["attn_w1"]) + tt.linear(nodes, p["attn_w2"]) + p["attn_b"])
+    h = tt.tanh(tt.affine(((controller, p["attn_w1"]), (nodes, p["attn_w2"])), p["attn_b"]))
     return tt.softmax(tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K)), axis=2)
 
 
@@ -120,9 +136,7 @@ def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Batched read of controllers [B, 1, D] over nodes [B, K, D]; returns the new controllers."""
     p = params["read"]
     content = tt.matmul(read_attention(controller, nodes, params), nodes)
-    return gated_update(
-        controller, tt.linear(controller, p["wq"]) + tt.linear(content, p["wr"]) + p["b"]
-    )
+    return gated_update(controller, tt.affine(((controller, p["wq"]), (content, p["wr"])), p["b"]))
 
 
 # Bytes of tanh output one block of pair_logits holds: a few hundred KiB
@@ -204,7 +218,7 @@ def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
             gy2 *= w
         for node, grad in zip(nodes, (gy2_target.reshape(B, K, D), gy2_source.reshape(B, K, D), dw2)):
             if node is not None:
-                node._accumulate(grad)
+                node._accumulate(grad, owned=True)
 
     return Tensor._result(out_data.reshape(B, K, K), (target, source, w2), backward)
 
@@ -236,8 +250,8 @@ def write_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Batched write of nodes [B, K, D] under controllers [B, 1, D]; returns the new nodes."""
     p = params["write"]
     context = neighbor_context(nodes, params)
-    pre = tt.linear(nodes, p["wv"]) + tt.linear(controller, p["wq"]) + tt.linear(context, p["wc"])
-    return gated_update(nodes, pre + p["b"])
+    pre = tt.affine(((nodes, p["wv"]), (controller, p["wq"]), (context, p["wc"])), p["b"])
+    return gated_update(nodes, pre)
 
 
 def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int):
@@ -300,7 +314,7 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict) ->
         attn = tt.softmax(scores, axis=-1)
         return nodes + tt.matmul(attn, v)
     if kind == "memory_network":
-        pre = tt.linear(nodes, params["wv"]) + tt.linear(controller, params["wq"]) + params["b"]
+        pre = tt.affine(((nodes, params["wv"]), (controller, params["wq"])), params["b"])
         return gated_update(nodes, pre)
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 

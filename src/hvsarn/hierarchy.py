@@ -119,11 +119,9 @@ def frame_level_pass(
 def fusion_attention(visual_nodes: Tensor, sentences: Tensor, params: dict) -> Tensor:
     """Query-guided attention weights over objects, [S, T, K]; rows sum to 1."""
     S, T, K, D = visual_nodes.shape
-    h = tt.tanh(
-        tt.linear(visual_nodes, params["attn_w"])
-        + tt.linear(tt.reshape(sentences, (S, 1, 1, D)), params["attn_u"])
-        + params["attn_b"]
-    )
+    sentence_rows = tt.reshape(sentences, (S, 1, 1, D))
+    terms = ((visual_nodes, params["attn_w"]), (sentence_rows, params["attn_u"]))
+    h = tt.tanh(tt.affine(terms, params["attn_b"]))
     logits = tt.reshape(tt.linear(h, params["attn_v"]), (S, T, K))
     return tt.softmax(logits, axis=2)
 

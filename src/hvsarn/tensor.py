@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough tape machinery for the model in this package: add, neg and mul
-with broadcasting (plus division by a constant), batched matmul, tanh,
-stable (log-)softmax, sum/mean reductions, concat, indexing (`take`), and
-reshape/swapaxes/broadcast_to.
+with broadcasting (plus division by a constant), batched matmul, `affine`
+(a sum of products with 2-D weights plus a bias, as one node; `linear` is
+its one-product case), tanh, stable (log-)softmax, sum/mean reductions,
+concat, indexing (`take`), and reshape/swapaxes/broadcast_to.
 Dtype is inherited from the operands, so the same code runs in float32
 for training and float64 for finite-difference verification.
 
@@ -12,10 +13,18 @@ when it requires a gradient, its node. A node holds its gradient, its
 parent nodes, its backward closure, and the shape, dtype and stride order
 of its gradient buffer; it references no `Tensor` and no output array.
 Each backward closure holds its parents' nodes and exactly the arrays it
-reads: a matmul or mul its operands, a tanh or (log-)softmax its own
-output, an add or a reshape only shapes. So the tape keeps only what some
-backward reads, and an output that none reads is freed as soon as the
-forward drops its last reference to it.
+reads: a matmul, an affine or a mul its operands, a tanh or (log-)softmax
+its own output, an add or a reshape only shapes. So the tape keeps only
+what some backward reads, and an output that none reads is freed as soon
+as the forward drops its last reference to it.
+
+A node's first gradient is a copy into a buffer laid out like its output,
+except when the backward hands its array over (`owned=True`): then the node
+keeps that array as its gradient, if its shape, dtype and C layout match.
+A backward hands over only an array it allocated for that one parent
+(matmul's and affine's products, tanh's and softmax's results, and
+`gated_update`'s and `pair_logits`' gradients); `add`, which passes one `g`
+to both parents, never does, so no two nodes ever share a gradient buffer.
 """
 
 from __future__ import annotations
@@ -90,10 +99,21 @@ class _Node:
         outer_first = alloc(tuple(self.shape[i] for i in self._layout), self.dtype)
         return outer_first.transpose(np.argsort(self._layout))
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
         # An intermediate node's gradient lives only until its backward has
         # run (see `Tensor.backward`); a leaf's accumulates across backward calls.
         if self.grad is None:
+            if (
+                owned
+                and self._layout is None
+                and g.shape == self.shape
+                and g.dtype == self.dtype
+                and g.flags.c_contiguous
+            ):
+                # A fresh array made for this node alone, laid out as its
+                # output: keep it instead of copying it.
+                self.grad = g
+                return
             # Copy into a buffer laid out like the output; keeping g's own
             # layout would change the summation order of later matmuls.
             self.grad = self._buffer(np.empty)
@@ -106,8 +126,8 @@ class Tensor:
     """A value and, when it requires a gradient, its node on the tape.
 
     A leaf made with `requires_grad` gets a parent-less node at once; an op's
-    result gets one from `_result` only when the op goes on the tape. `grad`,
-    `_parents`, `_backward` and `_accumulate` read and write the node.
+    result gets one from `_result` only when the op goes on the tape. `grad`
+    reads and writes the node's gradient.
     """
 
     __slots__ = ("data", "_node")
@@ -142,21 +162,6 @@ class Tensor:
             self._node.grad = value
         elif value is not None:
             raise ValueError("only a tensor that requires grad holds a gradient")
-
-    @property
-    def _parents(self):
-        return self._node._parents
-
-    @property
-    def _backward(self):
-        return self._node._backward
-
-    @_backward.setter
-    def _backward(self, fn):
-        self._node._backward = fn
-
-    def _accumulate(self, g: np.ndarray):
-        self._node._accumulate(g)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -303,7 +308,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if an is not None:
-            an._accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape))
+            an._accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape), owned=True)
         if bn is not None:
             if len(bn.shape) == 2:
                 # A weight shared by a stack of matrices: one [m, rows] @ [rows, p]
@@ -311,7 +316,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, bn.shape)
-            bn._accumulate(gb)
+            bn._accumulate(gb, owned=True)
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -321,7 +326,10 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
     def backward(g):
-        an._accumulate(g * (1.0 - y * y))
+        # g * (1 - y^2) in one buffer
+        dx = np.multiply(y, y)
+        np.subtract(1.0, dx, out=dx)
+        an._accumulate(np.multiply(g, dx, out=dx), owned=True)
 
     return Tensor._result(y, (a,), backward)
 
@@ -331,19 +339,28 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
     The numerator exp(min(x, 0)) is exactly e for x < 0 and exactly 1 for
     x >= 0, so this is the branch-per-sign form without a mask."""
-    e = np.exp(-np.abs(x))
-    return np.exp(np.minimum(x, 0)) / (1.0 + e)
+    # asarray: for a 0-d input the ufuncs return scalars, which out= rejects
+    e = np.asarray(np.abs(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    y = np.asarray(np.minimum(x, 0))
+    np.exp(y, out=y)
+    return np.divide(y, e, out=y)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     an = a._node
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        s = (g * y).sum(axis=axis, keepdims=True)
-        an._accumulate(y * (g - s))
+        # y * (g - sum(g * y)) in one buffer
+        dx = np.multiply(g, y)
+        s = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, s, out=dx)
+        an._accumulate(np.multiply(y, dx, out=dx), owned=True)
 
     return Tensor._result(y, (a,), backward)
 
@@ -438,9 +455,84 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return Tensor._result(np.broadcast_to(a.data, shape), (a,), backward)
 
 
+def _fits(shape: tuple, into: tuple) -> bool:
+    """True when an array of `shape` broadcasts to `into` without growing it."""
+    if shape == into:
+        return True
+    return len(shape) <= len(into) and all(n in (1, m) for n, m in zip(shape[::-1], into[::-1]))
+
+
+def affine(terms, b: Tensor | None = None) -> Tensor:
+    """((x1 @ W1 + x2 @ W2) + ...) + b as one node, for terms ((x1, W1), (x2, W2), ...).
+
+    Each x has ndim >= 2 and each W is 2-D [m, p]; the products broadcast
+    against each other, and b, when given, is [p].  The forward adds each
+    term, in order, into the first buffer of the full output shape, so its
+    bytes are those of the same sum built from `matmul` and `add`.  The
+    backward forms each term's gradient straight from g: g summed down to the
+    product's shape, then dx = g_i @ W^T and dW = x^T g_i over all rows.
+    """
+    terms = tuple(terms)
+    if not terms:
+        raise ValueError("affine needs at least one (x, W) term")
+    width = terms[0][1].data.shape[-1]
+    for x, w in terms:
+        xs, ws = x.data.shape, w.data.shape
+        if len(xs) < 2:
+            raise ValueError(f"affine requires x with ndim >= 2, got x {xs} for W {ws}")
+        if len(ws) != 2 or xs[-1] != ws[0] or ws[1] != width:
+            raise ValueError(
+                f"affine term x {xs} @ W {ws} does not fit: W must be 2-D [{xs[-1]}, {width}]"
+            )
+    if b is not None and b.data.shape != (width,):
+        raise ValueError(f"affine bias {b.data.shape} does not fit the output width {width}")
+    products = [x.data @ w.data for x, w in terms]
+    out_data = products[0]
+    # Every product is a fresh array, so a sum of two of one dtype may go
+    # into whichever of them has the full shape.
+    for p in products[1:]:
+        if p.dtype == out_data.dtype and _fits(p.shape, out_data.shape):
+            np.add(out_data, p, out=out_data)
+        elif p.dtype == out_data.dtype and _fits(out_data.shape, p.shape):
+            out_data = np.add(out_data, p, out=p)
+        else:
+            out_data = out_data + p
+    if b is not None:
+        b_data = b.data
+        out_data = np.add(out_data, b_data, out=out_data if b_data.dtype == out_data.dtype else None)
+    parents = sum(terms, ()) + (() if b is None else (b,))
+    if not records(parents):  # off the tape: skip building the backward
+        return Tensor(out_data)
+    # Each operand's gradient reads the other operand of its term alone.
+    saved = [
+        (
+            x._node,
+            w._node,
+            x.data if w._node is not None else None,
+            w.data if x._node is not None else None,
+            x.shape[:-1] + (width,),
+        )
+        for x, w in terms
+    ]
+    bn = None if b is None else b._node
+
+    def backward(g):
+        for xn, wn, x_data, w_data, shape in saved:
+            if xn is None and wn is None:
+                continue
+            gi = _unbroadcast(g, shape)
+            if xn is not None:
+                xn._accumulate(gi @ w_data.T, owned=True)
+            if wn is not None:
+                # matmul's product for a 2-D weight, so the bytes match it
+                gw = x_data.reshape(-1, x_data.shape[-1]).T @ gi.reshape(-1, width)
+                wn._accumulate(gw, owned=True)
+        if bn is not None:
+            bn._accumulate(_unbroadcast(g, bn.shape), owned=True)
+
+    return Tensor._result(out_data, parents, backward)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map on the last axis: x [..., m] @ w [m, p] (+ b [p]), x.ndim >= 2."""
-    y = matmul(x, w)
-    if b is not None:
-        y = add(y, b)
-    return y
+    return affine(((x, w),), b)

@@ -76,7 +76,10 @@ def init_state(model: Model) -> TrainState:
 
 
 def adam_update(state: TrainState, learning_rate: float) -> None:
-    """One Adam step over accumulated gradients (missing grads count as zero)."""
+    """One Adam step over accumulated gradients.
+
+    A parameter without a gradient is skipped: it keeps its value and both
+    moments (no decay), while the step count still advances."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - _ADAM_BETA1**t

@@ -77,6 +77,7 @@ def test_sigmoid_extreme_inputs_stable():
     y = tt.stable_sigmoid(np.array([-800.0, 0.0, 800.0]))
     assert np.all(np.isfinite(y))
     assert y[0] == 0.0 and y[2] == 1.0
+    assert tt.stable_sigmoid(np.array(0.0)) == 0.5 and tt.stable_sigmoid(-800.0) == 0.0
 
 
 def masked_sigmoid(x):
@@ -163,11 +164,138 @@ def test_reshape_swapaxes_broadcast():
     fd_check(lambda a: tt.broadcast_to(a, (4, 2, 6)), x)
 
 
-def test_linear_affine_and_vector_input():
+def test_linear_affine_and_vector_input(monkeypatch):
     x, w, b = RNG.normal(size=(4, 3)), RNG.normal(size=(3, 2)), RNG.normal(size=(2,))
     fd_check(tt.linear, x, w, b)
     with pytest.raises(ValueError, match="ndim >= 2"):
         tt.linear(Tensor(RNG.normal(size=(3,))), Tensor(w), Tensor(b))
+    # linear is affine with one term: one node, with or without the bias
+    ops = []
+    recording_result(monkeypatch, lambda op, out, _: ops.append(op))
+    tt.linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+    tt.linear(Tensor(x, requires_grad=True), Tensor(w))
+    assert ops == ["affine", "affine"]
+
+
+def test_affine_gradients_match_finite_differences():
+    B, K, D, P = 2, 3, 3, 2
+    # a [B, 1, D] controller term broadcast against a [B, K, D] node term
+    fd_check(
+        lambda c, wc, n, wn, b: tt.affine(((c, wc), (n, wn)), b),
+        *(RNG.normal(size=s) for s in ((B, 1, D), (D, P), (B, K, D), (D, P), (P,))),
+    )
+    # the fusion attention's [S, T, K, D] objects and [S, 1, 1, D] sentences
+    fd_check(
+        lambda v, wv, q, wq, b: tt.affine(((v, wv), (q, wq)), b),
+        *(RNG.normal(size=s) for s in ((2, 2, K, D), (D, P), (2, 1, 1, D), (D, P), (P,))),
+    )
+    # a constant x: gradients reach only the weights and the bias
+    const = Tensor(RNG.normal(size=(B, K, D)))
+    fd_check(
+        lambda x, w, wc, b: tt.affine(((x, w), (const, wc)), b),
+        *(RNG.normal(size=s) for s in ((B, 1, D), (D, P), (D, P), (P,))),
+    )
+    # no bias
+    fd_check(
+        lambda x, w, y, v: tt.affine(((x, w), (y, v))),
+        *(RNG.normal(size=s) for s in ((B, K, D), (D, P), (B, K, 2), (2, P))),
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_bytes_match_the_same_sum_of_matmul_and_add_nodes(dtype):
+    # [B, K, D] @ W1 + [B, 1, D] @ W2 + [B, K, D] @ W3 + b as one node and as
+    # matmul and add nodes in the same order, each on its own leaves.
+    rng = np.random.default_rng(3)
+    B, K, D, P = 3, 4, 5, 6
+    shapes = ((B, K, D), (D, P), (B, 1, D), (D, P), (B, K, D), (D, P), (P,))
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+    grad = rng.normal(size=(B, K, P)).astype(dtype)
+    fused = [Tensor(a, requires_grad=True) for a in arrays]
+    x1, w1, x2, w2, x3, w3, b = fused
+    out = tt.affine(((x1, w1), (x2, w2), (x3, w3)), b)
+    out.backward(grad)
+    composed = [Tensor(a, requires_grad=True) for a in arrays]
+    x1, w1, x2, w2, x3, w3, b = composed
+    ref = tt.matmul(x1, w1) + tt.matmul(x2, w2) + tt.matmul(x3, w3) + b
+    ref.backward(grad)
+    assert out.dtype == dtype
+    assert out.data.tobytes() == ref.data.tobytes()
+    for i, (got, want) in enumerate(zip(fused, composed)):
+        assert got.grad.dtype == dtype
+        assert got.grad.tobytes() == want.grad.tobytes(), i
+
+
+def test_affine_rejects_shapes_that_do_not_fit():
+    x, w, b = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+    with pytest.raises(ValueError, match=r"ndim >= 2.*\(3,\).*\(3, 2\)"):
+        tt.affine(((Tensor(np.ones(3)), w),), b)
+    with pytest.raises(ValueError, match=r"\(4, 3\) @ W \(1, 3, 2\)"):
+        tt.affine(((x, Tensor(np.ones((1, 3, 2)))),))
+    with pytest.raises(ValueError, match=r"\(4, 3\) @ W \(2, 2\)"):
+        tt.affine(((x, Tensor(np.ones((2, 2)))),))
+    with pytest.raises(ValueError, match=r"\(4, 3\) @ W \(3, 5\)"):
+        tt.affine(((x, w), (x, Tensor(np.ones((3, 5))))))
+    with pytest.raises(ValueError, match=r"bias \(3,\).* 2"):
+        tt.affine(((x, w),), Tensor(np.ones(3)))
+    with pytest.raises(ValueError, match=r"bias \(1, 2\)"):
+        tt.affine(((x, w),), Tensor(np.ones((1, 2))))
+    with pytest.raises(ValueError, match="at least one"):
+        tt.affine(())
+
+
+def test_shared_reads_get_the_composed_gradient_in_unshared_buffers(monkeypatch):
+    # One tensor read by two terms of a sum, and add(h, h), each give their
+    # node two parts of its gradient. Handed-over buffers belong to one node
+    # each: no two gradients ever share memory during the backward.
+    nodes, overlaps = [], []
+
+    def check_no_shared_gradients():
+        grads = [n.grad for n in nodes if n.grad is not None]
+        overlaps.extend(
+            (a.shape, b.shape)
+            for i, a in enumerate(grads)
+            for b in grads[i + 1 :]
+            if np.shares_memory(a, b)
+        )
+
+    def record(op, out, backward):
+        if out.requires_grad:
+            nodes.append(out._node)
+
+            def checked_backward(g):
+                check_no_shared_gradients()
+                backward(g)
+                check_no_shared_gradients()
+
+            out._node._backward = checked_backward
+
+    recording_result(monkeypatch, record)
+    arrays = [RNG.normal(size=s) for s in ((2, 3, 4), (4, 4), (4, 4), (4,))]
+
+    def grads(fused):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        nodes[:] = [t._node for t in leaves]
+        x, w1, w2, b = leaves
+        if fused:
+            pre = tt.affine(((x, w1), (x, w2)), b)
+        else:
+            pre = tt.add(tt.add(tt.matmul(x, w1), tt.matmul(x, w2)), b)
+        h = tt.tanh(pre)
+        s = tt.softmax(tt.add(h, h), axis=-1)
+        y = tt.matmul(s, tt.swapaxes(h, 1, 2))
+        tt.tsum(y * y).backward()
+        check_no_shared_gradients()
+        return [t.grad.tobytes() for t in leaves]
+
+    assert grads(fused=True) == grads(fused=False)
+    assert not overlaps, overlaps
+    # add(a, a) hands g to both of its parent slots as a copy, then adds it
+    a = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    seed = RNG.normal(size=(3, 2))
+    tt.add(a, a).backward(seed)
+    assert a.grad.tobytes() == (seed + seed).tobytes()
+    assert not np.shares_memory(a.grad, seed)
 
 
 def test_grad_accumulates_when_tensor_reused():
@@ -191,7 +319,7 @@ def test_backward_keeps_only_the_leaf_gradients():
     w = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
     loss = tt.tsum(tt.tanh(tt.matmul(x, w)) * x[:, :1])
     loss.backward()
-    nodes, stack = {}, [loss]
+    nodes, stack = {}, [loss._node]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
@@ -217,15 +345,14 @@ def recording_result(monkeypatch, record):
 
 
 def test_the_tape_keeps_only_the_outputs_a_backward_reads(monkeypatch):
-    # No backward reads the matmul's or the bias add's output, so each dies
-    # with the forward's last reference to it; tanh's backward reads its own.
+    # No backward reads the affine node's output, so it dies with the
+    # forward's last reference to it; tanh's backward reads its own.
     outputs = {}
     recording_result(monkeypatch, lambda op, out, _: outputs.setdefault(op, weakref.ref(out.data)))
     arrays = [RNG.normal(size=shape) for shape in ((4, 3), (3, 2), (2,))]
     x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
     loss = tt.tsum(tt.tanh(tt.linear(x, w, b)))
-    assert outputs["matmul"]() is None
-    assert outputs["add"]() is None
+    assert outputs["affine"]() is None
     assert outputs["tanh"]() is not None and loss.requires_grad
     fd_check(lambda x, w, b: tt.tanh(tt.linear(x, w, b)), *arrays)
 
@@ -245,7 +372,7 @@ def test_gradient_buffers_are_laid_out_like_their_outputs(monkeypatch):
                 checked.append((op, g.strides, want, strided))
                 backward(g)
 
-            out._backward = recorded_backward
+            out._node._backward = recorded_backward
 
     recording_result(monkeypatch, record)
     x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
