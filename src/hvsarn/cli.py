@@ -153,7 +153,8 @@ def cmd_train(args) -> int:
         log=print,
     )
     atomic_write_json(os.path.join(args.out_dir, "loss_curve.json"), curve)
-    print(f"final loss {curve[-1]:.4f} after {state.step} steps")
+    if curve:
+        print(f"final loss {curve[-1]:.4f} after {state.step} steps")
     write_run_manifest(
         args.out_dir,
         "train",
@@ -178,6 +179,7 @@ def cmd_eval(args) -> int:
     if any(t is None for t in truths):
         raise ConfigError(f"{args.data_dir}: evaluation needs annotated samples")
     predictions = predict_dataset(state.model, dataset)
+    report = evaluate_predictions(predictions, truths, grid)
     os.makedirs(args.out_dir, exist_ok=True)
 
     records = []
@@ -191,7 +193,6 @@ def cmd_eval(args) -> int:
         )
     write_predictions_jsonl(os.path.join(args.out_dir, "predictions.jsonl"), records)
 
-    report = evaluate_predictions(predictions, truths, grid)
     write_metrics_tsv(os.path.join(args.out_dir, "metrics.tsv"), {"model": report}, grid)
     atomic_write_json(os.path.join(args.out_dir, "metrics.json"), report.to_dict())
     for (n, m) in grid:

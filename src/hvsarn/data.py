@@ -175,6 +175,15 @@ class QuerySample:
 Sample = tuple[VideoSample, QuerySample]
 
 
+def group_by_shape(shapes, limit: int | None = None) -> list[list[int]]:
+    """Indices of equal `shapes` in order of first appearance, in chunks of at most `limit`."""
+    groups: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    step = limit or len(shapes)
+    return [g[lo : lo + step] for g in groups.values() for lo in range(0, len(g), step)]
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Model hyperparameters plus the ablation switches.

@@ -1,16 +1,17 @@
-"""Initial object/semantic representations and the query sentence vector.
+"""Initial object/semantic representations and the query sentence vectors.
 
-Video side: region features and box geometry get separate learned affine
-maps into the hidden space and are summed; semantic (class/attribute) word
-vectors get their own affine map.  `encode_video` stacks a group of S
+Video side: region features and box geometry get their own learned weights
+and one shared bias, summed in one affine node; semantic (class/attribute)
+word vectors get their own affine map.  `encode_video` stacks a group of S
 same-shape videos on a leading sample axis, [S, T, K, D].  Query side:
 token vectors pass through one residual multi-head self-attention layer,
 then the bidirectional GRU `recurrent.gru_sequence`; the sentence vector is
 the projected concatenation of the two final hidden states (the forward
 direction's at the last token, the backward direction's at the first).
-Queries differ in length, so each is encoded on its own, as a one-row
-matrix [1, 1, D], and the caller stacks the sentences into the [S, 1, D]
-controllers of the reasoning layers.
+`encode_query` runs the queries of each token count n as one [S_n, n, Dw]
+pass whose rows keep the shapes they have alone, so a query's bytes do not
+depend on its companions.  One take restores input order before the
+projection to the [S, 1, D] controllers of the reasoning layers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .data import QuerySample, VideoSample
+from .data import QuerySample, VideoSample, group_by_shape
 from .recurrent import bigru_params, gru_sequence
 from .tensor import Tensor
 
@@ -52,7 +53,7 @@ def encoder_params(dims: InputDims, hidden: int, heads: int) -> dict:
     dw = dims.word_dim
     return {
         "visual": [("w", (dims.feature_dim, hidden)), ("b", (hidden,))],
-        "box": [("w", (4, hidden)), ("b", (hidden,))],
+        "box": [("w", (4, hidden))],
         "semantic": [("w", (dims.semantic_dim, hidden)), ("b", (hidden,))],
         "attn": [
             ("wq", (dw, dw)),
@@ -92,20 +93,20 @@ def encode_video(samples: list[VideoSample], params: dict) -> EncodedVideo:
         raise ValueError(
             f"semantic_embeddings dim {sem.shape[-1]} != encoder dim {params['semantic']['w'].shape[0]}"
         )
-    visual = tt.linear(feats, params["visual"]["w"], params["visual"]["b"]) + tt.linear(
-        boxes, params["box"]["w"], params["box"]["b"]
+    visual = tt.affine(
+        ((feats, params["visual"]["w"]), (boxes, params["box"]["w"])), params["visual"]["b"]
     )
     semantic = tt.linear(sem, params["semantic"]["w"], params["semantic"]["b"])
     return EncodedVideo(visual=visual, semantic=semantic)
 
 
 def self_attention(x: Tensor, params: dict, heads: int):
-    """Residual multi-head self-attention; returns (out [N, Dw], weights [H, N, N])."""
-    n, dw = x.shape
+    """Residual multi-head self-attention on x [..., N, Dw]; returns (out, attn [..., H, N, N])."""
+    *lead, n, dw = x.shape
     dh = dw // heads
 
     def split(t: Tensor) -> Tensor:
-        return tt.swapaxes(tt.reshape(t, (n, heads, dh)), 0, 1)
+        return tt.swapaxes(tt.reshape(t, (*lead, n, heads, dh)), -3, -2)
 
     q = split(tt.linear(x, params["wq"], params["bq"]))
     # No key bias: q . bk is the same for every key, so the softmax cancels it.
@@ -113,23 +114,24 @@ def self_attention(x: Tensor, params: dict, heads: int):
     v = split(tt.linear(x, params["wv"], params["bv"]))
     scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
     attn = tt.softmax(scores, axis=-1)
-    pooled = tt.reshape(tt.swapaxes(tt.matmul(attn, v), 0, 1), (n, dw))
+    pooled = tt.reshape(tt.swapaxes(tt.matmul(attn, v), -3, -2), (*lead, n, dw))
     out = x + tt.linear(pooled, params["wo"], params["bo"])
     return out, attn
 
 
-def encode_query(sample: QuerySample, params: dict, heads: int = 4) -> Tensor:
-    """Self-attend the token vectors, run the Bi-GRU, project the final states to [1, 1, D]."""
-    dtype = _param_dtype(params)
-    tokens = Tensor(sample.token_embeddings.astype(dtype))
-    if tokens.shape[1] != params["attn"]["wq"].shape[0]:
-        raise ValueError(
-            f"token dim {tokens.shape[1]} != encoder dim {params['attn']['wq'].shape[0]}"
-        )
-    attended, _ = self_attention(tokens, params["attn"], heads)
-    n, dw = attended.shape
-    x = tt.reshape(attended, (1, n, dw))
-    states = gru_sequence(x, params["gru"])
-    hidden = states.shape[2] // 2
-    final = tt.concat([states[:, n - 1 : n, :hidden], states[:, :1, hidden:]], axis=2)
+def encode_query(queries: list[QuerySample], params: dict, heads: int = 4) -> Tensor:
+    """Sentences [S, 1, D] of the queries in input order, one pass per token count."""
+    dtype, dw = _param_dtype(params), params["attn"]["wq"].shape[0]
+    groups = group_by_shape([query.token_embeddings.shape for query in queries])
+    finals = []
+    for group in groups:
+        tokens = Tensor(np.stack([queries[i].token_embeddings for i in group]).astype(dtype))
+        if tokens.shape[2] != dw:
+            raise ValueError(f"token dim {tokens.shape[2]} != encoder dim {dw}")
+        attended, _ = self_attention(tokens, params["attn"], heads)
+        states = gru_sequence(attended, params["gru"])
+        hidden = states.shape[2] // 2
+        finals.append(tt.concat([states[:, -1:, :hidden], states[:, :1, hidden:]], axis=2))
+    # concat row r holds query concatenate(groups)[r]; argsort inverts that
+    final = tt.take(tt.concat(finals, axis=0), np.argsort(np.concatenate(groups)))
     return tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])

@@ -63,6 +63,8 @@ def recall_hits(predictions, truths, n: int, m: float) -> list[bool]:
         )
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not truths:
+        raise ValueError("recall over an empty sample list is undefined")
     hits = []
     for prediction, truth in zip(predictions, truths):
         candidates = _top_segments(prediction, n)
@@ -72,8 +74,6 @@ def recall_hits(predictions, truths, n: int, m: float) -> list[bool]:
 
 def recall_at(predictions, truths, n: int, m: float) -> float:
     hits = recall_hits(predictions, truths, n, m)
-    if not hits:
-        raise ValueError("recall over an empty sample list is undefined")
     return sum(hits) / len(hits)
 
 
@@ -100,7 +100,7 @@ def evaluate_predictions(predictions, truths, grid=DEFAULT_METRIC_GRID) -> Metri
     for n, m in grid:
         hits = recall_hits(predictions, truths, n, m)
         report.hits[(n, m)] = hits
-        report.cells[(n, m)] = sum(hits) / len(hits) if hits else 0.0
+        report.cells[(n, m)] = sum(hits) / len(hits)
     return report
 
 

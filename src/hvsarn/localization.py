@@ -121,7 +121,7 @@ def loss(
 
 
 def write_predictions_jsonl(path: str | Path, records: list[dict]) -> None:
-    """One {"query_id": ..., "segments": [[start, end, score], ...]} object per line."""
+    """One {"query_id", "video_id", "segments": [[start, end, score], ...]} object per line."""
     with open(path, "w") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")

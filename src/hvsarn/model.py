@@ -8,10 +8,10 @@ bit-for-bit.
 `Model.forward` and `Model.loss` take a list of (video, query) samples that
 share (num_frames, num_objects) and run them as one tape with a leading
 sample axis S; a single sample is a list of one.  Each sample's arithmetic
-is the same whatever its companions, so its answer is too.  Each query
-encodes to a one-row matrix, so the sentences stack to [S, 1, D], the
-controller shape every reasoning layer takes.  `predict_dataset` groups a
-dataset by shape into chunks of at most `EVAL_CHUNK` samples.
+is the same whatever its companions, so its answer is too.  The queries
+encode together to [S, 1, D] sentences, the controller shape every
+reasoning layer takes.  `predict_dataset` groups a dataset by shape into
+chunks of at most `EVAL_CHUNK` samples.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .data import ModelConfig, QuerySample, VideoSample, segment_to_frame_indices
+from .data import ModelConfig, QuerySample, VideoSample, group_by_shape, segment_to_frame_indices
 from .encoders import EncodedVideo, InputDims, encode_query, encode_video, encoder_params
 from .hierarchy import (
     FrameRepresentations,
@@ -85,11 +85,8 @@ class Model:
                     f"sample {video.video_id} has (num_frames, num_objects) "
                     f"{(video.num_frames, video.num_objects)}, expected {shape} like the rest"
                 )
-        sentences = [
-            encode_query(query, self.params["encoder"], self.config.attn_heads)
-            for _, query in samples
-        ]
-        return encode_video(videos, self.params["encoder"]), tt.concat(sentences, axis=0)
+        params, queries = self.params["encoder"], [query for _, query in samples]
+        return encode_video(videos, params), encode_query(queries, params, self.config.attn_heads)
 
     def frame_features(self, encoded: EncodedVideo, sentences: Tensor) -> FrameRepresentations:
         """Route encoder outputs through the configured hierarchy variant."""
@@ -167,21 +164,12 @@ def build_model(config: ModelConfig, dims: InputDims, dtype=np.float32) -> Model
     return Model(config=config, dims=dims, params=params)
 
 
-def group_by_shape(samples, limit: int | None = None) -> list[list[int]]:
-    """Indices of `samples` grouped by (num_frames, num_objects) in order of
-    first appearance, each group split into chunks of at most `limit`."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (video, _) in enumerate(samples):
-        groups.setdefault((video.num_frames, video.num_objects), []).append(i)
-    step = limit or len(samples)
-    return [g[lo : lo + step] for g in groups.values() for lo in range(0, len(g), step)]
-
-
 def predict_dataset(model: Model, dataset) -> list[SegmentPrediction]:
     """Forward-only inference over (video, query) pairs, in input order."""
     out: list[SegmentPrediction | None] = [None] * len(dataset)
     with tt.no_grad():
-        for chunk in group_by_shape(dataset, EVAL_CHUNK):
+        shapes = [(video.num_frames, video.num_objects) for video, _ in dataset]
+        for chunk in group_by_shape(shapes, EVAL_CHUNK):
             predictions = model.forward([dataset[i] for i in chunk])
             for i, prediction in zip(chunk, predictions):
                 out[i] = prediction

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .data import ModelConfig
+from .data import ModelConfig, group_by_shape
 from .encoders import InputDims
 from .fileio import (
     DTYPE_CODES,
@@ -28,7 +28,7 @@ from .fileio import (
     require_keys,
     write_tensors,
 )
-from .model import Model, build_model, group_by_shape, model_params
+from .model import Model, build_model, model_params
 from .params import param_shapes, tree_from, zero_grads
 from .tensor import Tensor
 
@@ -110,7 +110,7 @@ def _batch_order(count: int, seed: int):
 def batch_loss(model: Model, samples) -> Tensor:
     """Mean span loss over `samples`, one tape per (num_frames, num_objects) group."""
     total: Tensor | None = None
-    for group in group_by_shape(samples):
+    for group in group_by_shape([(video.num_frames, video.num_objects) for video, _ in samples]):
         group_loss = model.loss([samples[i] for i in group])
         total = group_loss if total is None else total + group_loss
     if total is None:
@@ -169,7 +169,7 @@ def train(
 # -- checkpoints -------------------------------------------------------------
 
 _CHECKPOINT_KIND = "hvsarn-checkpoint"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 def save_checkpoint(out_dir: str, state: TrainState) -> None:

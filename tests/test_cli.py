@@ -162,6 +162,32 @@ def test_invalid_learning_rate_exits_nonzero(tmp_path, capsys, rate):
     assert not run.exists()
 
 
+def test_train_of_zero_steps_writes_every_artifact(tmp_path):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert synth(data) == 0
+    args = ["train", "--data-dir", str(data), "--out-dir", str(run), *TINY, "--steps", "0"]
+    assert main(args) == 0
+    assert json.loads((run / "loss_curve.json").read_text()) == []
+    assert load_checkpoint(str(run / "checkpoint")).step == 0
+    manifest = json.loads((run / "run_manifest.json").read_text())
+    assert manifest["artifacts"] == ["checkpoint", "loss_curve.json"]
+    assert manifest["config"]["hyper"]["steps"] == 0
+
+
+def test_eval_of_empty_dataset_prints_error(tmp_path, capsys):
+    data, empty, run = tmp_path / "data", tmp_path / "empty", tmp_path / "run"
+    assert synth(data) == 0 and synth(empty, count=0) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]) == 0
+    capsys.readouterr()
+    scored = tmp_path / "eval"
+    args = ["eval", "--checkpoint", str(run / "checkpoint"), "--data-dir", str(empty)]
+    assert main([*args, "--out-dir", str(scored)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: recall over an empty sample list")
+    assert "R@" not in captured.out
+    assert not scored.exists()  # the metrics are computed before anything is written
+
+
 def test_seed_flag_overrides_config(tmp_path):
     data, run = tmp_path / "data", tmp_path / "run"
     assert synth(data) == 0

@@ -279,17 +279,23 @@ def test_gru_init_blocks_equal_gate_by_gate_draws():
     assert bi["bwd"]["w"].data.tobytes() == bwd["w"].data.tobytes()
 
 
-def test_gru_sequence_node_count_does_not_grow_with_length(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The tensors each tape node built from here on returns, in build order."""
     result = Tensor.__dict__["_result"].__func__
-    built = []
+    outputs = []
 
     def counted_result(data, parents, backward):
         out = result(data, parents, backward)
         if out.requires_grad:
-            built.append(out)
+            outputs.append(out)
         return out
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(counted_result))
+    return outputs
+
+
+def test_gru_sequence_node_count_does_not_grow_with_length(built):
     params = init_params(bigru_params(3, 2), np.random.default_rng(7), np.float64)
     counts = []
     for n in (4, 40):
@@ -317,7 +323,7 @@ def test_encode_video_is_sum_of_affine_maps():
         boxes = video.boxes.astype(np.float64)
         sem = video.semantic_embeddings.astype(np.float64)
         ref_visual = (
-            feats @ p["visual"]["w"] + p["visual"]["b"] + boxes @ p["box"]["w"] + p["box"]["b"]
+            feats @ p["visual"]["w"] + boxes @ p["box"]["w"] + p["visual"]["b"]
         )
         ref_semantic = sem @ p["semantic"]["w"] + p["semantic"]["b"]
         np.testing.assert_allclose(enc.visual.data[i], ref_visual, atol=1e-10)
@@ -356,17 +362,56 @@ def test_self_attention_matches_oracle():
 def test_encode_query_shapes_and_determinism():
     params = make_params()
     query = make_query()
-    enc1 = encode_query(query, params, heads=4)
-    enc2 = encode_query(query, params, heads=4)
+    enc1 = encode_query([query], params, heads=4)
+    enc2 = encode_query([query], params, heads=4)
     assert enc1.shape == (1, 1, 6)
     np.testing.assert_array_equal(enc1.data, enc2.data)
 
 
 def test_encode_query_single_token():
     params = make_params()
-    enc = encode_query(make_query(n=1), params, heads=4)
+    enc = encode_query([make_query(n=1)], params, heads=4)
     assert enc.shape == (1, 1, 6)
     assert np.all(np.isfinite(enc.data))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_encode_query_rows_are_each_query_alone_in_input_order(dtype):
+    # shuffled lengths, with a one-token query and repeats of a length
+    lengths = [3, 1, 6, 3, 1, 5, 6, 3, 2]
+    queries = [make_query(seed, n) for seed, n in enumerate(lengths)]
+    params = make_params(dtype=dtype)
+    batch = encode_query(queries, params, heads=4)
+    assert batch.shape == (len(queries), 1, 6) and batch.dtype == dtype
+    for row, query in zip(batch.data, queries):
+        assert row.tobytes() == encode_query([query], params, heads=4).data.tobytes()
+
+
+def test_encode_query_node_count_grows_with_distinct_lengths_not_queries(built):
+    params = make_params()
+
+    def nodes(lengths):
+        built.clear()
+        encode_query([make_query(seed, n) for seed, n in enumerate(lengths)], params, heads=4)
+        return len(built)
+
+    assert nodes([4]) == nodes([4, 4, 4]) == nodes([4] * 8)
+    one, two, three = nodes([4] * 6), nodes([4, 2] * 3), nodes([4, 2, 7] * 2)
+    # one self-attention, Bi-GRU and final-state slice per length
+    assert two - one == three - two > 0
+
+
+def test_self_attention_runs_over_leading_axes():
+    rng = np.random.default_rng(3)
+    params = make_params()["attn"]
+    x = rng.normal(size=(2, 3, 5, DIMS.word_dim))
+    out, attn = self_attention(Tensor(x), params, heads=4)
+    assert out.shape == x.shape and attn.shape == (2, 3, 4, 5, 5)
+    for i in range(2):
+        for j in range(3):
+            alone, alone_attn = self_attention(Tensor(x[i, j]), params, heads=4)
+            np.testing.assert_allclose(out.data[i, j], alone.data, atol=1e-12)
+            np.testing.assert_allclose(attn.data[i, j], alone_attn.data, atol=1e-12)
 
 
 def test_encoder_head_divisibility_checked():
@@ -378,7 +423,7 @@ def test_encode_query_token_dim_mismatch():
     params = make_params()
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="token dim"):
-        encode_query(QuerySample("q", rng.normal(size=(4, 6))), params, heads=2)
+        encode_query([QuerySample("q", rng.normal(size=(4, 6)))], params, heads=2)
 
 
 def test_encoder_gradcheck():
@@ -391,7 +436,7 @@ def test_encoder_gradcheck():
 
     def loss_fn():
         enc_v = encode_video([video], params)
-        enc_q = encode_query(query, params, heads=4)
+        enc_q = encode_query([query], params, heads=4)
         return tt.tsum(enc_v.visual * probe_v) + tt.tsum(enc_q * probe_q)
 
     report = gradcheck_tensors(loss_fn, flatten(params), tolerance=1e-6)

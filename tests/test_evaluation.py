@@ -101,8 +101,11 @@ def test_recall_input_validation():
         recall_hits(preds[:3], truths, 1, 0.5)
     with pytest.raises(ValueError, match="n must be"):
         recall_hits(preds, truths, 0, 0.5)
-    with pytest.raises(ValueError, match="empty"):
-        recall_at([], [], 1, 0.5)
+    for empty in (recall_hits, recall_at):
+        with pytest.raises(ValueError, match="empty sample list"):
+            empty([], [], 1, 0.5)
+    with pytest.raises(ValueError, match="empty sample list"):
+        evaluate_predictions([], [])
 
 
 def test_recall_monotone_in_n_and_threshold():

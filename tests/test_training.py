@@ -402,9 +402,10 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
         (lambda m: m["dims"].pop("word_dim"), "dims: missing key 'word_dim'"),
         (lambda m: m.update(config=["hidden_size"]), "config: expected a JSON object, got list"),
         (lambda m: m.update(dtype="<f2"), "dtype '<f2'"),
-        (lambda m: m.update(format_version=99), "format_version 99 is not 4"),
-        (lambda m: m.update(format_version=1), "format_version 1 is not 4"),
-        (lambda m: m.update(format_version=2), "format_version 2 is not 4"),
+        (lambda m: m.update(format_version=99), "format_version 99 is not 5"),
+        (lambda m: m.update(format_version=1), "format_version 1 is not 5"),
+        (lambda m: m.update(format_version=2), "format_version 2 is not 5"),
+        (lambda m: m.update(format_version=4), "format_version 4 is not 5"),
         (lambda m: m.update(step="x"), "step 'x' is not a non-negative integer"),
         (lambda m: m.update(step=-1), "step -1 is not a non-negative integer"),
         (lambda m: m.update(tensors=None), "tensors must be a list"),
@@ -424,6 +425,7 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
         "format_version",
         "format_version_1",
         "format_version_2",
+        "format_version_4",
         "step_type",
         "step_negative",
         "tensors_null",
@@ -455,7 +457,7 @@ def test_load_rejects_a_format_3_checkpoint(tmp_path):
     # The per-tensor layout is rejected by its version, before its table.
     out = saved_checkpoint(tmp_path)
     to_per_tensor_layout(out)
-    with pytest.raises(FormatError, match="format_version 3 is not 4"):
+    with pytest.raises(FormatError, match="format_version 3 is not 5"):
         load_checkpoint(str(out))
 
 
@@ -554,10 +556,12 @@ def test_every_variant_checkpoint_round_trips_bit_exactly(tmp_path, variant):
 
 # sha256 over every variant's fresh tree at the default config.  The values were
 # taken from the per-module init functions the specs replaced, so they pin the
-# draw order of every group, not only the GRU and graph-memory blocks.
+# draw order of every group, not only the GRU and graph-memory blocks.  A bias
+# draws nothing, so dropping the duplicate box bias gave the digests of the
+# earlier trees with that one entry skipped.
 FRESH_TREE_DIGESTS = {
-    "float32": "93f0e5f1e84a7cf670c689be9baa31a10dfc106cd11533ecbb47559c6b098d43",
-    "float64": "0d83b3e482a7107ecfe8de9e9ad1862378f9383ca971448736e5770eac525639",
+    "float32": "86a3df1b3a2705359a7e2cc1eae66d8676500a314a00861dd4a4156841359e0e",
+    "float64": "504ddd359a87179cdf1ab0f29a4d913b0f3038c78e43010e76ae746aec998c38",
 }
 
 
