@@ -68,14 +68,17 @@ def parse_metric_grid(text: str) -> list[tuple[int, float]]:
 
 
 def _git_describe() -> str | None:
+    """The revision of the checkout this package runs from, or None when git
+    is missing, fails or runs past its timeout."""
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
     if proc.returncode != 0:
         return None

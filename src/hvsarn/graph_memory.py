@@ -24,23 +24,31 @@ Each gated layer (the read's, the write's, the memory_network baseline's)
 stores one [D, 2D] weight [candidate | gate] per input ([Wq | Wq'] as `wq`,
 and so on) and one [2D] bias [b | b'].  The projections of all inputs and
 the bias are one `tt.affine` node, and `gated_update` turns that [..., 2D]
-sum into the new state as one tape node with a hand-written backward.  The
-read's score input W1a Q + W2a v_k + ba is one `tt.affine` node too.
+sum into the new state as one tape node with a hand-written backward.
 
-The pair score m [B, K, K] is one tape node too, `pair_logits`, over the
-target map W1t v_k + b1, the source map W1s v_i and w2.  It never holds the
-[B, K, K, D] tanh output y: it walks blocks of (b, k) rows, each a few
-hundred KiB (`_BLOCK_BYTES`), fills one reused scratch buffer with
-y = tanh(target + source) for the block and consumes it there.  The forward
-writes the block's logits; the backward keeps nothing from the forward,
+Each attention score is one tape node too, and keeps no [B, K, D] map: its
+closure holds only the nodes, the controller and the weights, arrays other
+nodes hold anyway, and its backward rebuilds the maps with the ops of its
+forward, so the rebuilt maps are the forward's bytes.  `read_scores` gives
+the read's a [B, 1, K]; its backward rebuilds the tanh map h and turns it in
+place into dL/dpre.  `pair_logits` gives the neighbour score m [B, K, K]
+from the target map W1t v_k + b1, the source map W1s v_i and w2, with
+_MASK_VALUE on the diagonal, whose softmax weight is then exactly 0.  It
+never holds the [B, K, K, D] tanh output y either: it walks blocks of (b, k)
+rows, each a few hundred KiB (`_BLOCK_BYTES`), fills one reused scratch
+buffer with y = tanh(target + source) for the block and consumes it there.
+The forward writes the block's logits; the backward rebuilds both maps,
 recomputes each block and forms all three gradients from it while it is in
-cache, with g = dL/dm:
+cache, with g = dL/dm (zero on the diagonal):
 
     dL/dtarget_k = w2 * (sum_i g_ki - sum_i g_ki y_ki^2)
     dL/dsource_i = w2 * (sum_k g_ki - sum_k g_ki y_ki^2)
     dL/dw2       = sum_{k,i} y_ki g_ki
 
-(elementwise in D), the first two as batched [1, K] @ [K, D] products.
+(elementwise in D), the first two as batched [1, K] @ [K, D] products
+written over the rebuilt maps' rows once no block reads them again.  Both
+nodes hand their pre-activation gradients to `tt.affine_backward`, the
+backward of the affine nodes they replace.
 
 Everything is batched over independent graphs: controllers [B, 1, D],
 nodes [B, K, D].  For a group of S samples of T frames, the object level
@@ -124,12 +132,72 @@ def graph_memory_params(dim: int) -> dict:
     }
 
 
+def _score_shapes(op: str, nodes: Tensor, v: Tensor) -> tuple:
+    """B, K, D of nodes [B, K, D] and the hidden width H of v [H, 1]."""
+    if len(nodes.shape) != 3 or len(v.shape) != 2 or v.shape[1] != 1:
+        raise ValueError(
+            f"{op} needs nodes [B, K, D] and a [H, 1] vector, got shapes {nodes.shape}, {v.shape}"
+        )
+    return nodes.shape + v.shape[:1]
+
+
+def _check_shapes(op: str, **shapes) -> None:
+    """Raise when an operand's shape is not the wanted one; shapes maps names to (got, wanted)."""
+    if any(got != want for got, want in shapes.values()):
+        listed = ", ".join(f"{name} {got} (wants {want})" for name, (got, want) in shapes.items())
+        raise ValueError(f"{op} shapes do not fit: {listed}")
+
+
+def read_scores(
+    controller: Tensor, nodes: Tensor, w1: Tensor, w2: Tensor, b: Tensor, v: Tensor
+) -> Tensor:
+    """a[b, 0, k] = v . tanh(controller[b, 0] @ w1 + nodes[b, k] @ w2 + b) as one node, [B, 1, K].
+
+    controller [B, 1, D], nodes [B, K, D], w1 and w2 [D, H], b [H], v [H, 1].
+    The forward forms the [B, K, H] tanh map h in the order the affine, tanh
+    and linear nodes it replaces did, and drops it.  The backward rebuilds h
+    with the same ops, reads dL/dv = h^T g from it, then turns it in place
+    into dL/dpre = (1 - h^2) * g * v and hands that to `tt.affine_backward`.
+    """
+    B, K, D, H = _score_shapes("read_scores", nodes, v)
+    _check_shapes(
+        "read_scores",
+        controller=(controller.shape, (B, 1, D)),
+        w1=(w1.shape, (D, H)),
+        w2=(w2.shape, (D, H)),
+        b=(b.shape, (H,)),
+    )
+    q, x, wq, wx, bias, v_data = (t.data for t in (controller, nodes, w1, w2, b, v))
+
+    def tanh_map():
+        h = x @ wx
+        np.add(q @ wq, h, out=h)
+        h += bias
+        return np.tanh(h, out=h)
+
+    out_data = (tanh_map() @ v_data).reshape(B, 1, K)
+    saved = tt.affine_terms(((controller, w1), (nodes, w2)))
+    b_node, v_node = b._node, v._node
+
+    def backward(g):
+        gk = g.reshape(B, K, 1)
+        dpre = tanh_map()
+        if v_node is not None:
+            v_node._accumulate(dpre.reshape(-1, H).T @ gk.reshape(-1, 1), owned=True)
+        np.multiply(dpre, dpre, out=dpre)
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= gk
+        dpre *= v_data[:, 0]
+        tt.affine_backward(dpre, saved, b_node)
+
+    return Tensor._result(out_data, (controller, nodes, w1, w2, b, v), backward)
+
+
 def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
     p = params["read"]
-    B, K, _ = nodes.shape
-    h = tt.tanh(tt.affine(((controller, p["attn_w1"]), (nodes, p["attn_w2"])), p["attn_b"]))
-    return tt.softmax(tt.reshape(tt.linear(h, p["attn_v"]), (B, 1, K)), axis=2)
+    scores = read_scores(controller, nodes, p["attn_w1"], p["attn_w2"], p["attn_b"], p["attn_v"])
+    return tt.softmax(scores, axis=2)
 
 
 def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
@@ -155,87 +223,113 @@ def _pair_blocks(B: int, K: int, row_bytes: int):
             yield slice(b0, min(b0 + nb, B)), slice(k0, min(k0 + nk, K))
 
 
-def pair_logits(target: Tensor, source: Tensor, w2: Tensor) -> Tensor:
-    """m[b, k, i] = w2 . tanh(target[b, k] + source[b, i]) as one node, [B, K, K].
-
-    target [B, K, D], source [B, K, D], w2 [D, 1]; the node broadcasts
-    them as [B, K, 1, D] and [B, 1, K, D] views.  Forward and
-    backward each hold one block of y = tanh(...) at a time, never the
-    [B, K, K, D] tensor; the backward recomputes y block by block, so it
-    saves nothing and can run twice.  With g = dL/dm,
-    dL/dtarget[b, k] = w2 * (sum_i g[b,k,i] - sum_i g[b,k,i] y[b,k,i]^2), and
-    the source likewise with k and i swapped.
-    """
-    if len(target.shape) != 3 or source.shape != target.shape or w2.shape != (target.shape[2], 1):
-        raise ValueError(
-            f"pair_logits shapes do not fit: target {target.shape}, "
-            f"source {source.shape}, w2 {w2.shape}"
-        )
+def _pair_tanh_blocks(target: np.ndarray, source: np.ndarray):
+    """Each block's slices and its y = tanh(target[b, k] + source[b, i]),
+    [b, k, i, :], in one scratch buffer the size of the first (largest) block."""
     B, K, D = target.shape
-    nodes, w2_data = (target._node, source._node, w2._node), w2.data
-    dtype = np.result_type(target.data, source.data)
-    target_rows, source_cols = target.data[:, :, None], source.data[:, None]
+    target_rows, source_cols = target[:, :, None], source[:, None]
+    scratch = None
+    for bs, ks in _pair_blocks(B, K, K * D * target.dtype.itemsize):
+        size = (bs.stop - bs.start) * (ks.stop - ks.start) * K * D
+        if scratch is None:
+            scratch = np.empty(size, dtype=target.dtype)
+        y = scratch[:size].reshape(bs.stop - bs.start, ks.stop - ks.start, K, D)
+        # A broadcast copy plus an in-place add is the same IEEE add as
+        # target + source; tanh then overwrites the block.
+        y[...] = source_cols[bs]
+        y += target_rows[bs, ks]
+        yield bs, ks, np.tanh(y, out=y)
 
-    def blocks():
-        """Each block's slices and its y, in one scratch buffer the size of
-        the first (largest) block."""
-        scratch = None
-        for bs, ks in _pair_blocks(B, K, K * D * dtype.itemsize):
-            size = (bs.stop - bs.start) * (ks.stop - ks.start) * K * D
-            if scratch is None:
-                scratch = np.empty(size, dtype=dtype)
-            y = scratch[:size].reshape(bs.stop - bs.start, ks.stop - ks.start, K, D)
-            # A broadcast copy plus an in-place add is the same IEEE add as
-            # target + source; tanh then overwrites the block.
-            y[...] = source_cols[bs]
-            y += target_rows[bs, ks]
-            yield bs, ks, np.tanh(y, out=y)
 
-    # Each [K, D] @ [D, 1] product is the one the whole stacked y @ w2 makes,
+def _pair_square_sums(g: np.ndarray, target: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Return dL/dw2 = sum_{k,i} y_ki g_ki, and overwrite target with
+    sum_i g_ki y_ki^2 and source with sum_k g_ki y_ki^2, block by block.
+
+    Once a block has read its target rows, and a graph's last run of k its
+    source rows, no later block reads them, so their sums go in their place.
+    """
+    K, H = target.shape[1:]
+    g_target = g[:, :, None, :]
+    g_source = np.swapaxes(g, 1, 2)[:, :, None, :]
+    dw2 = np.zeros((H, 1), dtype=target.dtype)
+    for bs, ks, y in _pair_tanh_blocks(target, source):
+        dw2 += y.reshape(-1, H).T @ g[bs, ks].reshape(-1, 1)
+        y *= y
+        np.matmul(g_target[bs, ks], y, out=target[bs, ks, None])
+        part = g_source[bs, :, :, ks] @ np.swapaxes(y, 1, 2)
+        run = part if ks.start == 0 else np.add(run, part, out=run)
+        if ks.stop == K:
+            source[bs] = run[:, :, 0]
+    return dw2
+
+
+def pair_logits(
+    nodes: Tensor, w1_target: Tensor, b1: Tensor, w1_source: Tensor, w2: Tensor
+) -> Tensor:
+    """m[b, k, i] = w2 . tanh(target[b, k] + source[b, i]) as one node, [B, K, K],
+    with _MASK_VALUE on the diagonal k = i.
+
+    nodes [B, K, D], w1_target and w1_source [D, H], b1 [H], w2 [H, 1]; the
+    maps are target = nodes @ w1_target + b1 and source = nodes @ w1_source,
+    formed as the linear nodes they replace formed them.  Forward and
+    backward each hold one block of y = tanh(...) at a time, never the
+    [B, K, K, H] tensor, and the node keeps neither map: the backward rebuilds
+    both with the same ops and recomputes y block by block, so it saves
+    nothing and can run twice.  With g = dL/dm, zero on the diagonal,
+    dL/dtarget[b, k] = w2 * (sum_i g[b,k,i] - sum_i g[b,k,i] y[b,k,i]^2), and
+    the source likewise with k and i swapped; `tt.affine_backward` carries
+    both to the nodes and weights.
+    """
+    B, K, D, H = _score_shapes("pair_logits", nodes, w2)
+    _check_shapes(
+        "pair_logits",
+        w1_target=(w1_target.shape, (D, H)),
+        b1=(b1.shape, (H,)),
+        w1_source=(w1_source.shape, (D, H)),
+    )
+    x, wt, bt, ws, w2_data = (t.data for t in (nodes, w1_target, b1, w1_source, w2))
+
+    def maps():
+        target = x @ wt
+        target += bt
+        return target, x @ ws
+
+    # Each [K, H] @ [H, 1] product is the one the whole stacked y @ w2 makes,
     # so the logits are the same bytes however the rows are blocked.
-    out_data = np.empty((B, K, K, 1), dtype=np.result_type(dtype, w2_data))
-    for bs, ks, y in blocks():
+    out_data = np.empty((B, K, K, 1), dtype=np.result_type(x, wt, w2_data))
+    for bs, ks, y in _pair_tanh_blocks(*maps()):
         np.matmul(y, w2_data, out=out_data[bs, ks])
+    out_data = out_data.reshape(B, K, K)
+    out_data.reshape(B, K * K)[:, :: K + 1] = _MASK_VALUE
+    target_terms = tt.affine_terms(((nodes, w1_target),))
+    source_terms = tt.affine_terms(((nodes, w1_source),))
+    b1_node, w2_node = b1._node, w2._node
 
     def backward(g):
-        dw2 = np.zeros((D, 1), dtype=dtype)
-        gy2_target = np.empty((B, K, 1, D), dtype=dtype)
-        gy2_source = np.empty((B, K, 1, D), dtype=dtype)  # [b, i, 0, :]
-        g_target = g[:, :, None, :]
-        g_source = np.swapaxes(g, 1, 2)[:, :, None, :]
-        for bs, ks, y in blocks():
-            dw2 += y.reshape(-1, D).T @ g[bs, ks].reshape(-1, 1)
-            y *= y
-            np.matmul(g_target[bs, ks], y, out=gy2_target[bs, ks])
-            # The first run of k writes the source sums; later runs add to them.
-            if ks.start == 0:
-                np.matmul(g_source[bs, :, :, ks], np.swapaxes(y, 1, 2), out=gy2_source[bs])
-            else:
-                gy2_source[bs] += g_source[bs, :, :, ks] @ np.swapaxes(y, 1, 2)
+        g = np.array(g, order="C")
+        g.reshape(B, K * K)[:, :: K + 1] = 0.0  # the masked diagonal reads no input
+        target, source = maps()
+        dw2 = _pair_square_sums(g, target, source)
         w = w2_data[:, 0]
-        for gy2, gsum in ((gy2_target, g.sum(axis=2)), (gy2_source, g.sum(axis=1))):
-            np.subtract(gsum[:, :, None, None], gy2, out=gy2)
+        for gy2, gsum in ((target, g.sum(axis=2)), (source, g.sum(axis=1))):
+            np.subtract(gsum[:, :, None], gy2, out=gy2)
             gy2 *= w
-        for node, grad in zip(nodes, (gy2_target.reshape(B, K, D), gy2_source.reshape(B, K, D), dw2)):
-            if node is not None:
-                node._accumulate(grad, owned=True)
+        tt.affine_backward(target, target_terms, b1_node)
+        del target  # free one map before the source's products
+        tt.affine_backward(source, source_terms)
+        if w2_node is not None:
+            w2_node._accumulate(dw2, owned=True)
 
-    return Tensor._result(out_data.reshape(B, K, K), (target, source, w2), backward)
+    return Tensor._result(out_data, (nodes, w1_target, b1, w1_source, w2), backward)
 
 
 def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
     """Each node's weights over the other nodes, [B, K, K]; zero diagonal, rows sum to 1."""
     p = params["write"]
-    K = nodes.shape[1]
-    if K == 1:
+    if nodes.shape[1] == 1:
         raise ValueError("a lone node has no neighbours to attend to")
-    # Two [B,K,D] maps, broadcast-added, instead of a [B,K,K,2D] concat and matmul.
-    target = tt.linear(nodes, p["mlp_w1_target"], p["mlp_b1"])
-    source = tt.linear(nodes, p["mlp_w1_source"])
-    logits = pair_logits(target, source, p["mlp_w2"])
-    mask = np.full((K, K), 0.0, dtype=nodes.dtype)
-    np.fill_diagonal(mask, _MASK_VALUE)
-    return tt.softmax(logits + Tensor(mask), axis=2)
+    logits = pair_logits(nodes, p["mlp_w1_target"], p["mlp_b1"], p["mlp_w1_source"], p["mlp_w2"])
+    return tt.softmax(logits, axis=2)
 
 
 def neighbor_context(nodes: Tensor, params: dict) -> Tensor:

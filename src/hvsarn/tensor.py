@@ -16,21 +16,32 @@ Each backward closure holds its parents' nodes and exactly the arrays it
 reads: a matmul, an affine or a mul its operands, a tanh or (log-)softmax
 its own output, an add or a reshape only shapes. So the tape keeps only
 what some backward reads, and an output that none reads is freed as soon
-as the forward drops its last reference to it.
+as the forward drops its last reference to it. `affine_terms` and
+`affine_backward` are affine's saved operands and backward, for a node
+(such as the graph memory's attention scores) that ends in a sum of
+products and rebuilds the rest from those operands.
+
+A weight shared by a stack of matrices gets one BLAS product per gradient:
+dx = g @ W^T over all rows of g at once, dW = x^T g likewise, and a bias
+gradient sums the leading axes as one ones @ rows product. numpy would run
+the first as a stack of small products, and its sum over leading axes
+costs about as much as a GEMM.
 
 A node's first gradient is a copy into a buffer laid out like its output,
 except when the backward hands its array over (`owned=True`): then the node
 keeps that array as its gradient, if its shape, dtype and C layout match.
 A backward hands over only an array it allocated for that one parent
 (matmul's and affine's products, tanh's and softmax's results, and
-`gated_update`'s and `pair_logits`' gradients); `add`, which passes one `g`
-to both parents, never does, so no two nodes ever share a gradient buffer.
+`gated_update`'s and the attention scores' gradients); `add`, which passes
+one `g` to both parents, never does, so no two nodes ever share a gradient
+buffer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
 
@@ -60,11 +71,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        # The leading axes as one ones @ rows product: numpy's sum over them
+        # costs about as much as a GEMM of the same rows.
+        lead, kept = math.prod(grad.shape[:extra]), grad.shape[extra:]
+        rows = grad.reshape(lead, math.prod(kept))
+        grad = (np.ones(lead, dtype=grad.dtype) @ rows).reshape(kept)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _matmul_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g [..., n] @ w [n, p] as one 2-D product over all rows of a C-contiguous
+    g, where numpy would run a stack of small products."""
+    if g.ndim > 2 and g.flags.c_contiguous:
+        return (g.reshape(-1, g.shape[-1]) @ w).reshape(g.shape[:-1] + (w.shape[-1],))
+    return g @ w
 
 
 def _layout(data: np.ndarray):
@@ -308,7 +331,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if an is not None:
-            an._accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape), owned=True)
+            if b_data.ndim == 2:
+                ga = _matmul_rows(g, b_data.T)  # affine's product for a 2-D weight
+            else:
+                ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape)
+            an._accumulate(ga, owned=True)
         if bn is not None:
             if len(bn.shape) == 2:
                 # A weight shared by a stack of matrices: one [m, rows] @ [rows, p]
@@ -503,34 +530,48 @@ def affine(terms, b: Tensor | None = None) -> Tensor:
     parents = sum(terms, ()) + (() if b is None else (b,))
     if not records(parents):  # off the tape: skip building the backward
         return Tensor(out_data)
-    # Each operand's gradient reads the other operand of its term alone.
-    saved = [
+    saved = affine_terms(terms)
+    bn = None if b is None else b._node
+
+    def backward(g):
+        affine_backward(g, saved, bn)
+
+    return Tensor._result(out_data, parents, backward)
+
+
+def affine_terms(terms) -> tuple:
+    """What `affine_backward` needs of each (x, W) term: both nodes, the
+    operand arrays their gradients read (each reads the other's alone), and
+    the product's shape."""
+    return tuple(
         (
             x._node,
             w._node,
             x.data if w._node is not None else None,
             w.data if x._node is not None else None,
-            x.shape[:-1] + (width,),
+            x.shape[:-1] + w.shape[-1:],
         )
         for x, w in terms
-    ]
-    bn = None if b is None else b._node
+    )
 
-    def backward(g):
-        for xn, wn, x_data, w_data, shape in saved:
-            if xn is None and wn is None:
-                continue
-            gi = _unbroadcast(g, shape)
-            if xn is not None:
-                xn._accumulate(gi @ w_data.T, owned=True)
-            if wn is not None:
-                # matmul's product for a 2-D weight, so the bytes match it
-                gw = x_data.reshape(-1, x_data.shape[-1]).T @ gi.reshape(-1, width)
-                wn._accumulate(gw, owned=True)
-        if bn is not None:
-            bn._accumulate(_unbroadcast(g, bn.shape), owned=True)
 
-    return Tensor._result(out_data, parents, backward)
+def affine_backward(g: np.ndarray, saved: tuple, bias_node=None) -> None:
+    """Hand g, the gradient of a sum of products plus a bias, to the parents
+    that `affine_terms` saved and to the bias's node: for each term,
+    g_i = g summed down to the product's shape, dx = g_i @ W^T and
+    dW = x^T g_i over all rows (matmul's products for a 2-D weight, so the
+    bytes match it)."""
+    for xn, wn, x_data, w_data, shape in saved:
+        if xn is None and wn is None:
+            continue
+        gi = _unbroadcast(g, shape)
+        if xn is not None:
+            xn._accumulate(_matmul_rows(gi, w_data.T), owned=True)
+        if wn is not None:
+            gw = x_data.reshape(-1, x_data.shape[-1]).T @ gi.reshape(-1, shape[-1])
+            wn._accumulate(gw, owned=True)
+    if bias_node is not None:
+        bias_node._accumulate(_unbroadcast(g, bias_node.shape), owned=True)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -6,10 +6,12 @@ tmp_path keeps the artifacts isolated.
 
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
 
+import hvsarn.cli
 from hvsarn.cli import main, parse_metric_grid, precision_dtype
 from hvsarn.data import ConfigError, GroundTruthSegment, VideoSample, load_dataset, save_sample
 from hvsarn.model import predict_dataset
@@ -79,6 +81,23 @@ def test_synth_rejects_a_negative_seed_before_writing(tmp_path, capsys):
     assert synth(out, extra=["--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: seed: must be >= 0, got -1")
     assert not out.exists()
+
+
+def test_a_hung_git_still_writes_the_manifest(tmp_path, monkeypatch, capsys):
+    # git describe runs in the package's checkout, whatever the working
+    # directory; a git that outlives its timeout leaves git_describe null.
+    calls = []
+
+    def hung_git(args, **kwargs):
+        calls.append(kwargs.get("cwd"))
+        raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung_git)
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out-dir", "data", "--count", "1", "--seed", "1"]) == 0
+    manifest = json.loads((tmp_path / "data" / "run_manifest.json").read_text())
+    assert manifest["git_describe"] is None
+    assert calls == [os.path.dirname(os.path.abspath(hvsarn.cli.__file__))]
 
 
 def test_full_pipeline(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ import hvsarn.tensor as tt
 from hvsarn.graph_memory import (
     BASELINE_KINDS,
     _BLOCK_BYTES,
+    _MASK_VALUE,
     _pair_blocks,
     baseline_params,
     baseline_step,
@@ -22,6 +23,7 @@ from hvsarn.graph_memory import (
     pair_logits,
     read_attention,
     read_batch,
+    read_scores,
     reason_batch,
     run_reasoner,
     write_batch,
@@ -217,87 +219,234 @@ def test_gated_update_rejects_shape_mismatch():
             gated_update(Tensor(np.zeros((2, 3))), Tensor(np.zeros(pre_shape)))
 
 
-def test_pair_logits_fd_into_every_parent():
-    rng = np.random.default_rng(21)
-    B, K, D = 2, 4, 3
-    probe = Tensor(rng.normal(size=(B, K, K)))  # a non-uniform upstream gradient
-    fd_check(
-        lambda t, s, w2: pair_logits(t, s, w2) * probe,
-        rng.normal(size=(B, K, D)),
-        rng.normal(size=(B, K, D)),
-        rng.normal(size=(D, 1)),
-    )
-
-
-def test_pair_logits_forward_bytes_match_composed_ops():
-    rng = np.random.default_rng(5)
-    B, K, D = 3, 7, 8
-    target = rng.normal(scale=2.0, size=(B, K, D)).astype(np.float32)
-    source = rng.normal(scale=2.0, size=(B, K, D)).astype(np.float32)
-    w2 = rng.normal(size=(D, 1)).astype(np.float32)
-    fused = pair_logits(Tensor(target), Tensor(source), Tensor(w2)).data
-    composed = (np.tanh(np.add(target[:, :, None], source[:, None])) @ w2).reshape(B, K, K)
-    assert fused.dtype == np.float32
-    assert fused.tobytes() == composed.tobytes()
-
-
-def test_pair_logits_rejects_shape_mismatch():
-    B, K, D = 2, 3, 4
-    fits = {"t": (B, K, D), "s": (B, K, D), "w": (D, 1)}
-    bad_shapes = [
-        ("t", (B, K, 1, D)),
-        ("t", (B, K, D + 1)),
-        ("s", (B, K + 1, D)),
-        ("s", (B + 1, K, D)),
-        ("w", (D, 2)),
-        ("w", (D + 1, 1)),
-    ]
-    for name, bad in bad_shapes:
-        shapes = dict(fits, **{name: bad})
-        with pytest.raises(ValueError, match="shape"):
-            pair_logits(*(Tensor(np.zeros(shapes[k])) for k in ("t", "s", "w")))
+# -- the two score nodes --------------------------------------------------------
+#
+# Each score is one node over the nodes and the weights; its backward rebuilds
+# the [B, K, D] maps from them.  Each is checked against the chain of tape
+# ops it replaces.
 
 
 def pair_operands(rng, B, K, D, dtype):
-    """target, source, w2 and an upstream gradient for pair_logits, as arrays."""
+    """nodes, w1_target, b1, w1_source, w2 and an upstream gradient for pair_logits, as arrays."""
     return (
-        rng.normal(scale=2.0, size=(B, K, D)).astype(dtype),
-        rng.normal(scale=2.0, size=(B, K, D)).astype(dtype),
+        rng.normal(size=(B, K, D)).astype(dtype),
+        rng.normal(size=(D, D)).astype(dtype),
+        rng.normal(size=D).astype(dtype),
+        rng.normal(size=(D, D)).astype(dtype),
         rng.normal(size=(D, 1)).astype(dtype),
         rng.normal(size=(B, K, K)).astype(dtype),
     )
 
 
+def read_operands(rng, B, K, D, dtype):
+    """controller, nodes, w1, w2, b, v and an upstream gradient for read_scores, as arrays."""
+    shapes = ((B, 1, D), (B, K, D), (D, D), (D, D), (D,), (D, 1), (B, 1, K))
+    return tuple(rng.normal(size=s).astype(dtype) for s in shapes)
+
+
+def composed_pair_logits(nodes, w1_target, b1, w1_source, w2):
+    """pair_logits as the linear, add, tanh, matmul and mask nodes it replaces."""
+    B, K, D = nodes.shape
+    target = tt.linear(nodes, w1_target, b1)
+    source = tt.linear(nodes, w1_source)
+    pairs = tt.add(tt.reshape(target, (B, K, 1, D)), tt.reshape(source, (B, 1, K, D)))
+    mask = np.zeros((K, K), dtype=nodes.dtype)
+    np.fill_diagonal(mask, _MASK_VALUE)
+    return tt.reshape(tt.matmul(tt.tanh(pairs), w2), (B, K, K)) + Tensor(mask)
+
+
+def composed_read_scores(controller, nodes, w1, w2, b, v):
+    """read_scores as the affine, tanh, linear and reshape nodes it replaces."""
+    B, K, _ = nodes.shape
+    h = tt.tanh(tt.affine(((controller, w1), (nodes, w2)), b))
+    return tt.reshape(tt.linear(h, v), (B, 1, K))
+
+
+SCORES = {
+    "pair": (pair_logits, composed_pair_logits, pair_operands),
+    "read": (read_scores, composed_read_scores, read_operands),
+}
+
+
+def score_tensors(arrays, requires_grad=False):
+    return [Tensor(a, requires_grad=requires_grad) for a in arrays]
+
+
+def check_fd_into_every_parent(name, K):
+    fused, _, operands = SCORES[name]
+    *arrays, probe = operands(np.random.default_rng(21 + K), 2, K, 3, np.float64)
+    if name == "pair":
+        # The masked diagonal is a constant -1e9: a probe on it would only
+        # add rounding noise of 1e9 to the finite differences.
+        probe.reshape(2, K * K)[:, :: K + 1] = 0.0
+    fd_check(lambda *parents: fused(*parents) * Tensor(probe), *arrays)
+
+
+def test_pair_logits_fd_into_every_parent():
+    for K in (2, 4):
+        check_fd_into_every_parent("pair", K)
+
+
+def test_read_scores_fd_into_every_parent():
+    for K in (2, 4):
+        check_fd_into_every_parent("read", K)
+
+
+def check_forward_bytes_match_composed_ops(name, K):
+    fused, composed, operands = SCORES[name]
+    *arrays, _ = operands(np.random.default_rng(5 + K), 3, K, 8, np.float32)
+    got = fused(*score_tensors(arrays)).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == composed(*score_tensors(arrays)).data.tobytes()
+
+
+def test_pair_logits_forward_bytes_match_composed_ops():
+    # In float32, -1e9 plus a logit below 32 in size rounds back to -1e9, so
+    # the masked diagonal is byte-equal as well.
+    for K in (2, 7):
+        check_forward_bytes_match_composed_ops("pair", K)
+
+
+def test_read_scores_forward_bytes_match_composed_ops():
+    for K in (1, 2, 7):
+        check_forward_bytes_match_composed_ops("read", K)
+
+
+def check_gradients_match_composed_ops(name, K):
+    fused, composed, operands = SCORES[name]
+    *arrays, g = operands(np.random.default_rng(9 + K), 3, K, 4, np.float64)
+    if name == "pair":
+        # What the softmax over a masked row hands back: zero on the diagonal.
+        g.reshape(3, K * K)[:, :: K + 1] = 0.0
+    grads = []
+    for fn in (fused, composed):
+        parents = score_tensors(arrays, requires_grad=True)
+        fn(*parents).backward(g)
+        grads.append([p.grad for p in parents])
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_pair_logits_gradients_match_composed_ops():
+    for K in (2, 5):
+        check_gradients_match_composed_ops("pair", K)
+
+
+def test_read_scores_gradients_match_composed_ops():
+    for K in (2, 5):
+        check_gradients_match_composed_ops("read", K)
+
+
+def check_backward_is_pure(name):
+    # The backward rebuilds its maps and overwrites them in place; it saves
+    # nothing that could change, so a second call adds what a fresh node's
+    # backward adds.  Not 2 * once: the nodes get two parts per call.
+    fused, _, operands = SCORES[name]
+    *arrays, g = operands(np.random.default_rng(6), 3, 5, 4, np.float64)
+
+    def grads_after(tape_calls):
+        parents = score_tensors(arrays, requires_grad=True)
+        for calls in tape_calls:
+            out = fused(*parents)
+            for _ in range(calls):
+                out._node._backward(g)
+        return [p.grad.tobytes() for p in parents]
+
+    assert grads_after([2]) == grads_after([1, 1])
+    assert grads_after([2]) != grads_after([1])
+
+
 def test_pair_logits_backward_is_pure():
-    # The backward squares each recomputed block in place; it saves nothing
-    # the squaring could change, so a second call adds the same amount.
-    target, source, w2, g = pair_operands(np.random.default_rng(6), 3, 5, 4, np.float64)
-    parents = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
-    out = pair_logits(*parents)
-    out._node._backward(g)
-    first = [p.grad.copy() for p in parents]
-    out._node._backward(g)
-    for p, once in zip(parents, first):
-        assert (p.grad - once).tobytes() == once.tobytes()
+    check_backward_is_pure("pair")
 
 
-def test_pair_logits_holds_no_pair_tensor():
-    # At frame level y would be [S, T, T, D]; the node holds one block of it.
-    B, K, D = 8, 128, 32
-    full = B * K * K * D * 4
-    target, source, w2, g = pair_operands(np.random.default_rng(7), B, K, D, np.float32)
-    parents = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
+def test_read_scores_backward_is_pure():
+    check_backward_is_pure("read")
+
+
+def held_after_forward_and_backward_peak(name, B, K, D):
+    """Bytes the node holds after its forward, beyond its output, and its backward's peak."""
+    fused, _, operands = SCORES[name]
+    *arrays, g = operands(np.random.default_rng(7), B, K, D, np.float32)
+    parents = score_tensors(arrays, requires_grad=True)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = pair_logits(*parents)
-        held = tracemalloc.get_traced_memory()[0] - base
+        out = fused(*parents)
+        held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+        tracemalloc.reset_peak()
         out.backward(g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert held < full / 8, held / full
-    assert peak < full / 4, peak / full
+    return held, peak
+
+
+def test_pair_logits_holds_no_pair_tensor():
+    # At frame level, T = 128 and batch 8, y would be [S, T, T, D]; the
+    # backward holds one block of it, and the node no [S, T, D] map.
+    B, K, D = 8, 128, 32
+    held, peak = held_after_forward_and_backward_peak("pair", B, K, D)
+    assert held < B * K * D * 4 / 4, held
+    assert peak < B * K * K * D * 4 / 4, peak
+
+
+def test_read_scores_holds_no_map():
+    # At object level, T = 128 and batch 8: no [S·T, K, D] tanh map stays.
+    B, K, D = 1024, 4, 32
+    held, _ = held_after_forward_and_backward_peak("read", B, K, D)
+    assert held < B * K * D * 4 / 4, held
+
+
+def test_pair_logits_masks_the_diagonal():
+    for K in (2, 3):
+        *arrays, _ = pair_operands(np.random.default_rng(K), 2, K, 4, np.float64)
+        parents = score_tensors(arrays, requires_grad=True)
+        out = pair_logits(*parents)
+        assert np.all(np.diagonal(out.data, axis1=1, axis2=2) == _MASK_VALUE)
+        assert np.all(out.data[:, ~np.eye(K, dtype=bool)] > _MASK_VALUE / 2)
+        # A gradient on the diagonal alone reaches no parent.
+        out.backward(np.broadcast_to(np.eye(K), out.shape) * 3.0)
+        for p in parents:
+            assert not p.grad.any()
+
+
+def check_rejects_shape_mismatch(fn, fits, bad):
+    for name, shape in bad:
+        shapes = dict(fits, **{name: shape})
+        with pytest.raises(ValueError, match="shape"):
+            fn(*(Tensor(np.zeros(s)) for s in shapes.values()))
+
+
+def test_pair_logits_rejects_shape_mismatch():
+    B, K, D = 2, 3, 4
+    fits = {"x": (B, K, D), "wt": (D, D), "b1": (D,), "ws": (D, D), "w2": (D, 1)}
+    bad = [
+        ("x", (B, K, 1, D)),
+        ("x", (B, K, D + 1)),
+        ("wt", (D, D + 1)),
+        ("b1", (1, D)),
+        ("ws", (D + 1, D)),
+        ("w2", (D, 2)),
+        ("w2", (D + 1, 1)),
+    ]
+    check_rejects_shape_mismatch(pair_logits, fits, bad)
+
+
+def test_read_scores_rejects_shape_mismatch():
+    B, K, D = 2, 3, 4
+    fits = {"q": (B, 1, D), "x": (B, K, D), "w1": (D, D), "w2": (D, D), "b": (D,), "v": (D, 1)}
+    bad = [
+        ("q", (B, K, D)),
+        ("q", (B + 1, 1, D)),
+        ("x", (B, D)),
+        ("w1", (D + 1, D)),
+        ("w2", (D, 1)),
+        ("b", (D + 1,)),
+        ("v", (D,)),
+        ("v", (D + 1, 1)),
+    ]
+    check_rejects_shape_mismatch(read_scores, fits, bad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -312,19 +461,19 @@ def test_pair_logits_spans_several_blocks(dtype):
         blocks = list(_pair_blocks(B, K, K * D * itemsize))
         assert len({bs.start for bs, _ in blocks}) > 1
         assert (len({ks.start for _, ks in blocks}) > 1) == (K == large_k)
-        target, source, w2, g = pair_operands(np.random.default_rng(K), B, K, D, dtype)
+        *arrays, g = pair_operands(np.random.default_rng(K), B, K, D, dtype)
         if dtype == np.float32:
-            fused = pair_logits(Tensor(target), Tensor(source), Tensor(w2)).data
-            composed = (np.tanh(np.add(target[:, :, None], source[:, None])) @ w2).reshape(B, K, K)
-            assert fused.tobytes() == composed.tobytes()
+            fused = pair_logits(*score_tensors(arrays)).data
+            assert fused.tobytes() == composed_pair_logits(*score_tensors(arrays)).data.tobytes()
             continue
-        fused = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
-        pair_logits(*fused).backward(g)
-        chain = [Tensor(a, requires_grad=True) for a in (target, source, w2)]
-        pairs = tt.add(tt.reshape(chain[0], (B, K, 1, D)), tt.reshape(chain[1], (B, 1, K, D)))
-        tt.matmul(tt.tanh(pairs), chain[2]).backward(g[..., None])
-        for a, b in zip(fused, chain):
-            assert np.abs(a.grad - b.grad).max() <= 1e-13 * np.abs(b.grad).max()
+        g.reshape(B, K * K)[:, :: K + 1] = 0.0
+        grads = []
+        for fn in (pair_logits, composed_pair_logits):
+            parents = score_tensors(arrays, requires_grad=True)
+            fn(*parents).backward(g)
+            grads.append([p.grad for p in parents])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_zero_steps_is_identity():
