@@ -323,6 +323,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
+    if b.ndim == 2:
+        # A weight shared by a stack of matrices: affine's node, whose
+        # gradients are one 2-D product each over all rows.
+        return affine(((a, b),))
     out_data = a.data @ b.data
     an, bn = a._node, b._node
     # Each operand's gradient reads the other operand alone.
@@ -331,19 +335,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if an is not None:
-            if b_data.ndim == 2:
-                ga = _matmul_rows(g, b_data.T)  # affine's product for a 2-D weight
-            else:
-                ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape)
-            an._accumulate(ga, owned=True)
+            an._accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), an.shape), owned=True)
         if bn is not None:
-            if len(bn.shape) == 2:
-                # A weight shared by a stack of matrices: one [m, rows] @ [rows, p]
-                # product instead of a [batch, m, p] stack summed afterwards.
-                gb = a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, bn.shape)
-            bn._accumulate(gb, owned=True)
+            bn._accumulate(_unbroadcast(np.swapaxes(a_data, -1, -2) @ g, bn.shape), owned=True)
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -559,8 +553,7 @@ def affine_backward(g: np.ndarray, saved: tuple, bias_node=None) -> None:
     """Hand g, the gradient of a sum of products plus a bias, to the parents
     that `affine_terms` saved and to the bias's node: for each term,
     g_i = g summed down to the product's shape, dx = g_i @ W^T and
-    dW = x^T g_i over all rows (matmul's products for a 2-D weight, so the
-    bytes match it)."""
+    dW = x^T g_i over all rows."""
     for xn, wn, x_data, w_data, shape in saved:
         if xn is None and wn is None:
             continue

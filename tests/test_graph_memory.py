@@ -338,18 +338,21 @@ def test_read_scores_gradients_match_composed_ops():
 
 
 def check_backward_is_pure(name):
-    # The backward rebuilds its maps and overwrites them in place; it saves
-    # nothing that could change, so a second call adds what a fresh node's
-    # backward adds.  Not 2 * once: the nodes get two parts per call.
+    # The backward rebuilds its maps and overwrites them in place; it writes
+    # into no operand and saves nothing that could change, so a second call
+    # adds what a fresh node's backward adds.  Not 2 * once: the nodes get
+    # two parts per call.
     fused, _, operands = SCORES[name]
     *arrays, g = operands(np.random.default_rng(6), 3, 5, 4, np.float64)
+    before = [a.tobytes() for a in arrays]
 
     def grads_after(tape_calls):
-        parents = score_tensors(arrays, requires_grad=True)
+        parents = score_tensors([a.copy() for a in arrays], requires_grad=True)
         for calls in tape_calls:
             out = fused(*parents)
             for _ in range(calls):
                 out._node._backward(g)
+        assert [p.data.tobytes() for p in parents] == before
         return [p.grad.tobytes() for p in parents]
 
     assert grads_after([2]) == grads_after([1, 1])
@@ -364,8 +367,9 @@ def test_read_scores_backward_is_pure():
     check_backward_is_pure("read")
 
 
-def held_after_forward_and_backward_peak(name, B, K, D):
-    """Bytes the node holds after its forward, beyond its output, and its backward's peak."""
+def held_and_peak(name, B, K, D):
+    """Bytes the node holds after its forward, beyond its output, and the peak
+    over its forward and backward."""
     fused, _, operands = SCORES[name]
     *arrays, g = operands(np.random.default_rng(7), B, K, D, np.float32)
     parents = score_tensors(arrays, requires_grad=True)
@@ -374,7 +378,6 @@ def held_after_forward_and_backward_peak(name, B, K, D):
         base = tracemalloc.get_traced_memory()[0]
         out = fused(*parents)
         held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
-        tracemalloc.reset_peak()
         out.backward(g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -383,10 +386,10 @@ def held_after_forward_and_backward_peak(name, B, K, D):
 
 
 def test_pair_logits_holds_no_pair_tensor():
-    # At frame level, T = 128 and batch 8, y would be [S, T, T, D]; the
-    # backward holds one block of it, and the node no [S, T, D] map.
+    # At frame level, T = 128 and batch 8, y would be [S, T, T, D]; forward
+    # and backward hold one block of it, and the node no [S, T, D] map.
     B, K, D = 8, 128, 32
-    held, peak = held_after_forward_and_backward_peak("pair", B, K, D)
+    held, peak = held_and_peak("pair", B, K, D)
     assert held < B * K * D * 4 / 4, held
     assert peak < B * K * K * D * 4 / 4, peak
 
@@ -394,7 +397,7 @@ def test_pair_logits_holds_no_pair_tensor():
 def test_read_scores_holds_no_map():
     # At object level, T = 128 and batch 8: no [S·T, K, D] tanh map stays.
     B, K, D = 1024, 4, 32
-    held, _ = held_after_forward_and_backward_peak("read", B, K, D)
+    held, _ = held_and_peak("read", B, K, D)
     assert held < B * K * D * 4 / 4, held
 
 
