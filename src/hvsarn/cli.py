@@ -35,7 +35,14 @@ from .evaluation import (
 from .fileio import FormatError, atomic_write_json
 from .localization import write_predictions_jsonl
 from .model import predict_dataset
-from .training import TrainHyper, TrainingDiverged, gradcheck, load_checkpoint, train
+from .training import (
+    TrainHyper,
+    TrainingDiverged,
+    gradcheck,
+    intermediate_checkpoints,
+    load_checkpoint,
+    train,
+)
 
 
 def precision_dtype():
@@ -144,6 +151,7 @@ def cmd_train(args) -> int:
     started = time.time()
     config = _load_config(args)
     hyper = _hyper(args)
+    checkpoints = intermediate_checkpoints(hyper.steps, args.checkpoint_every)
     dataset = load_dataset(args.data_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     state, curve = train(
@@ -167,7 +175,7 @@ def cmd_train(args) -> int:
             "data_dir": args.data_dir,
         },
         config.seed,
-        ["checkpoint", "loss_curve.json"],
+        [*checkpoints.values(), "checkpoint", "loss_curve.json"],
         started,
     )
     return 0

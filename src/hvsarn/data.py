@@ -492,6 +492,8 @@ def write_dataset(
 ) -> list[Path]:
     """Write `count` synthetic samples plus a dataset.json index."""
     _check_synth_seed(seed)
+    if count < 0:
+        raise ValueError(f"count: must be >= 0, got {count}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []

@@ -30,8 +30,9 @@ Each attention score is one tape node too, and keeps no [B, K, D] map: its
 closure holds only the nodes, the controller and the weights, arrays other
 nodes hold anyway, and its backward rebuilds the maps with the ops of its
 forward, so the rebuilt maps are the forward's bytes.  `read_scores` gives
-the read's a [B, 1, K]; its backward rebuilds the tanh map h and turns it in
-place into dL/dpre.  `pair_logits` gives the neighbour score m [B, K, K]
+the read's a [B, 1, K], and the object fusion's [S, T, 1, K] in
+`hierarchy.fusion_attention`; its backward rebuilds the tanh map h and turns
+it in place into dL/dpre.  `pair_logits` gives the neighbour score m [B, K, K]
 from the target map W1t v_k + b1, the source map W1s v_i and w2, with
 _MASK_VALUE on the diagonal, whose softmax weight is then exactly 0.  It
 never holds the [B, K, K, D] tanh output y either: it walks blocks of (b, k)
@@ -96,21 +97,21 @@ def gated_update(state: Tensor, pre: Tensor) -> Tensor:
 
     def backward(grad):
         # dL/dpre = [grad * (1 - g) * (1 - c^2) | grad * (state - c) * g * (1 - g)],
-        # each product in that order, with two scratch buffers; the second
-        # then holds dL/dstate = grad * g.
+        # each product in that order, with one scratch map: 1 - g for both
+        # halves, then 1 - c^2, then dL/dstate = grad * g.
         scratch = np.empty_like(g)
         if pre_node is not None:
             dpre = np.empty(pre_node.shape, dtype=pre_node.dtype)
             dcand, dgate = dpre[..., :D], dpre[..., D:]
-            one_minus_g = np.subtract(1.0, g)
-            np.multiply(grad, one_minus_g, out=dcand)
+            np.subtract(state_data, c, out=dgate)
+            dgate *= grad
+            dgate *= g
+            np.subtract(1.0, g, out=scratch)
+            dgate *= scratch
+            np.multiply(grad, scratch, out=dcand)
             np.multiply(c, c, out=scratch)
             np.subtract(1.0, scratch, out=scratch)
             dcand *= scratch
-            np.subtract(state_data, c, out=scratch)
-            np.multiply(grad, scratch, out=dgate)
-            dgate *= g
-            dgate *= one_minus_g
             pre_node._accumulate(dpre, owned=True)
         if state_node is not None:
             state_node._accumulate(np.multiply(grad, g, out=scratch), owned=True)
@@ -132,11 +133,12 @@ def graph_memory_params(dim: int) -> dict:
     }
 
 
-def _score_shapes(op: str, nodes: Tensor, v: Tensor) -> tuple:
-    """B, K, D of nodes [B, K, D] and the hidden width H of v [H, 1]."""
-    if len(nodes.shape) != 3 or len(v.shape) != 2 or v.shape[1] != 1:
+def _score_shapes(op: str, nodes: Tensor, v: Tensor, lead: bool = False) -> tuple:
+    """The shape of nodes [B, K, D] ([..., K, D] with `lead`), then the width H of v [H, 1]."""
+    ndim, form = len(nodes.shape), ("[..., K, D]" if lead else "[B, K, D]")
+    if ndim < 3 or (ndim > 3 and not lead) or len(v.shape) != 2 or v.shape[1] != 1:
         raise ValueError(
-            f"{op} needs nodes [B, K, D] and a [H, 1] vector, got shapes {nodes.shape}, {v.shape}"
+            f"{op} needs nodes {form} and a [H, 1] vector, got shapes {nodes.shape}, {v.shape}"
         )
     return nodes.shape + v.shape[:1]
 
@@ -151,18 +153,19 @@ def _check_shapes(op: str, **shapes) -> None:
 def read_scores(
     controller: Tensor, nodes: Tensor, w1: Tensor, w2: Tensor, b: Tensor, v: Tensor
 ) -> Tensor:
-    """a[b, 0, k] = v . tanh(controller[b, 0] @ w1 + nodes[b, k] @ w2 + b) as one node, [B, 1, K].
+    """a[..., 0, k] = v . tanh(q[..., 0] @ w1 + nodes[..., k] @ w2 + b) as one node, [..., 1, K].
 
-    controller [B, 1, D], nodes [B, K, D], w1 and w2 [D, H], b [H], v [H, 1].
-    The forward forms the [B, K, H] tanh map h in the order the affine, tanh
-    and linear nodes it replaces did, and drops it.  The backward rebuilds h
-    with the same ops, reads dL/dv = h^T g from it, then turns it in place
+    nodes [..., K, D]; controller q [..., 1, D], each leading axis the nodes'
+    or 1; w1, w2 [D, H]; b [H]; v [H, 1].  The forward forms the [..., K, H]
+    tanh map h as the affine, tanh and linear nodes it replaced did and drops
+    it; the backward rebuilds h, reads dL/dv = h^T g from it, turns it in place
     into dL/dpre = (1 - h^2) * g * v and hands that to `tt.affine_backward`.
     """
-    B, K, D, H = _score_shapes("read_scores", nodes, v)
+    *lead, K, D, H = _score_shapes("read_scores", nodes, v, lead=True)
+    lead_q = tuple(1 if c == 1 else n for c, n in zip(controller.shape, lead))
     _check_shapes(
         "read_scores",
-        controller=(controller.shape, (B, 1, D)),
+        controller=(controller.shape, lead_q + (1, D)),
         w1=(w1.shape, (D, H)),
         w2=(w2.shape, (D, H)),
         b=(b.shape, (H,)),
@@ -175,12 +178,12 @@ def read_scores(
         h += bias
         return np.tanh(h, out=h)
 
-    out_data = (tanh_map() @ v_data).reshape(B, 1, K)
+    out_data = (tanh_map() @ v_data).reshape(*lead, 1, K)
     saved = tt.affine_terms(((controller, w1), (nodes, w2)))
     b_node, v_node = b._node, v._node
 
     def backward(g):
-        gk = g.reshape(B, K, 1)
+        gk = g.reshape(*lead, K, 1)
         dpre = tanh_map()
         if v_node is not None:
             v_node._accumulate(dpre.reshape(-1, H).T @ gk.reshape(-1, 1), owned=True)
@@ -197,7 +200,7 @@ def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
     p = params["read"]
     scores = read_scores(controller, nodes, p["attn_w1"], p["attn_w2"], p["attn_b"], p["attn_v"])
-    return tt.softmax(scores, axis=2)
+    return tt.softmax(scores, axis=-1)
 
 
 def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
@@ -274,11 +277,8 @@ def pair_logits(
     formed as the linear nodes they replace formed them.  Forward and
     backward each hold one block of y = tanh(...) at a time, never the
     [B, K, K, H] tensor, and the node keeps neither map: the backward rebuilds
-    both with the same ops and recomputes y block by block, so it saves
-    nothing and can run twice.  With g = dL/dm, zero on the diagonal,
-    dL/dtarget[b, k] = w2 * (sum_i g[b,k,i] - sum_i g[b,k,i] y[b,k,i]^2), and
-    the source likewise with k and i swapped; `tt.affine_backward` carries
-    both to the nodes and weights.
+    both with the same ops, recomputes y block by block and forms the
+    gradients of the module docstring, so it saves nothing and can run twice.
     """
     B, K, D, H = _score_shapes("pair_logits", nodes, w2)
     _check_shapes(

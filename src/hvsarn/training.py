@@ -118,6 +118,15 @@ def batch_loss(model: Model, samples) -> Tensor:
     return total * (1.0 / len(samples))
 
 
+def intermediate_checkpoints(steps: int, checkpoint_every: int) -> dict[int, str]:
+    """The checkpoints `train` writes before its final one, by step: one
+    every `checkpoint_every` steps before the last, none for 0."""
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every: must be >= 0, got {checkpoint_every}")
+    saves = range(checkpoint_every, steps, checkpoint_every) if checkpoint_every else ()
+    return {step: f"checkpoint_{step:06d}" for step in saves}
+
+
 def train(
     dataset,
     config: ModelConfig,
@@ -134,6 +143,7 @@ def train(
     """
     if hyper is None:
         hyper = TrainHyper()
+    checkpoints = intermediate_checkpoints(hyper.steps, checkpoint_every)
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
     if any(video.annotation is None for video, _ in dataset):
@@ -158,8 +168,8 @@ def train(
         curve.append(value)
         if log is not None and (step % max(1, hyper.steps // 10) == 0 or step == 1):
             log(f"step {step}/{hyper.steps} loss {value:.4f}")
-        if out_dir and checkpoint_every and step % checkpoint_every == 0 and step < hyper.steps:
-            save_checkpoint(os.path.join(out_dir, f"checkpoint_{step:06d}"), state)
+        if out_dir and step in checkpoints:
+            save_checkpoint(os.path.join(out_dir, checkpoints[step]), state)
 
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "checkpoint"), state)

@@ -83,6 +83,13 @@ def test_synth_rejects_a_negative_seed_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_rejects_a_negative_count_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert synth(out, count=-3) == 1
+    assert capsys.readouterr().err.startswith("error: count: must be >= 0, got -3")
+    assert not out.exists()
+
+
 def test_a_hung_git_still_writes_the_manifest(tmp_path, monkeypatch, capsys):
     # git describe runs in the package's checkout, whatever the working
     # directory; a git that outlives its timeout leaves git_describe null.
@@ -191,6 +198,27 @@ def test_train_of_zero_steps_writes_every_artifact(tmp_path):
     manifest = json.loads((run / "run_manifest.json").read_text())
     assert manifest["artifacts"] == ["checkpoint", "loss_curve.json"]
     assert manifest["config"]["hyper"]["steps"] == 0
+
+
+def test_train_manifest_lists_every_checkpoint(tmp_path):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert synth(data) == 0
+    args = ["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]
+    assert main(args + ["--steps", "5", "--checkpoint-every", "2"]) == 0
+    manifest = json.loads((run / "run_manifest.json").read_text())
+    written = ["checkpoint", "checkpoint_000002", "checkpoint_000004", "loss_curve.json"]
+    assert manifest["artifacts"] == written
+    assert sorted(os.listdir(run)) == written + ["run_manifest.json"]
+
+
+def test_train_rejects_a_negative_checkpoint_interval(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert synth(data) == 0
+    capsys.readouterr()
+    args = ["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]
+    assert main(args + ["--checkpoint-every", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint_every: must be >= 0, got -1")
+    assert not run.exists()
 
 
 def test_eval_of_empty_dataset_prints_error(tmp_path, capsys):

@@ -213,6 +213,24 @@ def test_gated_update_forward_bytes_match_composed_ops():
     assert fused.tobytes() == composed_gated_update(state, pre).data.tobytes()
 
 
+def test_gated_update_backward_holds_one_scratch_map():
+    # The object level's read at T = 128, K = 4 and batch 8.  dL/dpre is two
+    # [..., D] maps; one scratch map serves 1 - g, 1 - c^2 and then dL/dstate.
+    shape = (1024, 4, 32)
+    rng = np.random.default_rng(4)
+    state = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    pre = Tensor(rng.normal(size=shape[:-1] + (64,)).astype(np.float32), requires_grad=True)
+    out, g = gated_update(state, pre), np.ones(shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out._node._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * g.nbytes, peak
+
+
 def test_gated_update_rejects_shape_mismatch():
     for pre_shape in [(1, 6), (2, 3), (2, 5)]:
         with pytest.raises(ValueError, match="shape"):
@@ -244,6 +262,13 @@ def read_operands(rng, B, K, D, dtype):
     return tuple(rng.normal(size=s).astype(dtype) for s in shapes)
 
 
+def read_lead_operands(rng, S, K, D, dtype, T=3):
+    """read_scores' operands with leading axes: nodes [S, T, K, D] under one
+    controller row [S, 1, 1, D] per sample."""
+    shapes = ((S, 1, 1, D), (S, T, K, D), (D, D), (D, D), (D,), (D, 1), (S, T, 1, K))
+    return tuple(rng.normal(size=s).astype(dtype) for s in shapes)
+
+
 def composed_pair_logits(nodes, w1_target, b1, w1_source, w2):
     """pair_logits as the linear, add, tanh, matmul and mask nodes it replaces."""
     B, K, D = nodes.shape
@@ -257,14 +282,15 @@ def composed_pair_logits(nodes, w1_target, b1, w1_source, w2):
 
 def composed_read_scores(controller, nodes, w1, w2, b, v):
     """read_scores as the affine, tanh, linear and reshape nodes it replaces."""
-    B, K, _ = nodes.shape
+    *lead, K, _ = nodes.shape
     h = tt.tanh(tt.affine(((controller, w1), (nodes, w2)), b))
-    return tt.reshape(tt.linear(h, v), (B, 1, K))
+    return tt.reshape(tt.linear(h, v), (*lead, 1, K))
 
 
 SCORES = {
     "pair": (pair_logits, composed_pair_logits, pair_operands),
     "read": (read_scores, composed_read_scores, read_operands),
+    "read_lead": (read_scores, composed_read_scores, read_lead_operands),
 }
 
 
@@ -288,8 +314,11 @@ def test_pair_logits_fd_into_every_parent():
 
 
 def test_read_scores_fd_into_every_parent():
-    for K in (2, 4):
-        check_fd_into_every_parent("read", K)
+    # read_lead: the controller's gradient sums over the T frames its row
+    # broadcasts to.
+    for name in ("read", "read_lead"):
+        for K in (2, 4):
+            check_fd_into_every_parent(name, K)
 
 
 def check_forward_bytes_match_composed_ops(name, K):
@@ -308,8 +337,9 @@ def test_pair_logits_forward_bytes_match_composed_ops():
 
 
 def test_read_scores_forward_bytes_match_composed_ops():
-    for K in (1, 2, 7):
-        check_forward_bytes_match_composed_ops("read", K)
+    for name in ("read", "read_lead"):
+        for K in (1, 2, 7):
+            check_forward_bytes_match_composed_ops(name, K)
 
 
 def check_gradients_match_composed_ops(name, K):
@@ -333,8 +363,9 @@ def test_pair_logits_gradients_match_composed_ops():
 
 
 def test_read_scores_gradients_match_composed_ops():
-    for K in (2, 5):
-        check_gradients_match_composed_ops("read", K)
+    for name in ("read", "read_lead"):
+        for K in (2, 5):
+            check_gradients_match_composed_ops(name, K)
 
 
 def check_backward_is_pure(name):
@@ -365,6 +396,7 @@ def test_pair_logits_backward_is_pure():
 
 def test_read_scores_backward_is_pure():
     check_backward_is_pure("read")
+    check_backward_is_pure("read_lead")
 
 
 def held_and_peak(name, B, K, D):
@@ -395,10 +427,13 @@ def test_pair_logits_holds_no_pair_tensor():
 
 
 def test_read_scores_holds_no_map():
-    # At object level, T = 128 and batch 8: no [S·T, K, D] tanh map stays.
-    B, K, D = 1024, 4, 32
-    held, _ = held_and_peak("read", B, K, D)
-    assert held < B * K * D * 4 / 4, held
+    # At object level, T = 128 and batch 8: no [S·T, K, D] tanh map stays,
+    # for the read's 1024 graphs nor for the fusion's rows over T frames
+    # (T = 3 in read_lead_operands, so 342 rows).
+    K, D = 4, 32
+    for name, B in (("read", 1024), ("read_lead", 342)):
+        held, _ = held_and_peak(name, B, K, D)
+        assert held < 1024 * K * D * 4 / 4, (name, held)
 
 
 def test_pair_logits_masks_the_diagonal():
@@ -450,6 +485,15 @@ def test_read_scores_rejects_shape_mismatch():
         ("v", (D + 1, 1)),
     ]
     check_rejects_shape_mismatch(read_scores, fits, bad)
+    # With leading axes, a controller axis of 1 broadcasts; any other must be the nodes'.
+    S, T = 2, 3
+    fits = dict(fits, q=(S, 1, 1, D), x=(S, T, K, D))
+    for q in ((S, T, 1, D), (1, T, 1, D), (1, 1, 1, D)):
+        shapes = dict(fits, q=q).values()
+        assert read_scores(*(Tensor(np.ones(s)) for s in shapes)).shape == (S, T, 1, K)
+    for q in ((S, 2, 1, D), (S + 1, 1, 1, D), (S, 1, D), (1, S, 1, 1, D)):
+        with pytest.raises(ValueError, match="controller"):
+            read_scores(*(Tensor(np.ones(s)) for s in dict(fits, q=q).values()))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -122,10 +122,29 @@ def test_fusion_attention_matches_oracle():
         attn = fusion_attention(Tensor(visual[None]), sentences, params)
         frames = fuse_objects(Tensor(visual[None]), Tensor(semantic[None]), sentences, params)
         ref_pooled, ref_attn = fusion_oracle(visual, sentence, as_np(params))
-        np.testing.assert_allclose(attn.data[0], ref_attn, atol=1e-10)
+        np.testing.assert_allclose(attn.data[0, :, 0], ref_attn, atol=1e-10)
         np.testing.assert_allclose(frames.visual.data[0], ref_pooled, atol=1e-10)
         np.testing.assert_allclose(frames.semantic.data[0], semantic.mean(axis=1), atol=1e-10)
-        np.testing.assert_allclose(attn.data.sum(axis=2), 1.0, atol=1e-6)
+        np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_fuse_objects_builds_seven_nodes():
+    # The sentence rows' reshape, the read score, its softmax, the pooling
+    # matmul and its reshape (visual); a sum and a scale (semantic mean).
+    rng = np.random.default_rng(3)
+    params = init_params(fusion_params(D), rng, np.float64)
+    shapes = ((2, 3, 4, D), (2, 3, 4, D), (2, 1, D))
+    visual, semantic, sentences = (Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+    frames = fuse_objects(visual, semantic, sentences, params)
+    ops, stack = {}, [frames.visual._node, frames.semantic._node]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in ops:
+            ops[id(node)] = node._backward.__qualname__.split(".")[0]
+            stack.extend(node._parents)
+    assert sorted(ops.values()) == [
+        "matmul", "mul", "read_scores", "reshape", "reshape", "softmax", "tsum"
+    ]
 
 
 def test_fuse_objects_is_permutation_invariant():
