@@ -153,7 +153,6 @@ def cmd_train(args) -> int:
     hyper = _hyper(args)
     checkpoints = intermediate_checkpoints(hyper.steps, args.checkpoint_every)
     dataset = load_dataset(args.data_dir)
-    os.makedirs(args.out_dir, exist_ok=True)
     state, curve = train(
         dataset,
         config,

@@ -2,21 +2,25 @@
 
 Each direction scores every source node i against a target node k with a
 row vector on the concatenated pair, pools the projected sources, then
-concatenates the pooled evidence onto the target and projects back to
-width D so downstream widths stay level-independent:
+projects the target and the pooled evidence back to width D so downstream
+widths stay level-independent:
 
     logits_i = w_pair . [src_i, tgt_k]
     f_k      = sum_i softmax_i(logits) * (W_val src_i)
-    out_k    = P [tgt_k, f_k] + b
+    out_k    = P [tgt_k, f_k] + b  =  tgt_k P[:D] + f_k P[D:] + b
 
 Because the score is linear in the pair, its target term tgt_k . w[D:] is
 the same for every source i and cancels in the softmax over i.  The
 attention row, and so the pooled evidence f_k, is therefore the same for
 every target k: each target receives one evidence vector per graph, and
 only the projection P mixes it with the target itself.  `cross_attention`
-computes that row once, [B, 1, K], and `enhance_batch` returns only the
-enhanced targets.  Only w[:D] is stored, as `attn_w` [D, 1]; it is drawn
-as the full [2D, 1] score, so the draws after it are unchanged.
+computes that row once, [B, 1, K].  `enhance_batch` pools the raw sources
+with it and projects the pooled row, f = (softmax @ src) W_val, [B, 1, D],
+then returns the one affine node tgt P[:D] + f P[D:] + b, where the [B, 1, D]
+evidence term broadcasts over the K targets: no [B, K, 2D] concat and no
+per-target copy of f.  P stays stored whole as `proj_w` [2D, D]; its two
+halves are `take` slices.  Only w[:D] is stored, as `attn_w` [D, 1]; it is
+drawn as the full [2D, 1] score, so the draws after it are unchanged.
 Whether a target-dependent score fits the paper better is ROADMAP item 3.
 
 The "v2s" direction reads sources from the visual graph and targets from
@@ -51,6 +55,6 @@ def enhance_batch(source: Tensor, target: Tensor, params: dict) -> Tensor:
     """Targets [B, K, D] enhanced with pooled evidence from same-shape sources."""
     if source.shape != target.shape:
         raise ValueError(f"source/target shape mismatch: {source.shape} vs {target.shape}")
-    evidence = tt.matmul(cross_attention(source, params), tt.linear(source, params["value_w"]))
-    pooled = tt.broadcast_to(evidence, target.shape)
-    return tt.linear(tt.concat([target, pooled], axis=-1), params["proj_w"], params["proj_b"])
+    D, proj_w = target.shape[-1], params["proj_w"]
+    evidence = tt.linear(tt.matmul(cross_attention(source, params), source), params["value_w"])
+    return tt.affine(((target, proj_w[:D]), (evidence, proj_w[D:])), params["proj_b"])

@@ -412,9 +412,15 @@ def _synth_basis():
 _BASIS = _synth_basis()
 
 
-def _check_synth_seed(seed: int) -> None:
+def _check_synth_args(seed: int, num_frames: int, num_objects: int, difficulty: str) -> None:
     if int(seed) < 0:
         raise ValueError(f"seed: must be >= 0, got {seed}")
+    if num_frames < 3:
+        raise ValueError(f"num_frames: must be >= 3, got {num_frames}")
+    if num_objects < 1:
+        raise ValueError(f"num_objects: must be >= 1, got {num_objects}")
+    if difficulty not in DIFFICULTIES:
+        raise ValueError(f"difficulty: {difficulty!r} not in {DIFFICULTIES}")
 
 
 def synth_sample(
@@ -428,13 +434,7 @@ def synth_sample(
     Pinning the correct segment therefore rewards comparing object content
     against the query.  `noisy` keeps the same plant at ~1/3 the SNR.
     """
-    _check_synth_seed(seed)
-    if num_frames < 3:
-        raise ValueError(f"num_frames: must be >= 3, got {num_frames}")
-    if num_objects < 1:
-        raise ValueError(f"num_objects: must be >= 1, got {num_objects}")
-    if difficulty not in DIFFICULTIES:
-        raise ValueError(f"difficulty: {difficulty!r} not in {DIFFICULTIES}")
+    _check_synth_args(seed, num_frames, num_objects, difficulty)
     T, K = num_frames, num_objects
     protos, words, sigs, anchor = _BASIS
     rng = np.random.default_rng([int(seed), T, K, DIFFICULTIES.index(difficulty)])
@@ -490,8 +490,9 @@ def synth_sample(
 def write_dataset(
     out_dir: str | Path, count: int, num_frames: int, num_objects: int, seed: int, difficulty: str
 ) -> list[Path]:
-    """Write `count` synthetic samples plus a dataset.json index."""
-    _check_synth_seed(seed)
+    """Write `count` synthetic samples plus a dataset.json index; every
+    argument is checked before anything is created."""
+    _check_synth_args(seed, num_frames, num_objects, difficulty)
     if count < 0:
         raise ValueError(f"count: must be >= 0, got {count}")
     out_dir = Path(out_dir)

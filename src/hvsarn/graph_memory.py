@@ -22,9 +22,18 @@ controller:
 
 Each gated layer (the read's, the write's, the memory_network baseline's)
 stores one [D, 2D] weight [candidate | gate] per input ([Wq | Wq'] as `wq`,
-and so on) and one [2D] bias [b | b'].  The projections of all inputs and
-the bias are one `tt.affine` node, and `gated_update` turns that [..., 2D]
-sum into the new state as one tape node with a hand-written backward.
+and so on) and one [2D] bias [b | b'].  `gated_update` is the whole layer as
+one tape node: it forms the [..., 2D] pre-activation pre = sum_i x_i W_i + b
+with `tt.affine_sum`, mixes, and drops pre, G and tanh(C).  Its backward
+rebuilds pre with the same helper, so the rebuilt map is the forward's
+bytes, and turns it in place into dL/dpre:
+
+    dL/dC'   = grad * (1 - G) * (1 - tanh(C)^2)
+    dL/dG'   = grad * (state - tanh(C)) * G * (1 - G)
+    dL/dstate = grad * G  (plus whatever the state gets as a term)
+
+(C' and G' the two halves of pre), which it hands to `tt.affine_backward`
+after the state's own part.
 
 Each attention score is one tape node too, and keeps no [B, K, D] map: its
 closure holds only the nodes, the controller and the weights, arrays other
@@ -82,41 +91,58 @@ def _gated_params(inputs: tuple[str, ...], dim: int) -> list:
     return [(name, (dim, dim)) for name in 2 * inputs] + [("b", (2 * dim,))]
 
 
-def gated_update(state: Tensor, pre: Tensor) -> Tensor:
-    """G * state + (1 - G) * tanh(C), with [C | G's pre-activation] = pre [..., 2D], as one node."""
+def gated_update(state: Tensor, terms, b: Tensor) -> Tensor:
+    """G * state + (1 - G) * tanh(C) as one node, with [C | G's pre-activation]
+    = pre = x1 @ W1 + x2 @ W2 + ... + b [..., 2D] for terms ((x1, W1), ...).
+
+    The forward forms pre with `tt.affine_sum` and drops it; the node keeps
+    only its operands, which other nodes and the parameters hold anyway.  The
+    backward rebuilds pre with the same helper, so the rebuilt map is the
+    forward's bytes, turns it in place into dL/dpre and hands that to
+    `tt.affine_backward`.
+    """
+    terms = tuple(terms)
+    pairs, b_data, state_data = tuple((x.data, w.data) for x, w in terms), b.data, state.data
+    pre = tt.affine_sum(pairs, b_data)
     D = state.shape[-1]
     if pre.shape != state.shape[:-1] + (2 * D,):
         raise ValueError(f"pre shape {pre.shape} does not fit state shape {state.shape}")
-    state_node, pre_node, state_data = state._node, pre._node, state.data
-    g = tt.stable_sigmoid(pre.data[..., D:])
-    c = np.tanh(pre.data[..., :D])
+    g = tt.stable_sigmoid(pre[..., D:])
+    c = np.tanh(pre[..., :D], out=pre[..., :D])
     out_data = g * state_data
-    mix = np.subtract(1.0, g)
+    mix = np.subtract(1.0, g, out=g)
     mix *= c
     out_data += mix
+    parents = (state,) + sum(terms, ()) + (b,)
+    if not tt.records(parents):  # off the tape: skip building the backward
+        return Tensor(out_data)
+    saved, state_node, b_node = tt.affine_terms(terms), state._node, b._node
 
     def backward(grad):
         # dL/dpre = [grad * (1 - g) * (1 - c^2) | grad * (state - c) * g * (1 - g)],
-        # each product in that order, with one scratch map: 1 - g for both
-        # halves, then 1 - c^2, then dL/dstate = grad * g.
-        scratch = np.empty_like(g)
-        if pre_node is not None:
-            dpre = np.empty(pre_node.shape, dtype=pre_node.dtype)
-            dcand, dgate = dpre[..., :D], dpre[..., D:]
-            np.subtract(state_data, c, out=dgate)
-            dgate *= grad
-            dgate *= g
-            np.subtract(1.0, g, out=scratch)
-            dgate *= scratch
-            np.multiply(grad, scratch, out=dcand)
-            np.multiply(c, c, out=scratch)
-            np.subtract(1.0, scratch, out=scratch)
-            dcand *= scratch
-            pre_node._accumulate(dpre, owned=True)
+        # each product in that order, over the rebuilt pre; dL/dstate = grad * g
+        # goes to the state before the terms' gradients, as it did when pre
+        # was a node of its own.
+        dpre = tt.affine_sum(pairs, b_data)
+        dcand, dgate = dpre[..., :D], dpre[..., D:]
+        g = tt.stable_sigmoid(dgate)
+        c = np.tanh(dcand, out=dcand)
+        one_minus_g = np.subtract(1.0, g)
+        np.subtract(state_data, c, out=dgate)
+        dgate *= grad
+        dgate *= g
+        dgate *= one_minus_g
+        one_minus_g *= grad
+        np.multiply(c, c, out=dcand)
+        np.subtract(1.0, dcand, out=dcand)
+        dcand *= one_minus_g
+        del one_minus_g  # so that at most four [..., D] maps are alive at once
         if state_node is not None:
-            state_node._accumulate(np.multiply(grad, g, out=scratch), owned=True)
+            state_node._accumulate(np.multiply(grad, g, out=g), owned=True)
+        del g  # kept by the state's node, or freed before the terms' products
+        tt.affine_backward(dpre, saved, b_node)
 
-    return Tensor._result(out_data, (state, pre), backward)
+    return Tensor._result(out_data, parents, backward)
 
 
 def graph_memory_params(dim: int) -> dict:
@@ -207,7 +233,7 @@ def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Batched read of controllers [B, 1, D] over nodes [B, K, D]; returns the new controllers."""
     p = params["read"]
     content = tt.matmul(read_attention(controller, nodes, params), nodes)
-    return gated_update(controller, tt.affine(((controller, p["wq"]), (content, p["wr"])), p["b"]))
+    return gated_update(controller, ((controller, p["wq"]), (content, p["wr"])), p["b"])
 
 
 # Bytes of tanh output one block of pair_logits holds: a few hundred KiB
@@ -344,8 +370,8 @@ def write_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
     """Batched write of nodes [B, K, D] under controllers [B, 1, D]; returns the new nodes."""
     p = params["write"]
     context = neighbor_context(nodes, params)
-    pre = tt.affine(((nodes, p["wv"]), (controller, p["wq"]), (context, p["wc"])), p["b"])
-    return gated_update(nodes, pre)
+    terms = ((nodes, p["wv"]), (controller, p["wq"]), (context, p["wc"]))
+    return gated_update(nodes, terms, p["b"])
 
 
 def reason_batch(controller: Tensor, nodes: Tensor, params: dict, num_steps: int):
@@ -408,8 +434,8 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict) ->
         attn = tt.softmax(scores, axis=-1)
         return nodes + tt.matmul(attn, v)
     if kind == "memory_network":
-        pre = tt.affine(((nodes, params["wv"]), (controller, params["wq"])), params["b"])
-        return gated_update(nodes, pre)
+        terms = ((nodes, params["wv"]), (controller, params["wq"]))
+        return gated_update(nodes, terms, params["b"])
     raise ValueError(f"unknown baseline reasoner kind: {kind!r}")
 
 

@@ -46,6 +46,22 @@ from .tensor import Tensor
 EVAL_CHUNK = 8
 
 
+def check_limits(config: ModelConfig, video: VideoSample) -> None:
+    """Raise a ValueError naming the field when a video is outside what the model runs."""
+    if video.num_frames < 2:
+        raise ValueError(
+            f"num_frames {video.num_frames} is below 2: a candidate segment spans two frames"
+        )
+    if video.num_frames > config.max_frames:
+        raise ValueError(
+            f"num_frames {video.num_frames} exceeds config.max_frames {config.max_frames}"
+        )
+    if video.num_objects > config.max_objects:
+        raise ValueError(
+            f"num_objects {video.num_objects} exceeds config.max_objects {config.max_objects}"
+        )
+
+
 @dataclass
 class Model:
     config: ModelConfig
@@ -57,21 +73,6 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def _check_limits(self, video: VideoSample) -> None:
-        if video.num_frames < 2:
-            raise ValueError(
-                f"num_frames {video.num_frames} is below 2: a candidate segment spans two frames"
-            )
-        if video.num_frames > self.config.max_frames:
-            raise ValueError(
-                f"num_frames {video.num_frames} exceeds config.max_frames {self.config.max_frames}"
-            )
-        if video.num_objects > self.config.max_objects:
-            raise ValueError(
-                f"num_objects {video.num_objects} exceeds config.max_objects "
-                f"{self.config.max_objects}"
-            )
-
     def encode(self, samples: list[tuple[VideoSample, QuerySample]]) -> tuple[EncodedVideo, Tensor]:
         """Encoded videos [S,T,K,D] and query sentences [S,1,D] of same-shape samples."""
         if not samples:
@@ -79,7 +80,7 @@ class Model:
         videos = [video for video, _ in samples]
         shape = (videos[0].num_frames, videos[0].num_objects)
         for video in videos:
-            self._check_limits(video)
+            check_limits(self.config, video)
             if (video.num_frames, video.num_objects) != shape:
                 raise ValueError(
                     f"sample {video.video_id} has (num_frames, num_objects) "
@@ -126,7 +127,7 @@ class Model:
         for video, _ in samples:
             if video.annotation is None:
                 raise ValueError(f"sample {video.video_id} has no annotation; cannot compute loss")
-            self._check_limits(video)
+            check_limits(self.config, video)
             s, e = segment_to_frame_indices(video.annotation, video.num_frames)
             if s == e:
                 raise ValueError(

@@ -16,10 +16,11 @@ Each backward closure holds its parents' nodes and exactly the arrays it
 reads: a matmul, an affine or a mul its operands, a tanh or (log-)softmax
 its own output, an add or a reshape only shapes. So the tape keeps only
 what some backward reads, and an output that none reads is freed as soon
-as the forward drops its last reference to it. `affine_terms` and
-`affine_backward` are affine's saved operands and backward, for a node
-(such as the graph memory's attention scores) that ends in a sum of
-products and rebuilds the rest from those operands.
+as the forward drops its last reference to it. `affine_sum`,
+`affine_terms` and `affine_backward` are affine's forward sum, saved
+operands and backward, for a node (such as the graph memory's attention
+scores and gated update) that starts or ends in a sum of products and
+rebuilds the rest from those operands.
 
 A weight shared by a stack of matrices gets one BLAS product per gradient:
 dx = g @ W^T over all rows of g at once, dW = x^T g likewise, and a bias
@@ -483,44 +484,56 @@ def _fits(shape: tuple, into: tuple) -> bool:
     return len(shape) <= len(into) and all(n in (1, m) for n, m in zip(shape[::-1], into[::-1]))
 
 
+def affine_sum(pairs, bias=None) -> np.ndarray:
+    """((x1 @ W1 + x2 @ W2) + ...) + bias over arrays, for pairs ((x1, W1), (x2, W2), ...).
+
+    Each x has ndim >= 2 and each W is 2-D [m, p]; the products broadcast
+    against each other, and bias, when given, is [p].  Each product is formed
+    in turn and added, in order, into the first buffer of the full output
+    shape, so the bytes are those of the same sum built from `matmul` and
+    `add`, and at most two products are alive at once.  `affine` and the
+    graph memory's `gated_update` form their sums here, the latter again in
+    its backward.
+    """
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("affine needs at least one (x, W) term")
+    width = pairs[0][1].shape[-1]
+    for x, w in pairs:
+        if x.ndim < 2:
+            raise ValueError(f"affine requires x with ndim >= 2, got x {x.shape} for W {w.shape}")
+        if w.ndim != 2 or x.shape[-1] != w.shape[0] or w.shape[1] != width:
+            raise ValueError(
+                f"affine term x {x.shape} @ W {w.shape} does not fit: "
+                f"W must be 2-D [{x.shape[-1]}, {width}]"
+            )
+    if bias is not None and bias.shape != (width,):
+        raise ValueError(f"affine bias {bias.shape} does not fit the output width {width}")
+    out = pairs[0][0] @ pairs[0][1]
+    # Every product is a fresh array, so a sum of two of one dtype may go
+    # into whichever of them has the full shape.
+    for x, w in pairs[1:]:
+        p = x @ w
+        if p.dtype == out.dtype and _fits(p.shape, out.shape):
+            np.add(out, p, out=out)
+        elif p.dtype == out.dtype and _fits(out.shape, p.shape):
+            out = np.add(out, p, out=p)
+        else:
+            out = out + p
+    if bias is not None:
+        out = np.add(out, bias, out=out if bias.dtype == out.dtype else None)
+    return out
+
+
 def affine(terms, b: Tensor | None = None) -> Tensor:
     """((x1 @ W1 + x2 @ W2) + ...) + b as one node, for terms ((x1, W1), (x2, W2), ...).
 
-    Each x has ndim >= 2 and each W is 2-D [m, p]; the products broadcast
-    against each other, and b, when given, is [p].  The forward adds each
-    term, in order, into the first buffer of the full output shape, so its
-    bytes are those of the same sum built from `matmul` and `add`.  The
-    backward forms each term's gradient straight from g: g summed down to the
+    The forward is `affine_sum` over the operands' arrays.  The backward
+    forms each term's gradient straight from g: g summed down to the
     product's shape, then dx = g_i @ W^T and dW = x^T g_i over all rows.
     """
     terms = tuple(terms)
-    if not terms:
-        raise ValueError("affine needs at least one (x, W) term")
-    width = terms[0][1].data.shape[-1]
-    for x, w in terms:
-        xs, ws = x.data.shape, w.data.shape
-        if len(xs) < 2:
-            raise ValueError(f"affine requires x with ndim >= 2, got x {xs} for W {ws}")
-        if len(ws) != 2 or xs[-1] != ws[0] or ws[1] != width:
-            raise ValueError(
-                f"affine term x {xs} @ W {ws} does not fit: W must be 2-D [{xs[-1]}, {width}]"
-            )
-    if b is not None and b.data.shape != (width,):
-        raise ValueError(f"affine bias {b.data.shape} does not fit the output width {width}")
-    products = [x.data @ w.data for x, w in terms]
-    out_data = products[0]
-    # Every product is a fresh array, so a sum of two of one dtype may go
-    # into whichever of them has the full shape.
-    for p in products[1:]:
-        if p.dtype == out_data.dtype and _fits(p.shape, out_data.shape):
-            np.add(out_data, p, out=out_data)
-        elif p.dtype == out_data.dtype and _fits(out_data.shape, p.shape):
-            out_data = np.add(out_data, p, out=p)
-        else:
-            out_data = out_data + p
-    if b is not None:
-        b_data = b.data
-        out_data = np.add(out_data, b_data, out=out_data if b_data.dtype == out_data.dtype else None)
+    out_data = affine_sum(((x.data, w.data) for x, w in terms), None if b is None else b.data)
     parents = sum(terms, ()) + (() if b is None else (b,))
     if not records(parents):  # off the tape: skip building the backward
         return Tensor(out_data)

@@ -28,7 +28,7 @@ from .fileio import (
     require_keys,
     write_tensors,
 )
-from .model import Model, build_model, model_params
+from .model import Model, build_model, check_limits, model_params
 from .params import param_shapes, tree_from, zero_grads
 from .tensor import Tensor
 
@@ -139,7 +139,8 @@ def train(
     """Fit a model to `dataset`; returns the final state and the loss curve.
 
     `out_dir`, when given, receives a final checkpoint (and intermediate ones
-    every `checkpoint_every` steps).
+    every `checkpoint_every` steps); it is created only after the arguments
+    and every sample have been checked.
     """
     if hyper is None:
         hyper = TrainHyper()
@@ -148,6 +149,10 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     if any(video.annotation is None for video, _ in dataset):
         raise ValueError("training requires annotated samples")
+    for video, _ in dataset:
+        check_limits(config, video)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
 
     dims = InputDims.of(*dataset[0])
     model = build_model(config, dims, dtype)

@@ -13,7 +13,14 @@ import pytest
 
 import hvsarn.cli
 from hvsarn.cli import main, parse_metric_grid, precision_dtype
-from hvsarn.data import ConfigError, GroundTruthSegment, VideoSample, load_dataset, save_sample
+from hvsarn.data import (
+    ConfigError,
+    GroundTruthSegment,
+    ModelConfig,
+    VideoSample,
+    load_dataset,
+    save_sample,
+)
 from hvsarn.model import predict_dataset
 from hvsarn.training import load_checkpoint
 
@@ -87,6 +94,17 @@ def test_synth_rejects_a_negative_count_before_writing(tmp_path, capsys):
     out = tmp_path / "data"
     assert synth(out, count=-3) == 1
     assert capsys.readouterr().err.startswith("error: count: must be >= 0, got -3")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "count, frames, objects, field",
+    [(2, 2, 2, "num_frames"), (0, 2, 2, "num_frames"), (2, 4, 0, "num_objects")],
+)
+def test_synth_rejects_a_bad_shape_before_writing(tmp_path, capsys, count, frames, objects, field):
+    out = tmp_path / "data"
+    assert synth(out, count=count, frames=frames, objects=objects) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be >= ")
     assert not out.exists()
 
 
@@ -218,6 +236,20 @@ def test_train_rejects_a_negative_checkpoint_interval(tmp_path, capsys):
     args = ["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]
     assert main(args + ["--checkpoint-every", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: checkpoint_every: must be >= 0, got -1")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("field", ["max_frames", "max_objects"])
+def test_train_rejects_samples_past_the_limits_before_writing(tmp_path, capsys, field):
+    # synth writes T = 4, K = 2; the config's limit sits one below.
+    data, run, config = tmp_path / "data", tmp_path / "run", tmp_path / "config.json"
+    assert synth(data) == 0
+    limits = {"max_frames": 3, "max_objects": 1}
+    config.write_text(json.dumps({**ModelConfig().to_dict(), field: limits[field]}))
+    capsys.readouterr()
+    args = ["train", "--data-dir", str(data), "--out-dir", str(run), "--config", str(config)]
+    assert main(args + TINY) == 1
+    assert f"exceeds config.{field} {limits[field]}" in capsys.readouterr().err
     assert not run.exists()
 
 

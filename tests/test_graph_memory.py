@@ -188,53 +188,139 @@ def test_init_blocks_equal_gate_by_gate_draws():
     assert sorted(baseline) == ["b", "wq", "wv"]
 
 
-def composed_gated_update(state, pre):
+def two_node_gated_update(state, terms, b):
+    """The gated update as an `affine` node for pre plus a (state, pre) node
+    that keeps g and c: the form the fused node replaces, byte for byte."""
+    pre = tt.affine(terms, b)
     D = state.shape[-1]
-    g = Tensor(tt.stable_sigmoid(pre.data[..., D:]))
-    return g * state + (1.0 - g) * tt.tanh(pre[..., :D])
+    g = tt.stable_sigmoid(pre.data[..., D:])
+    c = np.tanh(pre.data[..., :D])
+    out = g * state.data + (1.0 - g) * c
+
+    def backward(grad):
+        dpre = np.empty(pre.shape, dtype=pre.dtype)
+        dpre[..., D:] = (state.data - c) * grad * g * (1.0 - g)
+        dpre[..., :D] = grad * (1.0 - g) * (1.0 - c * c)
+        pre._node._accumulate(dpre, owned=True)
+        if state._node is not None:
+            state._node._accumulate(grad * g, owned=True)
+
+    return Tensor._result(out, (state, pre), backward)
+
+
+def gated_operands(rng, dtype, B=2, K=3, D=4):
+    """state [B, K, D], a broadcast term x [B, 1, D], a term y [B, K, D], four
+    [D, 2D] weights, a [2D] bias and an upstream gradient, as arrays."""
+    shapes = ((B, K, D), (B, 1, D), (B, K, D)) + 4 * ((D, 2 * D),) + ((2 * D,), (B, K, D))
+    return tuple(rng.normal(scale=2.0, size=s).astype(dtype) for s in shapes)
+
+
+def gated_call(fn, state, x, y, w1, w2, w3, w4, b):
+    # The state is a term too, as in the write; twice, so that its gradient
+    # has three parts and the order they are added in shows in its bytes.
+    return fn(state, ((state, w1), (x, w2), (y, w3), (state, w4)), b)
 
 
 def test_gated_update_fd_into_every_parent():
-    rng = np.random.default_rng(13)
-    probe = Tensor(rng.normal(size=(2, 3, 4)))  # a non-uniform upstream gradient
-    fd_check(
-        lambda s, pre: gated_update(s, pre) * probe,
-        rng.normal(size=(2, 3, 4)),
-        rng.normal(size=(2, 3, 8)),
-    )
+    *arrays, probe = gated_operands(np.random.default_rng(13), np.float64)
+    fd_check(lambda *parents: gated_call(gated_update, *parents) * Tensor(probe), *arrays)
 
 
 def test_gated_update_forward_bytes_match_composed_ops():
-    rng = np.random.default_rng(8)
-    state = Tensor(rng.normal(scale=3.0, size=(4, 5, 8)).astype(np.float32))
-    pre = Tensor(rng.normal(scale=3.0, size=(4, 5, 16)).astype(np.float32))
-    fused = gated_update(state, pre).data
-    assert fused.dtype == np.float32
-    assert fused.tobytes() == composed_gated_update(state, pre).data.tobytes()
+    for dtype in (np.float32, np.float64):
+        *arrays, _ = gated_operands(np.random.default_rng(8), dtype, B=4, K=5, D=8)
+        fused = gated_call(gated_update, *score_tensors(arrays)).data
+        assert fused.dtype == dtype
+        want = gated_call(two_node_gated_update, *score_tensors(arrays)).data
+        assert fused.tobytes() == want.tobytes()
 
 
-def test_gated_update_backward_holds_one_scratch_map():
-    # The object level's read at T = 128, K = 4 and batch 8.  dL/dpre is two
-    # [..., D] maps; one scratch map serves 1 - g, 1 - c^2 and then dL/dstate.
-    shape = (1024, 4, 32)
-    rng = np.random.default_rng(4)
-    state = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-    pre = Tensor(rng.normal(size=shape[:-1] + (64,)).astype(np.float32), requires_grad=True)
-    out, g = gated_update(state, pre), np.ones(shape, dtype=np.float32)
+def test_gated_update_gradient_bytes_match_affine_and_gated_nodes():
+    # The backward rebuilds pre with the forward's helper and hands the
+    # state its gradient before the terms', so every parent's gradient is
+    # the two-node form's, byte for byte.
+    for dtype in (np.float32, np.float64):
+        *arrays, g = gated_operands(np.random.default_rng(10), dtype, B=4, K=5, D=8)
+        grads = []
+        for fn in (gated_update, two_node_gated_update):
+            parents = score_tensors(arrays, requires_grad=True)
+            gated_call(fn, *parents).backward(g)
+            grads.append([p.grad.tobytes() for p in parents])
+        assert grads[0] == grads[1], dtype
+
+
+def test_gated_update_backward_is_pure():
+    # A second backward rebuilds pre from unchanged operands and adds what a
+    # fresh node's backward adds.
+    *arrays, g = gated_operands(np.random.default_rng(6), np.float64)
+    before = [a.tobytes() for a in arrays]
+
+    def grads_after(tape_calls):
+        parents = score_tensors([a.copy() for a in arrays], requires_grad=True)
+        for calls in tape_calls:
+            out = gated_call(gated_update, *parents)
+            for _ in range(calls):
+                out._node._backward(g)
+        assert [p.data.tobytes() for p in parents] == before
+        return [p.grad.tobytes() for p in parents]
+
+    assert grads_after([2]) == grads_after([1, 1])
+    assert grads_after([2]) != grads_after([1])
+
+
+def gated_memory(terms_need_grad):
+    """Bytes a gated update holds after its forward, beyond its output, and
+    its backward's peak, in [..., D] maps of the state.
+
+    The state is [1024, 4, 32] float32, the object level's at T = 128, K = 4
+    and batch 8, and the terms are a [B, K, D] and a broadcast [B, 1, D]
+    input, as the write's nodes and controller."""
+    *arrays, g = gated_operands(np.random.default_rng(4), np.float32, B=1024, K=4, D=32)
+    state, x, y, w1, w2, _, _, b = (
+        Tensor(a, requires_grad=terms_need_grad or i not in (1, 2)) for i, a in enumerate(arrays)
+    )
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = gated_update(state, ((y, w1), (x, w2)), b)
+        held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         out._node._backward(g)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * g.nbytes, peak
+    return held / g.nbytes, peak / g.nbytes
+
+
+def test_gated_update_holds_no_map():
+    # No g, c or pre map stays with the node: its closure holds the
+    # operands, which other nodes and the parameters hold anyway.
+    held, _ = gated_memory(terms_need_grad=True)
+    assert held < 0.05, held
+
+
+def test_gated_update_backward_peaks_below_four_and_a_half_maps():
+    # The rebuilt pre (two maps), g and 1 - g; g becomes the state's gradient.
+    # With constant term inputs the terms' gradients are only dW and db.
+    _, peak = gated_memory(terms_need_grad=False)
+    assert peak < 4.5, peak
 
 
 def test_gated_update_rejects_shape_mismatch():
-    for pre_shape in [(1, 6), (2, 3), (2, 5)]:
-        with pytest.raises(ValueError, match="shape"):
-            gated_update(Tensor(np.zeros((2, 3))), Tensor(np.zeros(pre_shape)))
+    state, x = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+    bad = [
+        ((x, Tensor(np.zeros((3, 4)))), Tensor(np.zeros(4))),  # pre narrower than 2D
+        ((x, Tensor(np.zeros((3, 8)))), Tensor(np.zeros(8))),  # pre wider than 2D
+        ((Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 6)))), Tensor(np.zeros(6))),  # rows
+        ((Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6)))), Tensor(np.zeros(6))),  # x @ W
+        ((x, Tensor(np.zeros((3, 6)))), Tensor(np.zeros(5))),  # bias
+    ]
+    for term, b in bad:
+        with pytest.raises(ValueError, match="fit"):
+            gated_update(state, (term,), b)
+    fits = gated_update(state, ((x, Tensor(np.zeros((3, 6)))),), Tensor(np.zeros(6)))
+    assert fits.shape == (2, 3)
 
 
 # -- the two score nodes --------------------------------------------------------

@@ -21,7 +21,7 @@ from hvsarn.model import build_model
 from hvsarn.params import flatten, init_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
-from oracles import as_np, fusion_oracle
+from oracles import as_np, cross_space_oracle, fusion_oracle, reason_oracle
 
 D = 6
 DIMS = InputDims(feature_dim=5, semantic_dim=4, word_dim=8)
@@ -109,6 +109,36 @@ def test_frame_level_holds_cross_exactly_with_semantic_graph():
     model_off = build_model(off, DIMS)
     for level in ("object_level", "frame_level"):
         assert "cross" in model_on.params[level] and "cross" not in model_off.params[level]
+
+
+def dual_space_oracle(visual, semantic, q, p, steps):
+    """One graph through a level, from the formula oracles: reason over the
+    visual nodes, enhance the semantic ones from them (v2s), reason over the
+    enhanced semantic nodes, then enhance the visual ones from those (s2v)."""
+    visual = reason_oracle(q, visual, p["visual"], steps)[1]
+    semantic = cross_space_oracle(visual, semantic, p["cross"]["v2s"])
+    semantic = reason_oracle(q, semantic, p["semantic"], steps)[1]
+    return cross_space_oracle(semantic, visual, p["cross"]["s2v"]), semantic
+
+
+def test_levels_are_wired_as_the_dual_space_oracle():
+    # Each hop reads its own direction's weights, and s2v reads the semantic
+    # nodes after the semantic reasoner; swapping either changes the output.
+    config = ModelConfig(hidden_size=D, reasoning_steps=2)
+    config, params, encoded, sentence = make_level(seed=6, T=3, K=4, S=2, config=config)
+    p, q = as_np(params), sentence.data[:, 0]
+    visual, semantic = object_level_pass(encoded, sentence, params, config)
+    frames = frames_of(np.random.default_rng(7), 2, 5)
+    out = frame_level_pass(frames, sentence, params, config)
+    for s in range(2):
+        for t in range(3):
+            nodes = encoded.visual.data[s, t], encoded.semantic.data[s, t]
+            want = dual_space_oracle(*nodes, q[s], p, 2)
+            np.testing.assert_allclose(visual.data[s, t], want[0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(semantic.data[s, t], want[1], rtol=0, atol=1e-10)
+        want = dual_space_oracle(frames.visual.data[s], frames.semantic.data[s], q[s], p, 2)
+        np.testing.assert_allclose(out.visual.data[s], want[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out.semantic.data[s], want[1], rtol=0, atol=1e-10)
 
 
 def test_fusion_attention_matches_oracle():
