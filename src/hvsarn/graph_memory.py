@@ -35,30 +35,28 @@ bytes, and turns it in place into dL/dpre:
 (C' and G' the two halves of pre), which it hands to `tt.affine_backward`
 after the state's own part.
 
-Each attention score is one tape node too, and keeps no [B, K, D] map: its
-closure holds only the nodes, the controller and the weights, arrays other
-nodes hold anyway, and its backward rebuilds the maps with the ops of its
-forward, so the rebuilt maps are the forward's bytes.  `read_scores` gives
-the read's a [B, 1, K], and the object fusion's [S, T, 1, K] in
-`hierarchy.fusion_attention`; its backward rebuilds the tanh map h and turns
-it in place into dL/dpre.  `pair_logits` gives the neighbour score m [B, K, K]
-from the target map W1t v_k + b1, the source map W1s v_i and w2, with
-_MASK_VALUE on the diagonal, whose softmax weight is then exactly 0.  It
-never holds the [B, K, K, D] tanh output y either: it walks blocks of (b, k)
-rows, each a few hundred KiB (`_BLOCK_BYTES`), fills one reused scratch
-buffer with y = tanh(target + source) for the block and consumes it there.
-The forward writes the block's logits; the backward rebuilds both maps,
-recomputes each block and forms all three gradients from it while it is in
-cache, with g = dL/dm (zero on the diagonal):
+Every attention score is one tape node, `pair_logits`: the additive score
+m[b, k, i] = v . tanh(t_k Wt + b + s_i Ws) of targets t [B, Kt, D] against
+sources s [B, Ks, D].  The read scores its controller (Kt = 1) against the
+nodes, the object fusion in `hierarchy.fusion_attention` a sentence row
+against each frame's objects, and the write each node against the others,
+with _MASK_VALUE on the diagonal, whose softmax weight is then exactly 0.
+The node keeps no map: its closure holds only operands that other nodes and
+the parameters hold anyway.  Nor does it ever hold the [B, Kt, Ks, H] tanh
+output y: it walks blocks of (b, k) rows, each a few hundred KiB
+(`_BLOCK_BYTES`), fills one reused scratch buffer with y = tanh(target +
+source) for the block and consumes it there.  The forward writes the block's
+logits; the backward rebuilds the maps target = t Wt + b and source = s Ws
+with the forward's ops, recomputes each block and forms all three gradients
+from it while it is in cache, with g = dL/dm (zero on a masked diagonal):
 
-    dL/dtarget_k = w2 * (sum_i g_ki - sum_i g_ki y_ki^2)
-    dL/dsource_i = w2 * (sum_k g_ki - sum_k g_ki y_ki^2)
-    dL/dw2       = sum_{k,i} y_ki g_ki
+    dL/dtarget_k = v * (sum_i g_ki - sum_i g_ki y_ki^2)
+    dL/dsource_i = v * (sum_k g_ki - sum_k g_ki y_ki^2)
+    dL/dv        = sum_{k,i} y_ki g_ki
 
-(elementwise in D), the first two as batched [1, K] @ [K, D] products
-written over the rebuilt maps' rows once no block reads them again.  Both
-nodes hand their pre-activation gradients to `tt.affine_backward`, the
-backward of the affine nodes they replace.
+(elementwise in H), the sums as batched matrix products (plain products
+over a single target row) written over the rebuilt maps' rows once no block
+reads them again, and hands both maps' gradients to `tt.affine_backward`.
 
 Everything is batched over independent graphs: controllers [B, 1, D],
 nodes [B, K, D].  For a group of S samples of T frames, the object level
@@ -76,6 +74,8 @@ leave the controller untouched.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -159,92 +159,15 @@ def graph_memory_params(dim: int) -> dict:
     }
 
 
-def _score_shapes(op: str, nodes: Tensor, v: Tensor, lead: bool = False) -> tuple:
-    """The shape of nodes [B, K, D] ([..., K, D] with `lead`), then the width H of v [H, 1]."""
-    ndim, form = len(nodes.shape), ("[..., K, D]" if lead else "[B, K, D]")
-    if ndim < 3 or (ndim > 3 and not lead) or len(v.shape) != 2 or v.shape[1] != 1:
-        raise ValueError(
-            f"{op} needs nodes {form} and a [H, 1] vector, got shapes {nodes.shape}, {v.shape}"
-        )
-    return nodes.shape + v.shape[:1]
-
-
-def _check_shapes(op: str, **shapes) -> None:
-    """Raise when an operand's shape is not the wanted one; shapes maps names to (got, wanted)."""
-    if any(got != want for got, want in shapes.values()):
-        listed = ", ".join(f"{name} {got} (wants {want})" for name, (got, want) in shapes.items())
-        raise ValueError(f"{op} shapes do not fit: {listed}")
-
-
-def read_scores(
-    controller: Tensor, nodes: Tensor, w1: Tensor, w2: Tensor, b: Tensor, v: Tensor
-) -> Tensor:
-    """a[..., 0, k] = v . tanh(q[..., 0] @ w1 + nodes[..., k] @ w2 + b) as one node, [..., 1, K].
-
-    nodes [..., K, D]; controller q [..., 1, D], each leading axis the nodes'
-    or 1; w1, w2 [D, H]; b [H]; v [H, 1].  The forward forms the [..., K, H]
-    tanh map h as the affine, tanh and linear nodes it replaced did and drops
-    it; the backward rebuilds h, reads dL/dv = h^T g from it, turns it in place
-    into dL/dpre = (1 - h^2) * g * v and hands that to `tt.affine_backward`.
-    """
-    *lead, K, D, H = _score_shapes("read_scores", nodes, v, lead=True)
-    lead_q = tuple(1 if c == 1 else n for c, n in zip(controller.shape, lead))
-    _check_shapes(
-        "read_scores",
-        controller=(controller.shape, lead_q + (1, D)),
-        w1=(w1.shape, (D, H)),
-        w2=(w2.shape, (D, H)),
-        b=(b.shape, (H,)),
-    )
-    q, x, wq, wx, bias, v_data = (t.data for t in (controller, nodes, w1, w2, b, v))
-
-    def tanh_map():
-        h = x @ wx
-        np.add(q @ wq, h, out=h)
-        h += bias
-        return np.tanh(h, out=h)
-
-    out_data = (tanh_map() @ v_data).reshape(*lead, 1, K)
-    saved = tt.affine_terms(((controller, w1), (nodes, w2)))
-    b_node, v_node = b._node, v._node
-
-    def backward(g):
-        gk = g.reshape(*lead, K, 1)
-        dpre = tanh_map()
-        if v_node is not None:
-            v_node._accumulate(dpre.reshape(-1, H).T @ gk.reshape(-1, 1), owned=True)
-        np.multiply(dpre, dpre, out=dpre)
-        np.subtract(1.0, dpre, out=dpre)
-        dpre *= gk
-        dpre *= v_data[:, 0]
-        tt.affine_backward(dpre, saved, b_node)
-
-    return Tensor._result(out_data, (controller, nodes, w1, w2, b, v), backward)
-
-
-def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
-    """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
-    p = params["read"]
-    scores = read_scores(controller, nodes, p["attn_w1"], p["attn_w2"], p["attn_b"], p["attn_v"])
-    return tt.softmax(scores, axis=-1)
-
-
-def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
-    """Batched read of controllers [B, 1, D] over nodes [B, K, D]; returns the new controllers."""
-    p = params["read"]
-    content = tt.matmul(read_attention(controller, nodes, params), nodes)
-    return gated_update(controller, ((controller, p["wq"]), (content, p["wr"])), p["b"])
-
-
 # Bytes of tanh output one block of pair_logits holds: a few hundred KiB
 # stays in a core's L2 while the block is filled, reduced and reused.
 _BLOCK_BYTES = 1 << 18
 
 
 def _pair_blocks(B: int, K: int, row_bytes: int):
-    """(b, k) slices covering [B, K] in blocks of at most _BLOCK_BYTES of
-    [K, D] rows (one row when a row alone is larger): whole graphs when a
-    graph fits, else a run of k in one graph."""
+    """(b, k) slices covering [B, K] target rows in blocks of at most
+    _BLOCK_BYTES of their [Ks, H] rows of y (one row when a row alone is
+    larger): whole graphs when a graph fits, else a run of k in one graph."""
     rows = max(1, _BLOCK_BYTES // row_bytes)
     nb, nk = max(1, rows // K), min(K, rows)
     for b0 in range(0, B, nb):
@@ -255,14 +178,14 @@ def _pair_blocks(B: int, K: int, row_bytes: int):
 def _pair_tanh_blocks(target: np.ndarray, source: np.ndarray):
     """Each block's slices and its y = tanh(target[b, k] + source[b, i]),
     [b, k, i, :], in one scratch buffer the size of the first (largest) block."""
-    B, K, D = target.shape
+    (B, Kt, H), Ks = target.shape, source.shape[1]
     target_rows, source_cols = target[:, :, None], source[:, None]
     scratch = None
-    for bs, ks in _pair_blocks(B, K, K * D * target.dtype.itemsize):
-        size = (bs.stop - bs.start) * (ks.stop - ks.start) * K * D
+    for bs, ks in _pair_blocks(B, Kt, Ks * H * target.dtype.itemsize):
+        size = (bs.stop - bs.start) * (ks.stop - ks.start) * Ks * H
         if scratch is None:
             scratch = np.empty(size, dtype=target.dtype)
-        y = scratch[:size].reshape(bs.stop - bs.start, ks.stop - ks.start, K, D)
+        y = scratch[:size].reshape(bs.stop - bs.start, ks.stop - ks.start, Ks, H)
         # A broadcast copy plus an in-place add is the same IEEE add as
         # target + source; tanh then overwrites the block.
         y[...] = source_cols[bs]
@@ -271,82 +194,129 @@ def _pair_tanh_blocks(target: np.ndarray, source: np.ndarray):
 
 
 def _pair_square_sums(g: np.ndarray, target: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Return dL/dw2 = sum_{k,i} y_ki g_ki, and overwrite target with
+    """Return dL/dv = sum_{k,i} y_ki g_ki, and overwrite target with
     sum_i g_ki y_ki^2 and source with sum_k g_ki y_ki^2, block by block.
 
     Once a block has read its target rows, and a graph's last run of k its
     source rows, no later block reads them, so their sums go in their place.
     """
-    K, H = target.shape[1:]
+    Kt, H = target.shape[1:]
     g_target = g[:, :, None, :]
     g_source = np.swapaxes(g, 1, 2)[:, :, None, :]
-    dw2 = np.zeros((H, 1), dtype=target.dtype)
+    dv = np.zeros((H, 1), dtype=target.dtype)
     for bs, ks, y in _pair_tanh_blocks(target, source):
-        dw2 += y.reshape(-1, H).T @ g[bs, ks].reshape(-1, 1)
+        dv += y.reshape(-1, H).T @ g[bs, ks].reshape(-1, 1)
         y *= y
         np.matmul(g_target[bs, ks], y, out=target[bs, ks, None])
+        if Kt == 1:  # each source sum has one term: a product, not 1 x 1 matmuls
+            np.multiply(g_source[bs], np.swapaxes(y, 1, 2), out=source[bs, :, None])
+            continue
         part = g_source[bs, :, :, ks] @ np.swapaxes(y, 1, 2)
         run = part if ks.start == 0 else np.add(run, part, out=run)
-        if ks.stop == K:
+        if ks.stop == Kt:
             source[bs] = run[:, :, 0]
-    return dw2
+    return dv
+
+
+def _pair_shapes(operands: tuple, mask_self: bool) -> tuple:
+    """The leading axes, Kt, Ks and H of pair_logits' operands; raises,
+    naming every operand's shape, unless they fit."""
+    t, s, wt, b, ws, v = shapes = [x.shape for x in operands]
+    D, H = (s[-1] if s else 0), (v[0] if v else 0)
+    if not (
+        len(s) >= 3
+        and len(t) == len(s)
+        and t[-1] == D
+        and (t[:-2] == s[:-2] or all(n in (1, m) for n, m in zip(t[:-2], s[:-2])))
+        and wt == ws == (D, H)
+        and (b, v) == ((H,), (H, 1))
+        and (t[-2] == s[-2] or not mask_self)
+    ):
+        names = ("targets", "sources", "w_target", "b", "w_source", "v")
+        raise ValueError(
+            "pair_logits needs targets [..., Kt, D], each leading axis the sources' or 1, "
+            "sources [..., Ks, D], w_target and w_source [D, H], b [H] and v [H, 1]"
+            f"{', and Kt = Ks to mask self-pairs' if mask_self else ''}; got shapes "
+            + ", ".join(f"{n} {shape}" for n, shape in zip(names, shapes))
+        )
+    return s[:-2], t[-2], s[-2], H
 
 
 def pair_logits(
-    nodes: Tensor, w1_target: Tensor, b1: Tensor, w1_source: Tensor, w2: Tensor
+    targets: Tensor,
+    sources: Tensor,
+    w_target: Tensor,
+    b: Tensor,
+    w_source: Tensor,
+    v: Tensor,
+    mask_self: bool = False,
 ) -> Tensor:
-    """m[b, k, i] = w2 . tanh(target[b, k] + source[b, i]) as one node, [B, K, K],
-    with _MASK_VALUE on the diagonal k = i.
+    """m[..., k, i] = v . tanh(targets_k @ w_target + b + sources_i @ w_source)
+    as one node, [..., Kt, Ks]; with `mask_self`, _MASK_VALUE on the diagonal.
 
-    nodes [B, K, D], w1_target and w1_source [D, H], b1 [H], w2 [H, 1]; the
-    maps are target = nodes @ w1_target + b1 and source = nodes @ w1_source,
-    formed as the linear nodes they replace formed them.  Forward and
-    backward each hold one block of y = tanh(...) at a time, never the
-    [B, K, K, H] tensor, and the node keeps neither map: the backward rebuilds
-    both with the same ops, recomputes y block by block and forms the
-    gradients of the module docstring, so it saves nothing and can run twice.
+    sources [..., Ks, D]; targets [..., Kt, D], each leading axis the sources'
+    or 1; w_target and w_source [D, H]; b [H]; v [H, 1].  The leading axes
+    flatten to B graphs, and a target map shared along an axis is copied out
+    to [B, Kt, H]; `tt.affine_backward` sums its gradient back.  The node
+    saves nothing, so its backward (module docstring) can run twice.
     """
-    B, K, D, H = _score_shapes("pair_logits", nodes, w2)
-    _check_shapes(
-        "pair_logits",
-        w1_target=(w1_target.shape, (D, H)),
-        b1=(b1.shape, (H,)),
-        w1_source=(w1_source.shape, (D, H)),
-    )
-    x, wt, bt, ws, w2_data = (t.data for t in (nodes, w1_target, b1, w1_source, w2))
+    parents = (targets, sources, w_target, b, w_source, v)
+    lead, Kt, Ks, H = _pair_shapes(parents, mask_self)
+    B = math.prod(lead)
+    t_data, s_data, wt, bt, ws, v_data = [x.data for x in parents]
 
     def maps():
-        target = x @ wt
+        target = t_data @ wt
         target += bt
-        return target, x @ ws
+        if target.shape[:-2] != lead:  # a writable copy per graph
+            target = np.broadcast_to(target, lead + (Kt, H)).copy()
+        return target.reshape(B, Kt, H), (s_data @ ws).reshape(B, Ks, H)
 
-    # Each [K, H] @ [H, 1] product is the one the whole stacked y @ w2 makes,
+    # Each [Ks, H] @ [H, 1] product is the one the whole stacked y @ v makes,
     # so the logits are the same bytes however the rows are blocked.
-    out_data = np.empty((B, K, K, 1), dtype=np.result_type(x, wt, w2_data))
+    out_data = np.empty((B, Kt, Ks, 1), dtype=np.result_type(t_data, wt, v_data))
     for bs, ks, y in _pair_tanh_blocks(*maps()):
-        np.matmul(y, w2_data, out=out_data[bs, ks])
-    out_data = out_data.reshape(B, K, K)
-    out_data.reshape(B, K * K)[:, :: K + 1] = _MASK_VALUE
-    target_terms = tt.affine_terms(((nodes, w1_target),))
-    source_terms = tt.affine_terms(((nodes, w1_source),))
-    b1_node, w2_node = b1._node, w2._node
+        np.matmul(y, v_data, out=out_data[bs, ks])
+    out_data = out_data.reshape(lead + (Kt, Ks))
+    if mask_self:
+        out_data.reshape(B, Kt * Ks)[:, :: Ks + 1] = _MASK_VALUE
+    if not tt.records(parents):  # off the tape: skip building the backward
+        return Tensor(out_data)
+    target_terms = tt.affine_terms(((targets, w_target),))
+    source_terms = tt.affine_terms(((sources, w_source),))
+    b_node, v_node = b._node, v._node
 
     def backward(g):
-        g = np.array(g, order="C")
-        g.reshape(B, K * K)[:, :: K + 1] = 0.0  # the masked diagonal reads no input
+        g = np.array(g, order="C").reshape(B, Kt, Ks)
+        if mask_self:
+            g.reshape(B, Kt * Ks)[:, :: Ks + 1] = 0.0  # the masked diagonal reads no input
         target, source = maps()
-        dw2 = _pair_square_sums(g, target, source)
-        w = w2_data[:, 0]
+        dv = _pair_square_sums(g, target, source)
+        w = v_data[:, 0]
         for gy2, gsum in ((target, g.sum(axis=2)), (source, g.sum(axis=1))):
             np.subtract(gsum[:, :, None], gy2, out=gy2)
             gy2 *= w
-        tt.affine_backward(target, target_terms, b1_node)
+        tt.affine_backward(target.reshape(lead + (Kt, H)), target_terms, b_node)
         del target  # free one map before the source's products
-        tt.affine_backward(source, source_terms)
-        if w2_node is not None:
-            w2_node._accumulate(dw2, owned=True)
+        tt.affine_backward(source.reshape(lead + (Ks, H)), source_terms)
+        if v_node is not None:
+            v_node._accumulate(dv, owned=True)
 
-    return Tensor._result(out_data, (nodes, w1_target, b1, w1_source, w2), backward)
+    return Tensor._result(out_data, parents, backward)
+
+
+def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
+    """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
+    p = params["read"]
+    scores = pair_logits(controller, nodes, p["attn_w1"], p["attn_b"], p["attn_w2"], p["attn_v"])
+    return tt.softmax(scores, axis=-1)
+
+
+def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
+    """Batched read of controllers [B, 1, D] over nodes [B, K, D]; returns the new controllers."""
+    p = params["read"]
+    content = tt.matmul(read_attention(controller, nodes, params), nodes)
+    return gated_update(controller, ((controller, p["wq"]), (content, p["wr"])), p["b"])
 
 
 def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
@@ -354,8 +324,8 @@ def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
     p = params["write"]
     if nodes.shape[1] == 1:
         raise ValueError("a lone node has no neighbours to attend to")
-    logits = pair_logits(nodes, p["mlp_w1_target"], p["mlp_b1"], p["mlp_w1_source"], p["mlp_w2"])
-    return tt.softmax(logits, axis=2)
+    weights = (p[name] for name in ("mlp_w1_target", "mlp_b1", "mlp_w1_source", "mlp_w2"))
+    return tt.softmax(pair_logits(nodes, nodes, *weights, mask_self=True), axis=2)
 
 
 def neighbor_context(nodes: Tensor, params: dict) -> Tensor:

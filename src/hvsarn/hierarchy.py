@@ -8,8 +8,8 @@ frame vectors, B = S.  Both levels run the same dual-space pass: reason
 over visual nodes, enhance the semantic nodes with visual evidence, reason
 over semantic nodes, then map the result back into visual space.  Object
 nodes are then collapsed per frame by a query-guided attention (visual),
-scored by the graph memory read's node `read_scores`, and average pooling
-(semantic), giving frames [S, T, D].
+scored by the graph memory's `pair_logits` with the sentence as the one
+target, and average pooling (semantic), giving frames [S, T, D].
 
 The sentences [S, 1, D] are the frame level's controllers; the object level
 broadcasts them into [S·T, 1, D] when it holds a reasoner that reads a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import tensor as tt
 from .cross_space import cross_space_params, enhance_batch
 from .data import CONTROLLER_KINDS, ModelConfig
-from .graph_memory import baseline_params, graph_memory_params, read_scores, run_reasoner
+from .graph_memory import baseline_params, graph_memory_params, pair_logits, run_reasoner
 from .encoders import EncodedVideo
 from .tensor import Tensor
 
@@ -118,12 +118,12 @@ def frame_level_pass(
 
 
 def fusion_attention(visual_nodes: Tensor, sentences: Tensor, params: dict) -> Tensor:
-    """Query-guided weights over each frame's objects, [S, T, 1, K], scored by the
-    read's `read_scores` with one sentence row per sample; rows sum to 1."""
+    """Query-guided weights over each frame's objects, [S, T, 1, K], scored by
+    `pair_logits` with one sentence row per sample; rows sum to 1."""
     S, T, K, D = visual_nodes.shape
     rows = tt.reshape(sentences, (S, 1, 1, D))
-    weights = (params[name] for name in ("attn_u", "attn_w", "attn_b", "attn_v"))
-    return tt.softmax(read_scores(rows, visual_nodes, *weights), axis=-1)
+    weights = (params[name] for name in ("attn_u", "attn_b", "attn_w", "attn_v"))
+    return tt.softmax(pair_logits(rows, visual_nodes, *weights), axis=-1)
 
 
 def fuse_objects(

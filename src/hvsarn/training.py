@@ -222,9 +222,10 @@ def save_checkpoint(out_dir: str, state: TrainState) -> None:
 
 def load_checkpoint(in_dir: str) -> TrainState:
     manifest = read_json(os.path.join(in_dir, "manifest.json"))
+    where = f"{in_dir}: manifest.json"
+    require_keys(manifest, (), where)
     if manifest.get("kind") != _CHECKPOINT_KIND:
         raise FormatError(f"{in_dir}: not a checkpoint (kind={manifest.get('kind')!r})")
-    where = f"{in_dir}: manifest.json"
     require_keys(manifest, ("format_version", "dtype", "step", "config", "dims", "tensors"), where)
     if manifest["format_version"] != _FORMAT_VERSION:
         raise FormatError(

@@ -385,6 +385,57 @@ def test_eval_of_malformed_checkpoint_prints_error(tmp_path, capsys):
     assert err.startswith("error: ") and "missing key 'dtype'" in err
 
 
+def test_eval_of_checkpoint_manifest_that_is_no_object_prints_error(tmp_path, capsys):
+    data, bogus, scored = tmp_path / "data", tmp_path / "bogus", tmp_path / "e"
+    assert synth(data) == 0
+    bogus.mkdir()
+    (bogus / "manifest.json").write_text("[]")
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(bogus), "--data-dir", str(data), "--out-dir", str(scored)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a JSON object, got list" in err
+    assert not scored.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, frames, message",
+    [
+        (["--metrics", "1:2"], 4, "error: bad metric spec '1:2'"),
+        ([], 300, "error: num_frames 300 exceeds config.max_frames 256"),
+    ],
+    ids=["metric_spec", "too_many_frames"],
+)
+def test_failed_eval_leaves_no_out_dir(tmp_path, capsys, extra, frames, message):
+    data, queries, run = tmp_path / "data", tmp_path / "queries", tmp_path / "run"
+    assert synth(data) == 0 and synth(queries, count=2, frames=frames) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]) == 0
+    capsys.readouterr()
+    scored = tmp_path / "eval"
+    args = ["eval", "--checkpoint", str(run / "checkpoint"), "--data-dir", str(queries)]
+    assert main([*args, "--out-dir", str(scored), *extra]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not scored.exists()
+
+
+@pytest.mark.parametrize(
+    "metrics, frames, message",
+    [
+        ("x", 4, "error: bad metric spec 'x'"),
+        ("1:0.5", 300, "error: num_frames 300 exceeds config.max_frames 256"),
+    ],
+    ids=["metric_spec", "too_many_frames"],
+)
+def test_failed_ablate_leaves_no_out_dir(tmp_path, capsys, metrics, frames, message):
+    data, out = tmp_path / "data", tmp_path / "ablation"
+    assert synth(data, count=2, frames=frames) == 0
+    capsys.readouterr()
+    args = ["ablate", "--data-dir", str(data), "--out-dir", str(out), "--metrics", metrics]
+    assert main([*args, "--ablation", "no_reasoning", *TINY]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "index", [{}, {"samples": "sample_0"}, {"samples": [0]}], ids=["missing", "string", "int_entry"]
 )

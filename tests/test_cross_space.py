@@ -9,6 +9,7 @@ from hvsarn.params import flatten, init_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
 from oracles import as_np, cross_space_oracle
+from test_graph_memory import with_drawn_biases
 
 
 def enhance_one(source, target, params):
@@ -20,7 +21,7 @@ def enhance_one(source, target, params):
 
 def make_instance(seed, K=4, D=5):
     rng = np.random.default_rng(seed)
-    params = init_params(cross_space_params(D), rng, np.float64)
+    params = with_drawn_biases(init_params(cross_space_params(D), rng, np.float64), seed)
     visual = rng.normal(size=(K, D))
     semantic = rng.normal(size=(K, D))
     return params, visual, semantic
@@ -45,7 +46,7 @@ def test_semantic_to_visual_matches_oracle():
 def test_enhance_batch_matches_oracle_per_graph_at_scale():
     rng = np.random.default_rng(17)
     B, K, D = 2, 9, 5
-    params = init_params(cross_space_params(D), rng, np.float64)
+    params = with_drawn_biases(init_params(cross_space_params(D), rng, np.float64), 17)
     source = rng.normal(size=(B, K, D))
     target = rng.normal(size=(B, K, D))
     enhanced = enhance_batch(Tensor(source), Tensor(target), params["v2s"])

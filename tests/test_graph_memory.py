@@ -23,7 +23,6 @@ from hvsarn.graph_memory import (
     pair_logits,
     read_attention,
     read_batch,
-    read_scores,
     reason_batch,
     run_reasoner,
     write_batch,
@@ -50,9 +49,20 @@ def baseline_one(kind, nodes, controller, params):
     return out.data[0]
 
 
+def with_drawn_biases(params, seed):
+    """params with every 1-D parameter, a bias that init_params leaves at 0,
+    drawn from a generator of its own, so every other draw keeps its value.
+    An oracle then also checks where each bias enters its formula."""
+    rng = np.random.default_rng([seed, 0xB1A5])
+    for p in flatten(params).values():
+        if p.data.ndim == 1:
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+    return params
+
+
 def make_instance(seed, K=4, D=6):
     rng = np.random.default_rng(seed)
-    params = init_params(graph_memory_params(D), rng, np.float64)
+    params = with_drawn_biases(init_params(graph_memory_params(D), rng, np.float64), seed)
     q = rng.normal(size=D)
     nodes = rng.normal(size=(K, D))
     return params, q, nodes
@@ -81,7 +91,7 @@ def test_write_matches_oracle_many_seeds():
 def test_write_batch_matches_oracle_per_graph_at_scale():
     rng = np.random.default_rng(41)
     B, K, D = 3, 12, 6
-    params = init_params(graph_memory_params(D), rng, np.float64)
+    params = with_drawn_biases(init_params(graph_memory_params(D), rng, np.float64), 41)
     q = rng.normal(size=(B, D))
     nodes = rng.normal(size=(B, K, D))
     out = write_batch(Tensor(q[:, None]), Tensor(nodes), params)
@@ -323,61 +333,79 @@ def test_gated_update_rejects_shape_mismatch():
     assert fits.shape == (2, 3)
 
 
-# -- the two score nodes --------------------------------------------------------
+# -- the score node ---------------------------------------------------------------
 #
-# Each score is one node over the nodes and the weights; its backward rebuilds
-# the [B, K, D] maps from them.  Each is checked against the chain of tape
-# ops it replaces.
+# pair_logits is every attention score: the neighbours' (each node against the
+# others, masked), the read's (one controller row against the nodes), the
+# fusion's (one sentence row per sample against each frame's objects), and
+# any two node sets.  It is one node over the node sets and the weights; its
+# backward rebuilds the maps from them.  Each entry is checked against the
+# chain of tape ops it replaces.
+
+
+def neighbour_logits(nodes, w1_target, b1, w1_source, w2):
+    """The write's score: every node against every node, self-pairs masked."""
+    return pair_logits(nodes, nodes, w1_target, b1, w1_source, w2, mask_self=True)
+
+
+def composed_pair_logits(targets, sources, w_target, b, w_source, v, mask_self=False):
+    """pair_logits as the linear, add, tanh, matmul and mask nodes it replaces."""
+    lead, Kt, Ks, H = sources.shape[:-2], targets.shape[-2], sources.shape[-2], v.shape[0]
+    target = tt.reshape(tt.linear(targets, w_target, b), targets.shape[:-2] + (Kt, 1, H))
+    source = tt.reshape(tt.linear(sources, w_source), lead + (1, Ks, H))
+    logits = tt.reshape(tt.matmul(tt.tanh(tt.add(target, source)), v), lead + (Kt, Ks))
+    if not mask_self:
+        return logits
+    mask = np.zeros((Kt, Ks), dtype=targets.dtype)
+    np.fill_diagonal(mask, _MASK_VALUE)
+    return logits + Tensor(mask)
+
+
+def composed_neighbour_logits(nodes, w1_target, b1, w1_source, w2):
+    return composed_pair_logits(nodes, nodes, w1_target, b1, w1_source, w2, mask_self=True)
+
+
+def score_operands(target_shape, source_shape, D, dtype, rng):
+    """targets, sources, w_target, b, w_source, v and an upstream gradient, as arrays."""
+    lead, Kt, Ks = source_shape[:-2], target_shape[-2], source_shape[-2]
+    shapes = (target_shape, source_shape, (D, D), (D,), (D, D), (D, 1), lead + (Kt, Ks))
+    return tuple(rng.normal(size=s).astype(dtype) for s in shapes)
 
 
 def pair_operands(rng, B, K, D, dtype):
-    """nodes, w1_target, b1, w1_source, w2 and an upstream gradient for pair_logits, as arrays."""
-    return (
-        rng.normal(size=(B, K, D)).astype(dtype),
-        rng.normal(size=(D, D)).astype(dtype),
-        rng.normal(size=D).astype(dtype),
-        rng.normal(size=(D, D)).astype(dtype),
-        rng.normal(size=(D, 1)).astype(dtype),
-        rng.normal(size=(B, K, K)).astype(dtype),
-    )
+    """nodes, w1_target, b1, w1_source, w2 and an upstream gradient for the neighbours' score."""
+    targets, _, *rest = score_operands((B, K, D), (B, K, D), D, dtype, rng)
+    return (targets, *rest)
 
 
 def read_operands(rng, B, K, D, dtype):
-    """controller, nodes, w1, w2, b, v and an upstream gradient for read_scores, as arrays."""
-    shapes = ((B, 1, D), (B, K, D), (D, D), (D, D), (D,), (D, 1), (B, 1, K))
-    return tuple(rng.normal(size=s).astype(dtype) for s in shapes)
+    """The read's operands: one controller row [B, 1, D] per graph of nodes [B, K, D]."""
+    return score_operands((B, 1, D), (B, K, D), D, dtype, rng)
 
 
 def read_lead_operands(rng, S, K, D, dtype, T=3):
-    """read_scores' operands with leading axes: nodes [S, T, K, D] under one
-    controller row [S, 1, 1, D] per sample."""
-    shapes = ((S, 1, 1, D), (S, T, K, D), (D, D), (D, D), (D,), (D, 1), (S, T, 1, K))
-    return tuple(rng.normal(size=s).astype(dtype) for s in shapes)
+    """The fusion's operands: nodes [S, T, K, D] under one row [S, 1, 1, D] per sample."""
+    return score_operands((S, 1, 1, D), (S, T, K, D), D, dtype, rng)
 
 
-def composed_pair_logits(nodes, w1_target, b1, w1_source, w2):
-    """pair_logits as the linear, add, tanh, matmul and mask nodes it replaces."""
-    B, K, D = nodes.shape
-    target = tt.linear(nodes, w1_target, b1)
-    source = tt.linear(nodes, w1_source)
-    pairs = tt.add(tt.reshape(target, (B, K, 1, D)), tt.reshape(source, (B, 1, K, D)))
-    mask = np.zeros((K, K), dtype=nodes.dtype)
-    np.fill_diagonal(mask, _MASK_VALUE)
-    return tt.reshape(tt.matmul(tt.tanh(pairs), w2), (B, K, K)) + Tensor(mask)
+def two_set_operands(rng, B, K, D, dtype):
+    """Kt = 3 targets against Ks = K + 3 sources: 5 at K = 2."""
+    return score_operands((B, 3, D), (B, K + 3, D), D, dtype, rng)
 
 
-def composed_read_scores(controller, nodes, w1, w2, b, v):
-    """read_scores as the affine, tanh, linear and reshape nodes it replaces."""
-    *lead, K, _ = nodes.shape
-    h = tt.tanh(tt.affine(((controller, w1), (nodes, w2)), b))
-    return tt.reshape(tt.linear(h, v), (*lead, 1, K))
+def broadcast_operands(rng, S, K, D, dtype, T=3):
+    """Kt = 2 target rows per sample, shared by the sample's T graphs of K nodes."""
+    return score_operands((S, 1, 2, D), (S, T, K, D), D, dtype, rng)
 
 
 SCORES = {
-    "pair": (pair_logits, composed_pair_logits, pair_operands),
-    "read": (read_scores, composed_read_scores, read_operands),
-    "read_lead": (read_scores, composed_read_scores, read_lead_operands),
+    "pair": (neighbour_logits, composed_neighbour_logits, pair_operands),
+    "read": (pair_logits, composed_pair_logits, read_operands),
+    "read_lead": (pair_logits, composed_pair_logits, read_lead_operands),
+    "two_set": (pair_logits, composed_pair_logits, two_set_operands),
+    "broadcast": (pair_logits, composed_pair_logits, broadcast_operands),
 }
+UNMASKED = ("read", "read_lead", "two_set", "broadcast")
 
 
 def score_tensors(arrays, requires_grad=False):
@@ -428,12 +456,12 @@ def test_read_scores_forward_bytes_match_composed_ops():
             check_forward_bytes_match_composed_ops(name, K)
 
 
-def check_gradients_match_composed_ops(name, K):
+def check_gradients_match_composed_ops(name, K, B=3):
     fused, composed, operands = SCORES[name]
-    *arrays, g = operands(np.random.default_rng(9 + K), 3, K, 4, np.float64)
+    *arrays, g = operands(np.random.default_rng(9 + K), B, K, 4, np.float64)
     if name == "pair":
         # What the softmax over a masked row hands back: zero on the diagonal.
-        g.reshape(3, K * K)[:, :: K + 1] = 0.0
+        g.reshape(B, K * K)[:, :: K + 1] = 0.0
     grads = []
     for fn in (fused, composed):
         parents = score_tensors(arrays, requires_grad=True)
@@ -522,11 +550,43 @@ def test_read_scores_holds_no_map():
         assert held < 1024 * K * D * 4 / 4, (name, held)
 
 
+# Two node sets (Kt = 3 against Ks = 5), and Kt = 2 target rows shared by T = 3
+# graphs of K = 2 sources, whose gradient sums over the graphs.
+@pytest.mark.parametrize("name", ["two_set", "broadcast"])
+def test_pair_logits_over_two_node_sets(name):
+    check_fd_into_every_parent(name, 2)
+    check_forward_bytes_match_composed_ops(name, 2)
+    check_gradients_match_composed_ops(name, 2)
+    # One sample: its rows' copy for every graph must be an array of its own.
+    check_gradients_match_composed_ops(name, 2, B=1)
+    check_backward_is_pure(name)
+    # Neither map stays: [342, 3, 32] targets, or 1026 graphs' copies of
+    # the shared rows, would pass the bound.
+    held, _ = held_and_peak(name, 342, 4, 32)
+    assert held < 1024 * 4 * 32 * 4 / 4, held
+
+
+def test_pair_logits_off_the_tape_builds_no_node(monkeypatch):
+    # Off the tape the node returns before it saves its terms for a backward.
+    saved, keep = [], tt.affine_terms
+    monkeypatch.setattr(tt, "affine_terms", lambda terms: saved.append(terms) or keep(terms))
+    for name in SCORES:
+        fused, _, operands = SCORES[name]
+        *arrays, _ = operands(np.random.default_rng(4), 2, 3, 4, np.float64)
+        parents = score_tensors(arrays, requires_grad=True)
+        with tt.no_grad():
+            assert fused(*parents)._node is None
+        assert fused(*score_tensors(arrays))._node is None
+        assert not saved, name
+        assert fused(*parents)._node is not None and saved
+        saved.clear()
+
+
 def test_pair_logits_masks_the_diagonal():
     for K in (2, 3):
         *arrays, _ = pair_operands(np.random.default_rng(K), 2, K, 4, np.float64)
         parents = score_tensors(arrays, requires_grad=True)
-        out = pair_logits(*parents)
+        out = neighbour_logits(*parents)
         assert np.all(np.diagonal(out.data, axis1=1, axis2=2) == _MASK_VALUE)
         assert np.all(out.data[:, ~np.eye(K, dtype=bool)] > _MASK_VALUE / 2)
         # A gradient on the diagonal alone reaches no parent.
@@ -535,34 +595,38 @@ def test_pair_logits_masks_the_diagonal():
             assert not p.grad.any()
 
 
-def check_rejects_shape_mismatch(fn, fits, bad):
+def check_rejects_shape_mismatch(fits, bad, mask_self=False):
     for name, shape in bad:
         shapes = dict(fits, **{name: shape})
-        with pytest.raises(ValueError, match="shape"):
-            fn(*(Tensor(np.zeros(s)) for s in shapes.values()))
+        with pytest.raises(ValueError, match="pair_logits needs .* got shapes targets"):
+            pair_logits(*(Tensor(np.zeros(s)) for s in shapes.values()), mask_self=mask_self)
 
 
 def test_pair_logits_rejects_shape_mismatch():
     B, K, D = 2, 3, 4
-    fits = {"x": (B, K, D), "wt": (D, D), "b1": (D,), "ws": (D, D), "w2": (D, 1)}
+    fits = {"t": (B, K, D), "x": (B, K, D), "wt": (D, D), "b": (D,), "ws": (D, D), "v": (D, 1)}
     bad = [
         ("x", (B, K, 1, D)),
         ("x", (B, K, D + 1)),
         ("wt", (D, D + 1)),
-        ("b1", (1, D)),
+        ("b", (1, D)),
         ("ws", (D + 1, D)),
-        ("w2", (D, 2)),
-        ("w2", (D + 1, 1)),
+        ("v", (D, 2)),
+        ("v", (D + 1, 1)),
     ]
-    check_rejects_shape_mismatch(pair_logits, fits, bad)
+    check_rejects_shape_mismatch(fits, bad, mask_self=True)
+    # Masking self-pairs needs as many targets as sources.
+    check_rejects_shape_mismatch(fits, [("t", (B, K - 1, D)), ("x", (B, K + 1, D))], True)
+    out = pair_logits(*(Tensor(np.ones(s)) for s in fits.values()), mask_self=True)
+    assert out.shape == (B, K, K)
 
 
 def test_read_scores_rejects_shape_mismatch():
     B, K, D = 2, 3, 4
-    fits = {"q": (B, 1, D), "x": (B, K, D), "w1": (D, D), "w2": (D, D), "b": (D,), "v": (D, 1)}
+    fits = {"q": (B, 1, D), "x": (B, K, D), "w1": (D, D), "b": (D,), "w2": (D, D), "v": (D, 1)}
     bad = [
-        ("q", (B, K, D)),
         ("q", (B + 1, 1, D)),
+        ("q", (B, 1, D + 1)),
         ("x", (B, D)),
         ("w1", (D + 1, D)),
         ("w2", (D, 1)),
@@ -570,16 +634,18 @@ def test_read_scores_rejects_shape_mismatch():
         ("v", (D,)),
         ("v", (D + 1, 1)),
     ]
-    check_rejects_shape_mismatch(read_scores, fits, bad)
-    # With leading axes, a controller axis of 1 broadcasts; any other must be the nodes'.
+    check_rejects_shape_mismatch(fits, bad)
+    # Any number of target rows scores against the sources, and with
+    # leading axes a target axis of 1 broadcasts; any other must be the sources'.
+    out = pair_logits(*(Tensor(np.ones(s)) for s in dict(fits, q=(B, K, D)).values()))
+    assert out.shape == (B, K, K)
     S, T = 2, 3
     fits = dict(fits, q=(S, 1, 1, D), x=(S, T, K, D))
-    for q in ((S, T, 1, D), (1, T, 1, D), (1, 1, 1, D)):
+    for q in ((S, T, 1, D), (1, T, 1, D), (1, 1, 1, D), (S, 1, 2, D)):
         shapes = dict(fits, q=q).values()
-        assert read_scores(*(Tensor(np.ones(s)) for s in shapes)).shape == (S, T, 1, K)
+        assert pair_logits(*(Tensor(np.ones(s)) for s in shapes)).shape == (S, T, q[2], K)
     for q in ((S, 2, 1, D), (S + 1, 1, 1, D), (S, 1, D), (1, S, 1, 1, D)):
-        with pytest.raises(ValueError, match="controller"):
-            read_scores(*(Tensor(np.ones(s)) for s in dict(fits, q=q).values()))
+        check_rejects_shape_mismatch(fits, [("q", q)])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -596,12 +662,12 @@ def test_pair_logits_spans_several_blocks(dtype):
         assert (len({ks.start for _, ks in blocks}) > 1) == (K == large_k)
         *arrays, g = pair_operands(np.random.default_rng(K), B, K, D, dtype)
         if dtype == np.float32:
-            fused = pair_logits(*score_tensors(arrays)).data
-            assert fused.tobytes() == composed_pair_logits(*score_tensors(arrays)).data.tobytes()
+            fused = neighbour_logits(*score_tensors(arrays)).data.tobytes()
+            assert fused == composed_neighbour_logits(*score_tensors(arrays)).data.tobytes()
             continue
         g.reshape(B, K * K)[:, :: K + 1] = 0.0
         grads = []
-        for fn in (pair_logits, composed_pair_logits):
+        for fn in (neighbour_logits, composed_neighbour_logits):
             parents = score_tensors(arrays, requires_grad=True)
             fn(*parents).backward(g)
             grads.append([p.grad for p in parents])

@@ -22,6 +22,7 @@ from hvsarn.params import flatten, init_params
 from hvsarn.tensor import Tensor
 from hvsarn.training import gradcheck_tensors
 from oracles import as_np, cross_space_oracle, fusion_oracle, reason_oracle
+from test_graph_memory import with_drawn_biases
 
 D = 6
 DIMS = InputDims(feature_dim=5, semantic_dim=4, word_dim=8)
@@ -30,7 +31,7 @@ DIMS = InputDims(feature_dim=5, semantic_dim=4, word_dim=8)
 def make_level(seed=0, T=3, K=2, config=None, dtype=np.float64, S=1):
     config = config or ModelConfig(hidden_size=D, reasoning_steps=1)
     rng = np.random.default_rng(seed)
-    params = init_params(level_params(config), rng, dtype)
+    params = with_drawn_biases(init_params(level_params(config), rng, dtype), seed)
     encoded = EncodedVideo(
         visual=Tensor(rng.normal(size=(S, T, K, D))),
         semantic=Tensor(rng.normal(size=(S, T, K, D))),
@@ -144,7 +145,7 @@ def test_levels_are_wired_as_the_dual_space_oracle():
 def test_fusion_attention_matches_oracle():
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        params = init_params(fusion_params(D), rng, np.float64)
+        params = with_drawn_biases(init_params(fusion_params(D), rng, np.float64), seed)
         visual = rng.normal(size=(3, 4, D))
         semantic = rng.normal(size=(3, 4, D))
         sentence = rng.normal(size=D)
@@ -173,7 +174,7 @@ def test_fuse_objects_builds_seven_nodes():
             ops[id(node)] = node._backward.__qualname__.split(".")[0]
             stack.extend(node._parents)
     assert sorted(ops.values()) == [
-        "matmul", "mul", "read_scores", "reshape", "reshape", "softmax", "tsum"
+        "matmul", "mul", "pair_logits", "reshape", "reshape", "softmax", "tsum"
     ]
 
 

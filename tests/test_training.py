@@ -271,6 +271,13 @@ def test_load_rejects_wrong_kind(tmp_path):
         load_checkpoint(str(out))
 
 
+@pytest.mark.parametrize("manifest", [[], "x", 3, None], ids=["list", "str", "int", "null"])
+def test_load_rejects_manifest_that_is_no_object(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="manifest.json: expected a JSON object, got"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_load_rejects_unknown_parameter(tmp_path):
     state = trained_state(tmp_path)
     out = tmp_path / "ckpt"
@@ -683,7 +690,7 @@ def test_no_backward_closure_holds_a_tensor():
         ops.update(fn.__qualname__.split(".")[0] for fn in backwards)
         holding = [fn.__qualname__ for fn in backwards if closure_tensors(fn)]
         assert not holding, (variant, holding)
-    assert {"pair_logits", "read_scores", "gru_sequence", "gated_update", "concat", "take"} <= ops
+    assert {"pair_logits", "gru_sequence", "gated_update", "concat", "take"} <= ops
 
 
 def test_every_gradient_buffer_is_laid_out_like_its_output(monkeypatch):
