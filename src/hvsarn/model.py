@@ -62,6 +62,21 @@ def check_limits(config: ModelConfig, video: VideoSample) -> None:
         )
 
 
+def check_loss_sample(config: ModelConfig, video: VideoSample) -> None:
+    """Raise a ValueError naming the sample when the loss cannot take it: it
+    has no annotation, is outside `check_limits`, or its annotation maps to
+    a single frame, which no candidate segment fits."""
+    if video.annotation is None:
+        raise ValueError(f"sample {video.video_id} is not annotated; cannot compute its loss")
+    check_limits(config, video)
+    s, e = segment_to_frame_indices(video.annotation, video.num_frames)
+    if s == e:
+        raise ValueError(
+            f"sample {video.video_id}: annotation maps to the single frame (s, e) = "
+            f"({s}, {e}); a candidate segment spans two frames"
+        )
+
+
 @dataclass
 class Model:
     config: ModelConfig
@@ -125,15 +140,7 @@ class Model:
     def loss(self, samples: list[tuple[VideoSample, QuerySample]]) -> Tensor:
         """Span loss summed over same-shape annotated samples."""
         for video, _ in samples:
-            if video.annotation is None:
-                raise ValueError(f"sample {video.video_id} has no annotation; cannot compute loss")
-            check_limits(self.config, video)
-            s, e = segment_to_frame_indices(video.annotation, video.num_frames)
-            if s == e:
-                raise ValueError(
-                    f"sample {video.video_id}: annotation maps to the single frame (s, e) = "
-                    f"({s}, {e}); a candidate segment spans two frames"
-                )
+            check_loss_sample(self.config, video)
         # The loss reads only the logits, so the candidate ranking is skipped.
         start, end = span_logits(self._contextualize(samples), self.params["head"])
         truths = [video.annotation for video, _ in samples]

@@ -10,8 +10,8 @@ for training and float64 for finite-difference verification.
 
 The tape links `_Node`s, not values. A `Tensor` is a value (`.data`) plus,
 when it requires a gradient, its node. A node holds its gradient, its
-parent nodes, its backward closure, and the shape, dtype and stride order
-of its gradient buffer; it references no `Tensor` and no output array.
+parent nodes, its backward closure, and the shape and dtype of its
+gradient; it references no `Tensor` and no output array.
 Each backward closure holds its parents' nodes and exactly the arrays it
 reads: a matmul, an affine or a mul its operands, a tanh or (log-)softmax
 its own output, an add or a reshape only shapes. So the tape keeps only
@@ -28,9 +28,10 @@ gradient sums the leading axes as one ones @ rows product. numpy would run
 the first as a stack of small products, and its sum over leading axes
 costs about as much as a GEMM.
 
-A node's first gradient is a copy into a buffer laid out like its output,
-except when the backward hands its array over (`owned=True`): then the node
-keeps that array as its gradient, if its shape, dtype and C layout match.
+A node's gradient is a C-ordered array of its output's shape and dtype,
+whatever the strides of the output itself. Its first part is copied into a
+new such array, except when the backward hands its array over
+(`owned=True`): then the node keeps that array, if it already is one.
 A backward hands over only an array it allocated for that one parent
 (matmul's and affine's products, tanh's and softmax's results, and
 `gated_update`'s and the attention scores' gradients); `add`, which passes
@@ -91,21 +92,10 @@ def _matmul_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return g @ w
 
 
-def _layout(data: np.ndarray):
-    """The axes of `data`, outermost first, in the order np.empty_like(data)
-    lays out a new buffer; None for C order."""
-    if data.ndim <= 1 or data.flags.c_contiguous:
-        return None
-    if data.flags.f_contiguous:
-        return tuple(range(data.ndim - 1, -1, -1))
-    # Descending |stride|, ties in axis order (numpy's stable stride sort).
-    return tuple(sorted(range(data.ndim), key=lambda i: -abs(data.strides[i])))
-
-
 class _Node:
     """One vertex of the tape: a gradient, the parents it flows to, and how."""
 
-    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "_layout")
+    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype")
 
     def __init__(self, data: np.ndarray, parents: tuple = (), backward=None):
         self.grad = None
@@ -113,34 +103,18 @@ class _Node:
         self._backward = backward
         self.shape = data.shape
         self.dtype = data.dtype
-        self._layout = _layout(data)
-
-    def _buffer(self, alloc):
-        """A new gradient buffer from `alloc` (np.empty or np.zeros), laid out
-        as np.empty_like of the node's output would be."""
-        if self._layout is None:
-            return alloc(self.shape, self.dtype)
-        outer_first = alloc(tuple(self.shape[i] for i in self._layout), self.dtype)
-        return outer_first.transpose(np.argsort(self._layout))
 
     def _accumulate(self, g: np.ndarray, owned: bool = False):
         # An intermediate node's gradient lives only until its backward has
         # run (see `Tensor.backward`); a leaf's accumulates across backward calls.
         if self.grad is None:
-            if (
-                owned
-                and self._layout is None
-                and g.shape == self.shape
-                and g.dtype == self.dtype
-                and g.flags.c_contiguous
-            ):
-                # A fresh array made for this node alone, laid out as its
-                # output: keep it instead of copying it.
+            if owned and g.shape == self.shape and g.dtype == self.dtype and g.flags.c_contiguous:
+                # A fresh C array made for this node alone: keep it.
                 self.grad = g
                 return
-            # Copy into a buffer laid out like the output; keeping g's own
-            # layout would change the summation order of later matmuls.
-            self.grad = self._buffer(np.empty)
+            # Copy into a new C array: g may be (a view of) another node's
+            # gradient, which a later `+=` here must not write into.
+            self.grad = np.empty(self.shape, self.dtype)
             self.grad[...] = g
         else:
             self.grad += g
@@ -444,7 +418,7 @@ def take(a: Tensor, idx) -> Tensor:
         # np.add.at sums the rows of repeated fancy indices, where
         # `a.grad[idx] += g` would keep only one of them.
         if an.grad is None:
-            an.grad = an._buffer(np.zeros)
+            an.grad = np.zeros(an.shape, an.dtype)
         np.add.at(an.grad, idx, g)
 
     return Tensor._result(out_data, (a,), backward)

@@ -10,8 +10,9 @@ bit-identical curves.
 
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .fileio import (
     require_keys,
     write_tensors,
 )
-from .model import Model, build_model, check_limits, model_params
+from .model import Model, build_model, check_loss_sample, model_params
 from .params import param_shapes, tree_from, zero_grads
 from .tensor import Tensor
 
@@ -44,6 +45,12 @@ class TrainHyper:
     batch_size: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("steps", "batch_size"):  # a bool is not an int here
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name}: expected int, got {getattr(self, name)!r}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ValueError(f"learning_rate: expected a real number, got {rate!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.steps < 0:
@@ -147,14 +154,18 @@ def train(
     checkpoints = intermediate_checkpoints(hyper.steps, checkpoint_every)
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
-    if any(video.annotation is None for video, _ in dataset):
-        raise ValueError("training requires annotated samples")
-    for video, _ in dataset:
-        check_limits(config, video)
+    dims = InputDims.of(*dataset[0])
+    for video, query in dataset:
+        check_loss_sample(config, video)
+        for name, width in asdict(InputDims.of(video, query)).items():
+            if width != getattr(dims, name):
+                raise ValueError(
+                    f"sample {video.video_id}: {name} {width} != {getattr(dims, name)}"
+                    " of the first sample"
+                )
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    dims = InputDims.of(*dataset[0])
     model = build_model(config, dims, dtype)
     state = init_state(model)
     order = _batch_order(len(dataset), config.seed)

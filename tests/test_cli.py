@@ -4,9 +4,11 @@ Everything runs in-process through main(argv) so coverage tools see it and
 tmp_path keeps the artifacts isolated.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,18 +241,66 @@ def test_train_rejects_a_negative_checkpoint_interval(tmp_path, capsys):
     assert not run.exists()
 
 
-@pytest.mark.parametrize("field", ["max_frames", "max_objects"])
+def rewrite_sample(data, index, **changes):
+    """Save sample `index` of the dataset in `data` again with `changes` to its video."""
+    video, query = load_dataset(data)[index]
+    name = json.loads((data / "dataset.json").read_text())["samples"][index]
+    save_sample((dataclasses.replace(video, **changes), query), data / name)
+    return video
+
+
+@pytest.mark.parametrize("field", ["max_frames", "max_objects", "one_frame"])
 def test_train_rejects_samples_past_the_limits_before_writing(tmp_path, capsys, field):
-    # synth writes T = 4, K = 2; the config's limit sits one below.
+    # synth writes T = 4, K = 2; the config's limit sits one below, or one
+    # sample's annotation maps to frame 1 alone, which no segment fits.
     data, run, config = tmp_path / "data", tmp_path / "run", tmp_path / "config.json"
     assert synth(data) == 0
     limits = {"max_frames": 3, "max_objects": 1}
-    config.write_text(json.dumps({**ModelConfig().to_dict(), field: limits[field]}))
+    if field == "one_frame":
+        video = rewrite_sample(data, 1, annotation=GroundTruthSegment(0.3, 0.45))
+        message = f"sample {video.video_id}: annotation maps to the single frame (s, e) = (1, 1)"
+        config.write_text(json.dumps(ModelConfig().to_dict()))
+    else:
+        message = f"exceeds config.{field} {limits[field]}"
+        config.write_text(json.dumps({**ModelConfig().to_dict(), field: limits[field]}))
     capsys.readouterr()
     args = ["train", "--data-dir", str(data), "--out-dir", str(run), "--config", str(config)]
     assert main(args + TINY) == 1
-    assert f"exceeds config.{field} {limits[field]}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not run.exists()
+
+
+def test_train_rejects_samples_of_other_input_widths_before_writing(tmp_path, capsys):
+    # the model's widths come from the first sample; a wider later one used
+    # to fail only in its first batch, after a checkpoint was written
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert synth(data) == 0
+    video, _ = load_dataset(data)[1]
+    wider = np.concatenate([video.object_features, video.object_features[..., :1]], axis=-1)
+    rewrite_sample(data, 1, object_features=wider)
+    capsys.readouterr()
+    args = ["train", "--data-dir", str(data), "--out-dir", str(run), "--checkpoint-every", "1"]
+    assert main(args + TINY) == 1
+    err = capsys.readouterr().err
+    assert f"error: sample {video.video_id}: feature_dim 17 != 16 of the first sample" in err
+    assert not run.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m hvsarn` is `hvsarn` without an install; a failed command exits 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hvsarn.cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["eval", "--checkpoint", "missing", "--data-dir", "missing", "--out-dir", "out"]
+    done = subprocess.run(
+        [sys.executable, "-m", "hvsarn", *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ")
 
 
 def test_eval_of_empty_dataset_prints_error(tmp_path, capsys):

@@ -357,34 +357,62 @@ def test_the_tape_keeps_only_the_outputs_a_backward_reads(monkeypatch):
     fd_check(lambda x, w, b: tt.tanh(tt.linear(x, w, b)), *arrays)
 
 
-def test_gradient_buffers_are_laid_out_like_their_outputs(monkeypatch):
-    # A node's first gradient buffer takes the strides np.empty_like of its
-    # output would have, as the later matmuls' summation order depends on it.
-    # The swapaxes output here reaches the loss only through takes, so its
-    # buffer is take's zero fill.
-    checked = []
+def check_gradient_buffers(monkeypatch):
+    """Record, for every node an op puts on the tape, whether its first
+    gradient is a C array of its output's shape and dtype.
+
+    Returns (wrong, strided, kept): the (op, shape, strides) of each gradient
+    that is not, the ops whose outputs were strided views, and the ops whose
+    node kept an array its child's backward handed over (`owned=True`) as
+    its gradient, not a copy of it."""
+    wrong, strided, kept, handed = [], set(), set(), {}
+    accumulate = tt._Node._accumulate
+
+    def recording_accumulate(node, g, owned=False):
+        if owned and node.grad is None:
+            handed[id(node)] = g
+        accumulate(node, g, owned)
+
+    monkeypatch.setattr(tt._Node, "_accumulate", recording_accumulate)
 
     def record(op, out, backward):
         if out.requires_grad:
-            want, strided = np.empty_like(out.data).strides, not out.data.flags.c_contiguous
+            node, shape, dtype = out._node, out.shape, out.dtype
+            if not out.data.flags.c_contiguous:
+                strided.add(op)
 
             def recorded_backward(g):
-                checked.append((op, g.strides, want, strided))
+                if not (g.flags.c_contiguous and g.shape == shape and g.dtype == dtype):
+                    wrong.append((op, g.shape, g.strides))
+                if handed.get(id(node)) is g:
+                    kept.add(op)
                 backward(g)
 
-            out._node._backward = recorded_backward
+            node._backward = recorded_backward
 
     recording_result(monkeypatch, record)
+    return wrong, strided, kept
+
+
+def test_gradient_buffers_are_c_arrays_of_their_outputs_shape(monkeypatch):
+    # A node's gradient is a C array whatever its output's strides. The
+    # swapaxes output s reaches the loss only through takes, so its buffer
+    # is take's zero fill; the key transpose k keeps matmul's product.
+    wrong, strided, kept = check_gradient_buffers(monkeypatch)
     x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
     w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
     y = tt.tanh(x)
     s = tt.swapaxes(y, 0, 2)  # [4, 3, 2]
     r = tt.matmul(tt.swapaxes(y, 1, 2), w)  # [2, 4, 3] @ [3, 2]
+    k = tt.swapaxes(tt.tanh(y), 1, 2)  # [2, 4, 3]
+    a = tt.matmul(y, k)  # [2, 3, 4] @ [2, 4, 3]
     c = tt.broadcast_to(y[:, :1], (5, 2, 3, 4))
     loss = tt.tsum(s[1:, :, :1] * 3.0) + tt.tsum(s[:2] * s[:2]) + tt.tsum(r * r) + tt.tsum(c * c)
-    loss.backward()
-    assert [(op, got, want) for op, got, want, _ in checked if got != want] == []
-    assert {"swapaxes", "broadcast_to", "take"} <= {op for op, *_, strided in checked if strided}
+    (loss + tt.tsum(a * a)).backward()
+    assert wrong == []
+    assert {"swapaxes", "broadcast_to", "take"} <= strided
+    assert "swapaxes" in kept
+    assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
 
 
 def test_backward_rejects_a_seed_of_another_shape():

@@ -36,7 +36,7 @@ from hvsarn.training import (
 )
 from oracles import adam_oracle
 from test_data import TABLE_PROBES, table_probe, to_per_tensor_layout
-from test_tensor import recording_result
+from test_tensor import check_gradient_buffers, recording_result
 
 SMALL = ModelConfig(hidden_size=8, reasoning_steps=1, seed=3)
 
@@ -111,6 +111,16 @@ def test_train_input_validation():
             TrainHyper(learning_rate=rate)
     TrainHyper(learning_rate=0.0)
     TrainHyper(learning_rate=1e18)
+    # a float count used to fail in `train` after out_dir was made, and
+    # steps=True to train one step; a bool is not an int here
+    bad = {"steps": (2.5, True, "3"), "batch_size": (2.0, False, None)}
+    bad["learning_rate"] = ("1e-3", True, None)
+    for field, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{field}: expected"):
+                TrainHyper(**{field: value})
+    TrainHyper(learning_rate=1, steps=0)
+    TrainHyper(learning_rate=np.float32(1e-3))
 
 
 def test_loss_rejects_a_truth_that_collapses_to_one_frame():
@@ -693,31 +703,18 @@ def test_no_backward_closure_holds_a_tensor():
     assert {"pair_logits", "gru_sequence", "gated_update", "concat", "take"} <= ops
 
 
-def test_every_gradient_buffer_is_laid_out_like_its_output(monkeypatch):
-    # Each node's first gradient buffer has the strides np.empty_like of its
-    # output would have, so later matmuls keep their summation order.
-    wrong, strided_ops = [], set()
-
-    def record(op, out, backward):
-        if out.requires_grad:
-            want, strided = np.empty_like(out.data).strides, not out.data.flags.c_contiguous
-
-            def recorded_backward(g):
-                if g.strides != want:
-                    wrong.append((op, g.shape, g.strides, want))
-                if strided:
-                    strided_ops.add(op)
-                backward(g)
-
-            out._node._backward = recorded_backward
-
-    recording_result(monkeypatch, record)
-    samples = [synth_sample(seed, 6, 3, "separable") for seed in range(2)]
+def test_every_gradient_buffer_is_a_c_array_of_its_outputs_shape(monkeypatch):
+    # Each node's first gradient is a C array of its output's shape and
+    # dtype, in every variant, strided view outputs included. Seeds 0 and 2
+    # share a token count, so their query group's final states are strided
+    # takes.
+    wrong, strided, _ = check_gradient_buffers(monkeypatch)
+    samples = [synth_sample(seed, 6, 3, "separable") for seed in range(3)]
     for variant in STANDARD_ABLATIONS:
         config = ablation_config(ModelConfig(hidden_size=8, reasoning_steps=2), variant)
         batch_loss(build_model(config, InputDims.of(*samples[0]), np.float32), samples).backward()
     assert not wrong
-    assert {"swapaxes", "broadcast_to"} <= strided_ops
+    assert {"swapaxes", "broadcast_to", "take"} <= strided
 
 
 def test_the_tape_holds_well_under_its_node_outputs(monkeypatch):
