@@ -2,15 +2,17 @@
 
 Every command that produces artifacts writes them under --out-dir along with
 a run_manifest.json recording the command, the effective configuration, the
-seed, the artifact list, wall-clock time, and the git revision when one is
-available. HVSARN_PRECISION={32,64} picks the float width for training and
-ablation runs (gradient checking always runs in 64-bit).
+seed, the artifact list, wall-clock time, the git revision when one is
+available, and the Python and numpy versions. HVSARN_PRECISION={32,64}
+picks the float width for training and ablation runs (gradient checking
+always runs in 64-bit).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -100,6 +102,8 @@ def write_run_manifest(out_dir, command, config, seed, artifacts, started) -> No
         "artifacts": sorted(artifacts),
         "wall_clock_sec": round(time.time() - started, 3),
         "git_describe": _git_describe(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     atomic_write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 

@@ -38,6 +38,15 @@ class InputDims:
     def of(video: VideoSample, query: QuerySample) -> "InputDims":
         return InputDims(video.feature_dim, video.semantic_dim, query.word_dim)
 
+    def check(self, video: VideoSample, query: QuerySample, owner: str) -> None:
+        """Raise a ValueError naming the sample and the field where its widths
+        differ from these, which are `owner`'s."""
+        for name, width in vars(InputDims.of(video, query)).items():
+            if width != getattr(self, name):
+                raise ValueError(
+                    f"sample {video.video_id}: {name} {width} != {getattr(self, name)} of {owner}"
+                )
+
 
 @dataclass
 class EncodedVideo:

@@ -94,8 +94,9 @@ class Model:
             raise ValueError("no samples to encode")
         videos = [video for video, _ in samples]
         shape = (videos[0].num_frames, videos[0].num_objects)
-        for video in videos:
+        for video, query in samples:
             check_limits(self.config, video)
+            self.dims.check(video, query, "the model")
             if (video.num_frames, video.num_objects) != shape:
                 raise ValueError(
                     f"sample {video.video_id} has (num_frames, num_objects) "

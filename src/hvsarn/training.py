@@ -6,6 +6,11 @@ the batch. A batch is grouped by (num_frames, num_objects) and each group
 runs as one tape with a leading sample axis; the group losses are summed
 and divided by the batch size. Identical seeds and hyperparameters give
 bit-identical curves.
+
+A `TrainState` is the model and its step count, and a checkpoint holds
+exactly that: the parameters in one blob, the step in the manifest. The
+Adam moments live only inside `train`'s loop and are never written; a run
+is reproduced by running it again with the same seed.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainHyper:
     learning_rate: float = 1e-3
     steps: int = 500
@@ -62,8 +67,6 @@ class TrainHyper:
 @dataclass
 class TrainState:
     model: Model
-    moments_m: dict[str, np.ndarray]
-    moments_v: dict[str, np.ndarray]
     step: int = 0
 
 
@@ -72,18 +75,11 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-def init_state(model: Model) -> TrainState:
-    named = model.named_parameters()
-    return TrainState(
-        model=model,
-        moments_m={k: np.zeros_like(t.data) for k, t in named.items()},
-        moments_v={k: np.zeros_like(t.data) for k, t in named.items()},
-        step=0,
-    )
-
-
-def adam_update(state: TrainState, learning_rate: float) -> None:
-    """One Adam step over accumulated gradients.
+def adam_update(
+    state: TrainState, moments: dict[str, tuple[np.ndarray, np.ndarray]], learning_rate: float
+) -> None:
+    """One Adam step over accumulated gradients; `moments` maps each
+    parameter name to its (m, v) pair, updated in place.
 
     A parameter without a gradient is skipped: it keeps its value and both
     moments (no decay), while the step count still advances."""
@@ -95,8 +91,7 @@ def adam_update(state: TrainState, learning_rate: float) -> None:
         g = param.grad
         if g is None:
             continue
-        m = state.moments_m[name]
-        v = state.moments_v[name]
+        m, v = moments[name]
         m *= _ADAM_BETA1
         m += (1.0 - _ADAM_BETA1) * g
         v *= _ADAM_BETA2
@@ -157,17 +152,14 @@ def train(
     dims = InputDims.of(*dataset[0])
     for video, query in dataset:
         check_loss_sample(config, video)
-        for name, width in asdict(InputDims.of(video, query)).items():
-            if width != getattr(dims, name):
-                raise ValueError(
-                    f"sample {video.video_id}: {name} {width} != {getattr(dims, name)}"
-                    " of the first sample"
-                )
+        dims.check(video, query, "the first sample")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     model = build_model(config, dims, dtype)
-    state = init_state(model)
+    state = TrainState(model)
+    named = model.named_parameters()
+    moments = {k: (np.zeros_like(t.data), np.zeros_like(t.data)) for k, t in named.items()}
     order = _batch_order(len(dataset), config.seed)
     curve: list[float] = []
 
@@ -180,7 +172,7 @@ def train(
             raise TrainingDiverged(f"non-finite loss {value!r} at step {step}")
         mean_loss.backward()
         del mean_loss  # the tape, so the next step's forward does not run beside it
-        adam_update(state, hyper.learning_rate)
+        adam_update(state, moments, hyper.learning_rate)
         curve.append(value)
         if log is not None and (step % max(1, hyper.steps // 10) == 0 or step == 1):
             log(f"step {step}/{hyper.steps} loss {value:.4f}")
@@ -195,25 +187,21 @@ def train(
 # -- checkpoints -------------------------------------------------------------
 
 _CHECKPOINT_KIND = "hvsarn-checkpoint"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 
 def save_checkpoint(out_dir: str, state: TrainState) -> None:
-    """Write model + optimizer state as manifest.json plus one raw blob.
+    """Write the model's parameters and the step as manifest.json plus one raw blob.
 
     Round-trips are bit-exact: the blob holds the tensors' native
-    little-endian bytes and nothing is re-derived on load.
+    little-endian bytes, in `flatten` order, and nothing is re-derived on load.
     """
     os.makedirs(out_dir, exist_ok=True)
     named = state.model.named_parameters()
     code = next(iter(named.values())).data.dtype.newbyteorder("<").str
     if code not in DTYPE_CODES:
         raise ValueError(f"unsupported checkpoint dtype {code}")
-
-    params = {k: t.data for k, t in named.items()}
-    groups = (("params", params), ("adam_m", state.moments_m), ("adam_v", state.moments_v))
-    arrays = {f"{prefix}/{k}": group[k] for prefix, group in groups for k in sorted(group)}
-    tensors = write_tensors(out_dir, arrays, code)
+    tensors = write_tensors(out_dir, {k: t.data for k, t in named.items()}, code)
 
     manifest = {
         "kind": _CHECKPOINT_KIND,
@@ -221,11 +209,7 @@ def save_checkpoint(out_dir: str, state: TrainState) -> None:
         "dtype": code,
         "step": state.step,
         "config": state.model.config.to_dict(),
-        "dims": {
-            "feature_dim": state.model.dims.feature_dim,
-            "semantic_dim": state.model.dims.semantic_dim,
-            "word_dim": state.model.dims.word_dim,
-        },
+        "dims": asdict(state.model.dims),
         "tensors": tensors,
     }
     atomic_write_json(os.path.join(out_dir, "manifest.json"), manifest)
@@ -245,7 +229,6 @@ def load_checkpoint(in_dir: str) -> TrainState:
     code = manifest["dtype"]
     if code not in DTYPE_CODES:
         raise FormatError(f"{where}: dtype {code!r} not in {sorted(DTYPE_CODES)}")
-    dtype = DTYPE_CODES[code].type
     require_keys(manifest["config"], (), f"{where}: config")
     config = ModelConfig.from_dict(manifest["config"])
     dim_names = ("feature_dim", "semantic_dim", "word_dim")
@@ -258,20 +241,11 @@ def load_checkpoint(in_dir: str) -> TrainState:
     step = manifest["step"]
     if not is_int(step) or step < 0:
         raise FormatError(f"{where}: step {step!r} is not a non-negative integer")
-    # Optimizer moments mirror the parameter tree, so every group is checked
-    # against the same names and shapes; nothing is drawn.
+    # The table is checked against the config's parameter names and shapes;
+    # nothing is drawn, and tree_from copies each read-only blob view once.
     spec = model_params(config, dims)
-    shapes = param_shapes(spec)
-    groups = {"params": {}, "adam_m": {}, "adam_v": {}}
-    expected = {f"{prefix}/{k}": shape for prefix in groups for k, shape in shapes.items()}
-    for full_name, arr in read_tensors(in_dir, manifest["tensors"], expected, code, where).items():
-        prefix, _, name = full_name.partition("/")
-        groups[prefix][name] = arr
-    # The blob's arrays are read-only views: each is copied once, into the
-    # parameter tree or into a moment of its own.
-    model = Model(config, dims, tree_from(spec, groups["params"]))
-    moments = ({k: groups[prefix][k].copy() for k in shapes} for prefix in ("adam_m", "adam_v"))
-    return TrainState(model, *moments, step)
+    arrays = read_tensors(in_dir, manifest["tensors"], param_shapes(spec), code, where)
+    return TrainState(Model(config, dims, tree_from(spec, arrays)), step)
 
 
 # -- gradient verification ---------------------------------------------------

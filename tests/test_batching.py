@@ -1,6 +1,8 @@
 """One tape per same-shape group: grouped losses, gradients and predictions
-equal the per-sample ones, and a video too short to hold a segment is
-rejected."""
+equal the per-sample ones, and a video too short to hold a segment, or of
+other input widths than the model's, is rejected."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -93,3 +95,20 @@ def test_single_frame_video_is_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="num_frames 1"):
             call()
+
+
+@pytest.mark.parametrize("field", ["object_features", "semantic_embeddings", "token_embeddings"])
+def test_predict_dataset_names_a_sample_of_other_input_widths(field):
+    data = [synth_sample(seed, 4, 2) for seed in range(3)]
+    model = model_for(data, ModelConfig(hidden_size=6), np.float32)
+    video, query = data[1]
+    owner = query if field == "token_embeddings" else video
+    array = getattr(owner, field)
+    wider = dataclasses.replace(owner, **{field: np.concatenate([array, array[..., :1]], -1)})
+    data[1] = (video, wider) if owner is query else (wider, query)
+    dims = {"object_features": "feature_dim", "semantic_embeddings": "semantic_dim"}
+    name = dims.get(field, "word_dim")
+    width = getattr(model.dims, name)
+    message = f"sample {video.video_id}: {name} {width + 1} != {width} of the model"
+    with pytest.raises(ValueError, match=message):
+        predict_dataset(model, data)

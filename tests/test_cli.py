@@ -7,6 +7,7 @@ tmp_path keeps the artifacts isolated.
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -75,6 +76,8 @@ def test_synth_writes_dataset_and_manifest(tmp_path, capsys):
     assert manifest["seed"] == 1
     assert manifest["artifacts"] == ["dataset.json"]
     assert manifest["wall_clock_sec"] >= 0
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
 
 def test_synth_refuses_nonempty_dir_without_force(tmp_path, capsys):
@@ -178,6 +181,7 @@ def test_full_pipeline(tmp_path, capsys, monkeypatch):
     manifest = json.loads((scored / "run_manifest.json").read_text())
     assert manifest["command"] == "eval"
     assert manifest["config"]["metrics"] == ["1:0.5", "5:0.5"]
+    assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
 
 
 def test_train_precision_64(tmp_path, monkeypatch):
@@ -465,6 +469,23 @@ def test_failed_eval_leaves_no_out_dir(tmp_path, capsys, extra, frames, message)
     args = ["eval", "--checkpoint", str(run / "checkpoint"), "--data-dir", str(queries)]
     assert main([*args, "--out-dir", str(scored), *extra]) == 1
     assert capsys.readouterr().err.startswith(message)
+    assert not scored.exists()
+
+
+def test_eval_of_samples_of_other_input_widths_leaves_no_out_dir(tmp_path, capsys):
+    # the model's widths are the checkpoint's, not the first sample's
+    data, queries, run = tmp_path / "data", tmp_path / "queries", tmp_path / "run"
+    assert synth(data) == 0 and synth(queries, count=3) == 0
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(run), *TINY]) == 0
+    video, _ = load_dataset(queries)[1]
+    wider = np.concatenate([video.object_features, video.object_features[..., :1]], axis=-1)
+    rewrite_sample(queries, 1, object_features=wider)
+    capsys.readouterr()
+    scored = tmp_path / "eval"
+    args = ["eval", "--checkpoint", str(run / "checkpoint"), "--data-dir", str(queries)]
+    assert main([*args, "--out-dir", str(scored)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sample {video.video_id}: feature_dim 17 != 16 of the model")
     assert not scored.exists()
 
 

@@ -29,7 +29,6 @@ from hvsarn.training import (
     gradcheck,
     _gradcheck_sample,
     gradcheck_tensors,
-    init_state,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -47,6 +46,12 @@ def tiny_dataset(count=4, T=4, K=2):
 
 def named_data(state):
     return {k: t.data.copy() for k, t in state.model.named_parameters().items()}
+
+
+def zero_moments(model):
+    """Adam's (m, v) pair per parameter, as `train` starts them."""
+    named = model.named_parameters()
+    return {k: (np.zeros_like(t.data), np.zeros_like(t.data)) for k, t in named.items()}
 
 
 def test_training_is_deterministic():
@@ -123,6 +128,15 @@ def test_train_input_validation():
     TrainHyper(learning_rate=np.float32(1e-3))
 
 
+def test_train_hyper_is_frozen():
+    # __post_init__ checks hold only if nothing can change a field afterwards
+    hyper = TrainHyper(steps=2, batch_size=2)
+    for field, value in (("steps", 2.5), ("batch_size", 0), ("learning_rate", float("nan"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(hyper, field, value)
+    assert hyper == TrainHyper(steps=2, batch_size=2)
+
+
 def test_loss_rejects_a_truth_that_collapses_to_one_frame():
     # candidates span two frames (i < j), so a one-frame truth is untrainable
     video, query = synth_sample(0, 4, 2, "separable")
@@ -142,16 +156,12 @@ def test_adam_matches_oracle():
     y = Tensor(rng.normal(size=(4,)).astype(np.float64), requires_grad=True)
     x0, y0 = x.data.copy(), y.data.copy()
     model = SimpleNamespace(named_parameters=lambda: {"x": x, "y": y})
-    state = TrainState(
-        model=model,
-        moments_m={"x": np.zeros_like(x.data), "y": np.zeros_like(y.data)},
-        moments_v={"x": np.zeros_like(x.data), "y": np.zeros_like(y.data)},
-    )
+    state, moments = TrainState(model=model), zero_moments(model)
     grads_x = [rng.normal(size=x.data.shape) for _ in range(7)]
     grads_y = [rng.normal(size=y.data.shape) for _ in range(7)]
     for gx, gy in zip(grads_x, grads_y):
         x.grad, y.grad = gx, gy
-        adam_update(state, learning_rate=1e-2)
+        adam_update(state, moments, learning_rate=1e-2)
     np.testing.assert_allclose(x.data, adam_oracle(grads_x, lr=1e-2, x0=x0), rtol=0, atol=1e-12)
     np.testing.assert_allclose(y.data, adam_oracle(grads_y, lr=1e-2, x0=y0), rtol=0, atol=1e-12)
     assert state.step == 7
@@ -160,9 +170,9 @@ def test_adam_matches_oracle():
 def test_adam_skips_missing_gradients():
     x = Tensor(np.ones(3))
     model = SimpleNamespace(named_parameters=lambda: {"x": x})
-    state = TrainState(model=model, moments_m={"x": np.zeros(3)}, moments_v={"x": np.zeros(3)})
+    state = TrainState(model=model)
     x.grad = None
-    adam_update(state, learning_rate=1.0)
+    adam_update(state, zero_moments(model), learning_rate=1.0)
     np.testing.assert_array_equal(x.data, np.ones(3))
 
 
@@ -173,17 +183,19 @@ def test_adam_leaves_a_parameter_without_a_gradient_and_its_moments_as_they_were
     x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     z = Tensor(rng.normal(size=(4,)), requires_grad=True)
     model = SimpleNamespace(named_parameters=lambda: {"x": x, "z": z})
-    state = init_state(model)
+    state, moments = TrainState(model), zero_moments(model)
+    m_z, v_z = moments["z"]
     x.grad, z.grad = rng.normal(size=(3, 2)), rng.normal(size=(4,))
-    adam_update(state, learning_rate=1e-2)
-    pinned = [z.data.tobytes(), state.moments_m["z"].tobytes(), state.moments_v["z"].tobytes()]
-    assert state.moments_m["z"].any() and state.moments_v["z"].any()
+    adam_update(state, moments, learning_rate=1e-2)
+    pinned = [z.data.tobytes(), m_z.tobytes(), v_z.tobytes()]
+    assert m_z.any() and v_z.any()
     for _ in range(3):
         before = x.data.copy()
         x.grad, z.grad = rng.normal(size=(3, 2)), None
-        adam_update(state, learning_rate=1e-2)
+        adam_update(state, moments, learning_rate=1e-2)
         assert not np.array_equal(x.data, before)
-        assert [z.data.tobytes(), state.moments_m["z"].tobytes(), state.moments_v["z"].tobytes()] == pinned
+        assert moments["z"][0] is m_z and moments["z"][1] is v_z
+        assert [z.data.tobytes(), m_z.tobytes(), v_z.tobytes()] == pinned
     assert state.step == 4
 
 
@@ -205,10 +217,6 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.model.config == state.model.config
     for name, arr in named_data(state).items():
         np.testing.assert_array_equal(arr, loaded.model.named_parameters()[name].data)
-    for name, arr in state.moments_m.items():
-        np.testing.assert_array_equal(arr, loaded.moments_m[name])
-    for name, arr in state.moments_v.items():
-        np.testing.assert_array_equal(arr, loaded.moments_v[name])
 
 
 def test_loaded_state_trains_on_like_the_saved_one(tmp_path):
@@ -219,15 +227,12 @@ def test_loaded_state_trains_on_like_the_saved_one(tmp_path):
     for s in (state, loaded):
         zero_grads(s.model.params)
         batch_loss(s.model, batch).backward()
-        adam_update(s, 1e-3)
+        adam_update(s, zero_moments(s.model), 1e-3)
         assert s.step == 3
     restored = named_data(loaded)
     assert sorted(restored) == sorted(named_data(state))
     for name, arr in named_data(state).items():
         assert restored[name].tobytes() == arr.tobytes(), name
-    for saved, back in ((state.moments_m, loaded.moments_m), (state.moments_v, loaded.moments_v)):
-        for name, arr in saved.items():
-            assert back[name].tobytes() == arr.tobytes(), name
 
 
 def test_save_load_save_produces_identical_bytes(tmp_path):
@@ -294,10 +299,10 @@ def test_load_rejects_unknown_parameter(tmp_path):
     save_checkpoint(str(out), state)
 
     def rename(m):
-        m["tensors"][0]["name"] = "params/not_a_real_tensor"
+        m["tensors"][0]["name"] = "not_a_real_tensor"
 
     corrupt_manifest(out, rename)
-    with pytest.raises(FormatError, match="unknown tensor 'params/not_a_real_tensor'"):
+    with pytest.raises(FormatError, match="unknown tensor 'not_a_real_tensor'"):
         load_checkpoint(str(out))
 
 
@@ -306,29 +311,10 @@ def test_load_rejects_shape_mismatch(tmp_path):
     out = tmp_path / "ckpt"
     save_checkpoint(str(out), state)
     manifest = json.loads((out / "manifest.json").read_text())
-    # find a params/ tensor with >1 element and lie about its shape
-    for entry in manifest["tensors"]:
-        if entry["name"].startswith("params/") and int(np.prod(entry["shape"])) > 1:
-            entry["shape"] = [int(np.prod(entry["shape"]))]
-            if tuple(entry["shape"]) != tuple(
-                state.model.named_parameters()[entry["name"][7:]].data.shape
-            ):
-                break
+    entry = next(t for t in manifest["tensors"] if len(t["shape"]) == 2)
+    entry["shape"] = [int(np.prod(entry["shape"]))]  # same bytes, wrong shape
     (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="shape"):
-        load_checkpoint(str(out))
-
-
-def test_load_rejects_unknown_group(tmp_path):
-    state = trained_state(tmp_path)
-    out = tmp_path / "ckpt"
-    save_checkpoint(str(out), state)
-
-    def regroup(m):
-        m["tensors"][0]["name"] = "mystery/" + m["tensors"][0]["name"].partition("/")[2]
-
-    corrupt_manifest(out, regroup)
-    with pytest.raises(FormatError, match="unknown tensor 'mystery/"):
+    with pytest.raises(FormatError, match=f"tensor '{entry['name']}' shape"):
         load_checkpoint(str(out))
 
 
@@ -337,67 +323,21 @@ def test_load_rejects_missing_tensor(tmp_path):
     out = tmp_path / "ckpt"
     save_checkpoint(str(out), state)
 
-    def drop_params_entry(m):
-        kept = [t for t in m["tensors"] if not t["name"].startswith("params/")]
-        dropped = [t for t in m["tensors"] if t["name"].startswith("params/")][1:]
-        m["tensors"] = kept + dropped
+    dropped = {}
 
-    corrupt_manifest(out, drop_params_entry)
-    with pytest.raises(FormatError, match="missing tensors"):
+    def drop_first_entry(m):
+        dropped["name"] = m["tensors"].pop(0)["name"]
+
+    corrupt_manifest(out, drop_first_entry)
+    with pytest.raises(FormatError, match="missing tensors") as err:
         load_checkpoint(str(out))
+    assert repr(dropped["name"]) in str(err.value)
 
 
 def saved_checkpoint(tmp_path):
     out = tmp_path / "ckpt"
     save_checkpoint(str(out), trained_state(tmp_path))
     return out
-
-
-def first_entry(manifest, group):
-    return next(t for t in manifest["tensors"] if t["name"].startswith(group + "/"))
-
-
-@pytest.mark.parametrize("group", ["adam_m", "adam_v"])
-def test_load_rejects_unknown_optimizer_entry(tmp_path, group):
-    out = saved_checkpoint(tmp_path)
-
-    def rename(m):
-        first_entry(m, group)["name"] = f"{group}/not_a_real_tensor"
-
-    corrupt_manifest(out, rename)
-    with pytest.raises(FormatError, match=f"unknown tensor '{group}/not_a_real_tensor'"):
-        load_checkpoint(str(out))
-
-
-@pytest.mark.parametrize("group", ["adam_m", "adam_v"])
-def test_load_rejects_misshaped_optimizer_entry(tmp_path, group):
-    out = saved_checkpoint(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    entry = next(
-        t
-        for t in manifest["tensors"]
-        if t["name"].startswith(group + "/") and len(t["shape"]) == 2
-    )
-    entry["shape"] = [int(np.prod(entry["shape"]))]  # same bytes, wrong shape
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"tensor '{entry['name']}' shape"):
-        load_checkpoint(str(out))
-
-
-@pytest.mark.parametrize("group", ["adam_m", "adam_v"])
-def test_load_rejects_missing_optimizer_entry(tmp_path, group):
-    out = saved_checkpoint(tmp_path)
-    dropped = {}
-
-    def drop(m):
-        entry = first_entry(m, group)
-        dropped["name"] = entry["name"]
-        m["tensors"].remove(entry)
-
-    corrupt_manifest(out, drop)
-    with pytest.raises(FormatError, match="missing tensors") as err:
-        load_checkpoint(str(out))
-    assert dropped["name"] in str(err.value)
 
 
 @pytest.mark.parametrize("key", ["format_version", "dtype", "step", "config", "dims", "tensors"])
@@ -422,10 +362,10 @@ def test_load_rejects_tensor_entry_without_key(tmp_path, key):
         (lambda m: m["dims"].pop("word_dim"), "dims: missing key 'word_dim'"),
         (lambda m: m.update(config=["hidden_size"]), "config: expected a JSON object, got list"),
         (lambda m: m.update(dtype="<f2"), "dtype '<f2'"),
-        (lambda m: m.update(format_version=99), "format_version 99 is not 5"),
-        (lambda m: m.update(format_version=1), "format_version 1 is not 5"),
-        (lambda m: m.update(format_version=2), "format_version 2 is not 5"),
-        (lambda m: m.update(format_version=4), "format_version 4 is not 5"),
+        (lambda m: m.update(format_version=99), "format_version 99 is not 6"),
+        (lambda m: m.update(format_version=1), "format_version 1 is not 6"),
+        (lambda m: m.update(format_version=2), "format_version 2 is not 6"),
+        (lambda m: m.update(format_version=4), "format_version 4 is not 6"),
         (lambda m: m.update(step="x"), "step 'x' is not a non-negative integer"),
         (lambda m: m.update(step=-1), "step -1 is not a non-negative integer"),
         (lambda m: m.update(tensors=None), "tensors must be a list"),
@@ -477,7 +417,7 @@ def test_load_rejects_a_format_3_checkpoint(tmp_path):
     # The per-tensor layout is rejected by its version, before its table.
     out = saved_checkpoint(tmp_path)
     to_per_tensor_layout(out)
-    with pytest.raises(FormatError, match="format_version 3 is not 5"):
+    with pytest.raises(FormatError, match="format_version 3 is not 6"):
         load_checkpoint(str(out))
 
 
@@ -486,18 +426,43 @@ def test_checkpoint_is_one_blob_of_the_tensors_in_table_order(tmp_path):
     out = tmp_path / "ckpt"
     save_checkpoint(str(out), state)
     table = json.loads((out / "manifest.json").read_text())["tensors"]
-    groups = {"params": named_data(state), "adam_m": state.moments_m, "adam_v": state.moments_v}
-    arrays = []
-    for entry in table:
-        prefix, _, name = entry["name"].partition("/")
-        arrays.append(groups[prefix][name])
+    params = named_data(state)
+    assert [e["name"] for e in table] == sorted(params)
+    arrays = [params[e["name"]] for e in table]
     assert [e["shape"] for e in table] == [list(a.shape) for a in arrays]
     assert (out / "tensors.f32").read_bytes() == b"".join(a.tobytes() for a in arrays)
-    loaded = load_checkpoint(str(out))
-    params = {k: t.data for k, t in loaded.model.named_parameters().items()}
-    for tree in (params, loaded.moments_m, loaded.moments_v):
-        for array in tree.values():  # each owns its buffer, as a loaded sample tensor does
-            assert array.flags.writeable and array.flags.c_contiguous and array.base is None
+    for param in load_checkpoint(str(out)).model.named_parameters().values():
+        array = param.data  # each owns its buffer, as a loaded sample tensor does
+        assert array.flags.writeable and array.flags.c_contiguous and array.base is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_default_checkpoint_holds_the_parameters_alone(tmp_path, dtype):
+    # 87,248 parameters at synth dims and nothing else: no optimizer moments
+    dataset = [synth_sample(seed, 4, 2) for seed in range(2)]
+    state, _ = train(dataset, ModelConfig(), TrainHyper(steps=1, batch_size=2), dtype=dtype)
+    out = tmp_path / "ckpt"
+    save_checkpoint(str(out), state)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["tensors"]) == 112 and manifest["step"] == 1
+    (blob,) = out.glob("tensors.*")
+    assert blob.stat().st_size == 87_248 * np.dtype(dtype).itemsize
+
+
+def test_load_rejects_a_format_5_checkpoint(tmp_path):
+    # Version 5 stored the parameters and both Adam moment trees, each name
+    # under a group prefix; it is rejected by its version, before its table.
+    out = saved_checkpoint(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    table = manifest["tensors"]
+    groups = ("params", "adam_m", "adam_v")
+    manifest["tensors"] = [dict(t, name=f"{g}/{t['name']}") for g in groups for t in table]
+    manifest["format_version"] = 5
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    blob = out / "tensors.f32"
+    blob.write_bytes(blob.read_bytes() * 3)
+    with pytest.raises(FormatError, match="format_version 5 is not 6"):
+        load_checkpoint(str(out))
 
 
 @pytest.mark.parametrize(
@@ -541,20 +506,6 @@ def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
         assert restored[name].data.tobytes() == arr.tobytes(), name
 
 
-def test_checkpoint_restores_both_moment_trees_bit_exactly(tmp_path):
-    state = trained_state(tmp_path)
-    out = tmp_path / "ckpt"
-    save_checkpoint(str(out), state)
-    loaded = load_checkpoint(str(out))
-    trees = ((state.moments_m, loaded.moments_m), (state.moments_v, loaded.moments_v))
-    for saved, restored in trees:
-        assert sorted(restored) == sorted(saved)
-        assert any(np.any(arr != 0.0) for arr in saved.values())
-        for name, arr in saved.items():
-            assert restored[name].dtype == arr.dtype
-            np.testing.assert_array_equal(restored[name], arr)
-
-
 @pytest.mark.parametrize("variant", STANDARD_ABLATIONS)
 def test_every_variant_checkpoint_round_trips_bit_exactly(tmp_path, variant):
     config = ablation_config(SMALL, variant)
@@ -566,9 +517,6 @@ def test_every_variant_checkpoint_round_trips_bit_exactly(tmp_path, variant):
     assert sorted(restored) == sorted(named_data(state))
     for name, arr in named_data(state).items():
         assert restored[name].data.tobytes() == arr.tobytes(), name
-    for saved, back in ((state.moments_m, loaded.moments_m), (state.moments_v, loaded.moments_v)):
-        for name, arr in saved.items():
-            assert back[name].tobytes() == arr.tobytes(), name
 
 
 # -- parameter tree -------------------------------------------------------------
