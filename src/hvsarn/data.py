@@ -31,8 +31,9 @@ happens.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import numbers
+import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,17 +71,16 @@ class ConfigError(ValueError):
     """A ModelConfig field is out of contract."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise FormatError(message)
+# The constructors below check every sample on every load, so each message
+# is formatted only once its check has failed.
 
 
-def _frozen_f32(x, field: str, shape=None) -> np.ndarray:
+def _frozen_f32(x, field: str, shape: tuple | None = None) -> np.ndarray:
     """The one copy of a sample array: float32, C-order, read-only."""
     arr = np.array(x, dtype=np.float32, order="C")
-    if shape is not None and arr.shape != tuple(shape):
-        raise FormatError(f"{field}: expected shape {tuple(shape)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if shape is not None and arr.shape != shape:
+        raise FormatError(f"{field}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise FormatError(f"{field}: contains NaN or Inf")
     arr.setflags(write=False)
     return arr
@@ -94,12 +94,19 @@ class GroundTruthSegment:
     end: float
 
     def __post_init__(self):
-        for key, value in (("start", self.start), ("end", self.end)):
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            _require(real, f"annotation: {key} {value!r} is not a real number")
-        _require(0.0 <= self.start, f"annotation: start {self.start} < 0")
-        _require(self.end <= 1.0, f"annotation: end {self.end} > 1")
-        _require(self.start < self.end, f"annotation: start {self.start} >= end {self.end}")
+        start, end = self.start, self.end
+        for key, value in (("start", start), ("end", end)):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise FormatError(f"annotation: {key} {value!r} is not a real number")
+        for key, value in (("start", start), ("end", end)):
+            if not -math.inf < value < math.inf:  # False for NaN too
+                raise FormatError(f"annotation: {key} {value} is not finite")
+        if not 0.0 <= start:
+            raise FormatError(f"annotation: start {start} < 0")
+        if not end <= 1.0:
+            raise FormatError(f"annotation: end {end} > 1")
+        if not start < end:
+            raise FormatError(f"annotation: start {start} >= end {end}")
 
 
 @dataclass(frozen=True)
@@ -113,24 +120,32 @@ class VideoSample:
     annotation: GroundTruthSegment | None = None
 
     def __post_init__(self):
-        _require(isinstance(self.video_id, str), f"video_id: {self.video_id!r} is not a string")
+        if not isinstance(self.video_id, str):
+            raise FormatError(f"video_id: {self.video_id!r} is not a string")
         feats = _frozen_f32(self.object_features, "object_features")
         object.__setattr__(self, "object_features", feats)
-        _require(feats.ndim == 3, f"object_features: shape {feats.shape} is not [T, K, D_in]")
+        if feats.ndim != 3:
+            raise FormatError(f"object_features: shape {feats.shape} is not [T, K, D_in]")
         T, K = feats.shape[:2]
-        _require(T >= 1, f"object_features: T = {T} < 1")
-        _require(K >= 1, f"object_features: K = {K} < 1")
-        object.__setattr__(self, "boxes", _frozen_f32(self.boxes, "boxes", (T, K, 4)))
-        b = self.boxes
-        _require(bool(np.all(b >= 0.0) and np.all(b <= 1.0)), "boxes: coordinates outside [0, 1]")
-        _require(bool(np.all(b[..., 0] <= b[..., 2])), "boxes: x1 > x2")
-        _require(bool(np.all(b[..., 1] <= b[..., 3])), "boxes: y1 > y2")
+        if T < 1:
+            raise FormatError(f"object_features: T = {T} < 1")
+        if K < 1:
+            raise FormatError(f"object_features: K = {K} < 1")
+        b = _frozen_f32(self.boxes, "boxes", (T, K, 4))
+        object.__setattr__(self, "boxes", b)
+        # b is finite and not empty, so its min and max bound every coordinate
+        if not (b.min() >= 0.0 and b.max() <= 1.0):
+            raise FormatError("boxes: coordinates outside [0, 1]")
+        # One corner coordinate per row: whole rows compare faster than b's
+        # columns, where numpy's inner loop would run over two elements.
+        corners = b.reshape(-1, 4).T.copy()
+        if not (corners[:2] <= corners[2:]).all():
+            x_ordered = (corners[0] <= corners[2]).all()
+            raise FormatError("boxes: y1 > y2" if x_ordered else "boxes: x1 > x2")
         sem = _frozen_f32(self.semantic_embeddings, "semantic_embeddings")
         object.__setattr__(self, "semantic_embeddings", sem)
-        _require(
-            sem.ndim == 3 and sem.shape[:2] == (T, K),
-            f"semantic_embeddings: leading dims {sem.shape[:2]} != ({T}, {K})",
-        )
+        if not (sem.ndim == 3 and sem.shape[:2] == (T, K)):
+            raise FormatError(f"semantic_embeddings: leading dims {sem.shape[:2]} != ({T}, {K})")
 
     @property
     def num_frames(self) -> int:
@@ -157,11 +172,14 @@ class QuerySample:
     token_embeddings: np.ndarray  # [N, D_w]
 
     def __post_init__(self):
-        _require(isinstance(self.query_id, str), f"query_id: {self.query_id!r} is not a string")
+        if not isinstance(self.query_id, str):
+            raise FormatError(f"query_id: {self.query_id!r} is not a string")
         tok = _frozen_f32(self.token_embeddings, "token_embeddings")
         object.__setattr__(self, "token_embeddings", tok)
-        _require(tok.ndim == 2, f"token_embeddings: shape {tok.shape} is not [N, D_w]")
-        _require(tok.shape[0] >= 1, f"token_embeddings: N = {tok.shape[0]} < 1")
+        if tok.ndim != 2:
+            raise FormatError(f"token_embeddings: shape {tok.shape} is not [N, D_w]")
+        if tok.shape[0] < 1:
+            raise FormatError(f"token_embeddings: N = {tok.shape[0]} < 1")
 
     @property
     def num_tokens(self) -> int:
@@ -268,9 +286,9 @@ class ModelConfig:
     @staticmethod
     def from_json(path: str | Path) -> "ModelConfig":
         try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not valid JSON ({err})") from err
+            obj = read_json(path)
+        except FormatError as err:  # a missing or undecodable file names the path
+            raise ConfigError(str(err)) from err
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return ModelConfig.from_dict(obj)
@@ -345,8 +363,8 @@ def save_sample(sample: Sample, path: str | Path) -> None:
 
 def load_sample(path: str | Path) -> Sample:
     """Read and validate one sample directory; raises FormatError naming the field."""
-    path = Path(path)
-    manifest = read_json(path / "manifest.json")
+    path = os.fspath(path)
+    manifest = read_json(os.path.join(path, "manifest.json"))
     where = f"{path}: manifest.json"
     dim_keys = ("T", "K", "N", "D_in", "D_sem", "D_w")
     require_keys(manifest, ("video_id", "query_id", *dim_keys, "tensors"), where)
@@ -518,10 +536,11 @@ def write_dataset(
 
 def load_dataset(data_dir: str | Path) -> list[Sample]:
     """Load the samples a dataset directory's dataset.json lists, in index order."""
-    index = Path(data_dir) / "dataset.json"
+    data_dir = os.fspath(data_dir)
+    index = os.path.join(data_dir, "dataset.json")
     manifest = read_json(index)
-    require_keys(manifest, ("samples",), str(index))
+    require_keys(manifest, ("samples",), index)
     names = manifest["samples"]
     if not (isinstance(names, list) and all(is_plain_name(n) for n in names)):
         raise FormatError(f"{index}: samples must be plain directory names, got {names!r}")
-    return [load_sample(index.parent / n) for n in names]
+    return [load_sample(os.path.join(data_dir, n)) for n in names]

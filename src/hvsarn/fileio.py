@@ -55,11 +55,27 @@ def atomic_write_json(path: Path | str, obj) -> None:
     os.replace(tmp, path)
 
 
+def _read(fd: int, size: int) -> bytes:
+    """The next `size` bytes of the open file `fd`, fewer only at its end.
+    The readers use descriptors, not file objects: making a file object
+    takes about as long as reading a sample's manifest."""
+    data = os.read(fd, size)
+    while len(data) < size:
+        more = os.read(fd, size - len(data))
+        if not more:
+            break
+        data += more
+    return data
+
+
 def read_json(path: Path | str) -> dict:
     try:
-        with open(path, "rb") as fh:
-            text = fh.read()
-    except (FileNotFoundError, IsADirectoryError):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            text = _read(fd, os.fstat(fd).st_size)  # a directory raises here
+        finally:
+            os.close(fd)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise FormatError(f"missing file: {path}") from None
     try:
         return json.loads(text)
@@ -83,8 +99,9 @@ def read_blob(path: Path | str, shapes: dict, code: str, where: str) -> dict:
     sizes = [math.prod(shape) * dtype.itemsize for shape in shapes.values()]
     expected = sum(sizes)
     name = os.path.basename(path)
-    with open(path, "rb") as blob:
-        held = os.fstat(blob.fileno()).st_size
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        held = os.fstat(fd).st_size
         if held < expected:
             end = 0
             for tensor, size in zip(shapes, sizes):
@@ -98,7 +115,9 @@ def read_blob(path: Path | str, shapes: dict, code: str, where: str) -> dict:
             raise FormatError(
                 f"{where}: blob {name} holds {held} bytes, the tensor table needs {expected}"
             )
-        raw = blob.read()
+        raw = _read(fd, held)
+    finally:
+        os.close(fd)
     # Read-only views of the one read: the caller copies each tensor it keeps.
     flat, arrays, start = np.frombuffer(raw, dtype=dtype), {}, 0
     for (tensor, shape), size in zip(shapes.items(), sizes):

@@ -34,12 +34,13 @@ def _layout(group: list) -> tuple[dict[str, tuple], list]:
     entries = []
     for names, shape in group:
         parts = names if isinstance(names, tuple) else (names,)
+        rows = tuple(n // len(parts) for n in shape[:-1])
         places = []
         for name in parts:
             start = shapes[name][-1] if name in shapes else 0
             places.append((name, start))
             if name is not None:
-                shapes[name] = tuple(n // len(parts) for n in shape[:-1]) + (start + shape[-1],)
+                shapes[name] = rows + (start + shape[-1],)
         entries.append((shape, places))
     return shapes, entries
 
@@ -58,33 +59,35 @@ def init_params(spec: dict | list, rng: np.random.Generator, dtype) -> dict:
     return {name: Tensor(array, requires_grad=True) for name, array in arrays.items()}
 
 
-def param_shapes(spec: dict | list, prefix: str = "") -> dict[str, tuple]:
-    """{flattened name: shape} of the tree `spec` declares, in `flatten` order; draws nothing."""
+def param_shapes(spec: dict | list) -> dict:
+    """The tree of `spec` with each parameter's shape in place of its tensor;
+    draws nothing, and lays out each leaf group once."""
     if isinstance(spec, list):
-        return {prefix + name: shape for name, shape in sorted(_layout(spec)[0].items())}
-    shapes: dict[str, tuple] = {}
-    for key in sorted(spec):
-        shapes.update(param_shapes(spec[key], f"{prefix}{key}/"))
-    return shapes
+        return _layout(spec)[0]
+    return {key: param_shapes(sub) for key, sub in spec.items()}
 
 
-def tree_from(spec: dict | list, arrays: dict[str, np.ndarray], prefix: str = "") -> dict:
-    """The tree of `spec` holding a copy of each of `arrays`, named as `flatten` names them."""
-    if isinstance(spec, dict):
-        return {key: tree_from(sub, arrays, f"{prefix}{key}/") for key, sub in spec.items()}
-    names = _layout(spec)[0]
-    return {name: Tensor(arrays[prefix + name].copy(), requires_grad=True) for name in names}
+def tree_from(shapes: dict, arrays: dict[str, np.ndarray], prefix: str = "") -> dict:
+    """The tree of `shapes` (a `param_shapes` tree) holding a copy of each of
+    `arrays`, named as `flatten` names them."""
+    return {
+        key: tree_from(sub, arrays, f"{prefix}{key}/")
+        if isinstance(sub, dict)
+        else Tensor(arrays[prefix + key].copy(), requires_grad=True)
+        for key, sub in shapes.items()
+    }
 
 
-def flatten(tree: dict, prefix: str = "") -> dict[str, Tensor]:
-    """Flatten a nested dict of Tensors into {"a/b/c": tensor} (sorted keys)."""
-    flat: dict[str, Tensor] = {}
+def flatten(tree: dict, prefix: str = "") -> dict[str, Tensor | tuple]:
+    """Flatten a nested dict of Tensors, or a `param_shapes` tree, into
+    {"a/b/c": leaf} (sorted keys)."""
+    flat: dict[str, Tensor | tuple] = {}
     for key in sorted(tree):
         value = tree[key]
         name = f"{prefix}/{key}" if prefix else key
         if isinstance(value, dict):
             flat.update(flatten(value, name))
-        elif isinstance(value, Tensor):
+        elif isinstance(value, (Tensor, tuple)):
             flat[name] = value
         else:
             raise TypeError(f"unexpected leaf {name}: {type(value)!r}")

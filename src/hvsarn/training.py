@@ -35,7 +35,7 @@ from .fileio import (
     write_tensors,
 )
 from .model import Model, build_model, check_loss_sample, model_params
-from .params import param_shapes, tree_from, zero_grads
+from .params import flatten, param_shapes, tree_from, zero_grads
 from .tensor import Tensor
 
 
@@ -243,9 +243,9 @@ def load_checkpoint(in_dir: str) -> TrainState:
         raise FormatError(f"{where}: step {step!r} is not a non-negative integer")
     # The table is checked against the config's parameter names and shapes;
     # nothing is drawn, and tree_from copies each read-only blob view once.
-    spec = model_params(config, dims)
-    arrays = read_tensors(in_dir, manifest["tensors"], param_shapes(spec), code, where)
-    return TrainState(Model(config, dims, tree_from(spec, arrays)), step)
+    shapes = param_shapes(model_params(config, dims))
+    arrays = read_tensors(in_dir, manifest["tensors"], flatten(shapes), code, where)
+    return TrainState(Model(config, dims, tree_from(shapes, arrays)), step)
 
 
 # -- gradient verification ---------------------------------------------------

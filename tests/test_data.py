@@ -55,6 +55,14 @@ def test_segment_validation():
         GroundTruthSegment(0.1, 1.2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["start", "end"])
+def test_segment_names_a_non_finite_end(key, value):
+    ends = {"start": 0.1, "end": 0.5, key: value}
+    with pytest.raises(FormatError, match=f"^annotation: {key} {value} is not finite$"):
+        GroundTruthSegment(**ends)
+
+
 def test_video_sample_validation():
     with pytest.raises(FormatError, match="boxes"):
         VideoSample("v", np.zeros((3, 2, 5)), np.zeros((2, 2, 4)), np.zeros((2, 2, 3)))
@@ -66,6 +74,59 @@ def test_video_sample_validation():
         VideoSample("v", np.zeros((2, 2, 5)), bad_boxes, np.zeros((2, 2, 3)))
     with pytest.raises(FormatError, match="NaN"):
         VideoSample("v", np.full((2, 2, 5), np.nan), np.zeros((2, 2, 4)), np.zeros((2, 2, 3)))
+
+
+def make_boxes(T=2, K=2):
+    boxes = np.zeros((T, K, 4))
+    boxes[..., 2:] = 0.5
+    return boxes
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ([-0.1, 0.1, 0.2, 0.4], "boxes: coordinates outside [0, 1]"),
+        ([0.1, 0.1, 1.2, 0.4], "boxes: coordinates outside [0, 1]"),
+        ([0.5, 0.1, 0.2, 0.4], "boxes: x1 > x2"),
+        ([0.1, 0.5, 0.2, 0.4], "boxes: y1 > y2"),
+        ([0.5, 0.5, 0.2, 0.4], "boxes: x1 > x2"),
+    ],
+    ids=["below_0", "above_1", "x1_gt_x2", "y1_gt_y2", "both"],
+)
+def test_video_sample_names_the_box_fault(coords, message):
+    boxes = make_boxes()
+    boxes[1, 0] = coords
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        VideoSample("v", np.zeros((2, 2, 5)), boxes, np.zeros((2, 2, 3)))
+
+
+def test_box_faults_in_different_boxes_are_reported_in_check_order():
+    boxes = make_boxes()
+    boxes[0, 1] = [0.1, 0.5, 0.2, 0.4]  # y1 > y2
+    boxes[1, 0] = [0.5, 0.1, 0.2, 0.4]  # x1 > x2 in a later box
+    with pytest.raises(FormatError, match="^boxes: x1 > x2$"):
+        VideoSample("v", np.zeros((2, 2, 5)), boxes, np.zeros((2, 2, 3)))
+    boxes[1, 1] = [0.1, 0.1, 0.2, 1.5]  # and one outside [0, 1]
+    with pytest.raises(FormatError, match=re.escape("boxes: coordinates outside [0, 1]")):
+        VideoSample("v", np.zeros((2, 2, 5)), boxes, np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field", ["object_features", "boxes", "semantic_embeddings", "token_embeddings"]
+)
+def test_samples_name_the_array_holding_a_non_finite_value(field, value):
+    arrays = {
+        "object_features": np.zeros((2, 2, 5)),
+        "boxes": make_boxes(),
+        "semantic_embeddings": np.zeros((2, 2, 3)),
+        "token_embeddings": np.zeros((3, 4)),
+    }
+    arrays[field][1, 0, ...] = value
+    tokens = arrays.pop("token_embeddings")
+    with pytest.raises(FormatError, match=f"^{field}: contains NaN or Inf$"):
+        VideoSample("v", **arrays)
+        QuerySample("q", tokens)
 
 
 def test_sample_arrays_are_frozen_f32():
@@ -219,6 +280,12 @@ def test_config_from_json(tmp_path):
     assert cfg.hidden_size == 8 and cfg.seed == 3
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
+        ModelConfig.from_json(path)
+    # a missing or undecodable file is a ConfigError naming the path
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'missing file: {path}.missing')}$"):
+        ModelConfig.from_json(f"{path}.missing")
+    path.write_bytes(b'{"hidden_size": 8, "seed": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: not valid JSON')}"):
         ModelConfig.from_json(path)
 
 
@@ -462,6 +529,31 @@ def test_load_sample_rejects_malformed_field(tmp_path, mutate, message):
     path = saved_manifest_with(tmp_path, mutate)
     with pytest.raises(FormatError, match=re.escape(message)):
         load_sample(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["start", "end"])
+def test_load_sample_names_a_non_finite_annotation_end(tmp_path, key, value):
+    path = saved_manifest_with(tmp_path, lambda m: m["annotation"].update({key: value}))
+    expected = f"{path}: annotation: {key} {value} is not finite"
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load_sample(path)
+
+
+def test_load_dataset_names_an_entry_that_is_a_regular_file(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "dataset.json").write_text(json.dumps({"samples": ["notes.txt"]}))
+    (tmp_path / "data" / "notes.txt").write_text("not a sample")
+    expected = f"missing file: {tmp_path / 'data' / 'notes.txt' / 'manifest.json'}"
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load_dataset(tmp_path / "data")
+
+
+def test_load_dataset_of_a_regular_file_is_a_format_error(tmp_path):
+    (tmp_path / "data").write_text("not a dataset")
+    expected = f"missing file: {tmp_path / 'data' / 'dataset.json'}"
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load_dataset(tmp_path / "data")
 
 
 def test_load_dataset_rejects_sample_names_outside_the_directory(tmp_path):

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import tracemalloc
 import types
 from types import SimpleNamespace
@@ -291,6 +292,13 @@ def test_load_rejects_manifest_that_is_no_object(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="manifest.json: expected a JSON object, got"):
         load_checkpoint(str(tmp_path))
+
+
+def test_load_checkpoint_of_a_regular_file_is_a_format_error(tmp_path):
+    (tmp_path / "ckpt").write_text("not a checkpoint")
+    expected = f"missing file: {tmp_path / 'ckpt' / 'manifest.json'}"
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load_checkpoint(str(tmp_path / "ckpt"))
 
 
 def test_load_rejects_unknown_parameter(tmp_path):
