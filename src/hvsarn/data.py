@@ -77,7 +77,10 @@ class ConfigError(ValueError):
 
 def _frozen_f32(x, field: str, shape: tuple | None = None) -> np.ndarray:
     """The one copy of a sample array: float32, C-order, read-only."""
-    arr = np.array(x, dtype=np.float32, order="C")
+    try:
+        arr = np.array(x, dtype=np.float32, order="C")
+    except (TypeError, ValueError) as e:  # e.g. a string or a ragged list
+        raise FormatError(f"{field}: not an array of numbers ({e})") from None
     if shape is not None and arr.shape != shape:
         raise FormatError(f"{field}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

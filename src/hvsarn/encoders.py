@@ -85,8 +85,9 @@ def _param_dtype(params: dict) -> np.dtype:
 def encode_video(samples: list[VideoSample], params: dict) -> EncodedVideo:
     """visual[s,t,k] = A(features) + B(boxes); semantic[s,t,k] = C(word vectors).
 
-    The samples must share (num_frames, num_objects); they are stacked on a
-    leading sample axis.
+    The samples must share (num_frames, num_objects) and have the encoder's
+    widths, which `Model.encode` checks; they are stacked on a leading
+    sample axis.
     """
     dtype = _param_dtype(params)
 
@@ -94,14 +95,6 @@ def encode_video(samples: list[VideoSample], params: dict) -> EncodedVideo:
         return Tensor(np.stack([getattr(v, field) for v in samples]).astype(dtype))
 
     feats, boxes, sem = stack("object_features"), stack("boxes"), stack("semantic_embeddings")
-    if feats.shape[-1] != params["visual"]["w"].shape[0]:
-        raise ValueError(
-            f"object_features dim {feats.shape[-1]} != encoder dim {params['visual']['w'].shape[0]}"
-        )
-    if sem.shape[-1] != params["semantic"]["w"].shape[0]:
-        raise ValueError(
-            f"semantic_embeddings dim {sem.shape[-1]} != encoder dim {params['semantic']['w'].shape[0]}"
-        )
     visual = tt.affine(
         ((feats, params["visual"]["w"]), (boxes, params["box"]["w"])), params["visual"]["b"]
     )
@@ -130,17 +123,17 @@ def self_attention(x: Tensor, params: dict, heads: int):
 
 def encode_query(queries: list[QuerySample], params: dict, heads: int = 4) -> Tensor:
     """Sentences [S, 1, D] of the queries in input order, one pass per token count."""
-    dtype, dw = _param_dtype(params), params["attn"]["wq"].shape[0]
+    dtype = _param_dtype(params)
     groups = group_by_shape([query.token_embeddings.shape for query in queries])
     finals = []
     for group in groups:
         tokens = Tensor(np.stack([queries[i].token_embeddings for i in group]).astype(dtype))
-        if tokens.shape[2] != dw:
-            raise ValueError(f"token dim {tokens.shape[2]} != encoder dim {dw}")
         attended, _ = self_attention(tokens, params["attn"], heads)
         states = gru_sequence(attended, params["gru"])
-        hidden = states.shape[2] // 2
-        finals.append(tt.concat([states[:, -1:, :hidden], states[:, :1, hidden:]], axis=2))
+        # One take of [S_n, 1, 2H]: the forward half at the last token, the backward at the first.
+        n, width = states.shape[1:]
+        token = np.where(np.arange(width) < width // 2, n - 1, 0)
+        finals.append(states[:, token[None], np.arange(width)])
     # concat row r holds query concatenate(groups)[r]; argsort inverts that
     final = tt.take(tt.concat(finals, axis=0), np.argsort(np.concatenate(groups)))
     return tt.linear(final, params["sentence"]["w"], params["sentence"]["b"])

@@ -36,19 +36,20 @@ bytes, and turns it in place into dL/dpre:
 after the state's own part.
 
 Every attention score is one tape node, `pair_logits`: the additive score
-m[b, k, i] = v . tanh(t_k Wt + b + s_i Ws) of targets t [B, Kt, D] against
-sources s [B, Ks, D].  The read scores its controller (Kt = 1) against the
-nodes, the object fusion in `hierarchy.fusion_attention` a sentence row
-against each frame's objects, and the write each node against the others,
-with _MASK_VALUE on the diagonal, whose softmax weight is then exactly 0.
-The node keeps no map: its closure holds only operands that other nodes and
-the parameters hold anyway.  Nor does it ever hold the [B, Kt, Ks, H] tanh
-output y: it walks blocks of (b, k) rows, each a few hundred KiB
-(`_BLOCK_BYTES`), fills one reused scratch buffer with y = tanh(target +
-source) for the block and consumes it there.  The forward writes the block's
-logits; the backward rebuilds the maps target = t Wt + b and source = s Ws
-with the forward's ops, recomputes each block and forms all three gradients
-from it while it is in cache, with g = dL/dm (zero on a masked diagonal):
+m[..., k, i] = v . tanh(t_k Wt + b + s_i Ws) of targets t [..., Kt, D]
+against sources s [..., Ks, D].  The read scores its controller (Kt = 1)
+against the nodes, the object fusion in `hierarchy.fusion_attention` a
+sentence row against each frame's objects, and the write each node against
+the others, with _MASK_VALUE on the diagonal, whose softmax weight is then
+exactly 0.  The node keeps no map: its closure holds only operands that other
+nodes and the parameters hold anyway.  Nor does it ever hold the
+[..., Kt, Ks, H] tanh output y: it flattens the leading axes to B graphs and
+walks blocks of (b, k) rows, each a few hundred KiB (`_BLOCK_BYTES`), fills
+one reused scratch buffer with y = tanh(target + source) for the block and
+consumes it there.  The forward writes the block's logits; the backward
+rebuilds the maps target = t Wt + b and source = s Ws with the forward's
+ops, recomputes each block and forms all three gradients from it while it is
+in cache, with g = dL/dm (zero on a masked diagonal):
 
     dL/dtarget_k = v * (sum_i g_ki - sum_i g_ki y_ki^2)
     dL/dsource_i = v * (sum_k g_ki - sum_k g_ki y_ki^2)
@@ -58,14 +59,16 @@ from it while it is in cache, with g = dL/dm (zero on a masked diagonal):
 over a single target row) written over the rebuilt maps' rows once no block
 reads them again, and hands both maps' gradients to `tt.affine_backward`.
 
-Everything is batched over independent graphs: controllers [B, 1, D],
-nodes [B, K, D].  For a group of S samples of T frames, the object level
-runs B = S·T graphs (one per frame, each controlled by its sample's
-sentence) and the frame level B = S graphs whose nodes are frames.  Each
-controller is a one-row matrix, so BLAS takes the same path for a graph
-alone as in a batch, and a graph's result does not depend on the others.
-Each layer returns one tensor, the one the next layer reads; the weights
-come from `read_attention` and `neighbor_attention`, which the layers call.
+Every layer reads the last two axes as one graph and every leading axis as
+independent graphs: nodes [..., K, D] under controllers [..., 1, D].  For a
+group of S samples of T frames, the object level passes its nodes
+[S, T, K, D] as they are, one graph per frame controlled by its sample's
+sentence, and the frame level its frames [S, T, D], one graph per video.
+Each controller is a one-row matrix, so BLAS takes the same path for a graph
+alone as in a batch, and a graph's result does not depend on the others, nor
+on how many leading axes hold them.  Each layer returns one tensor, the one
+the next layer reads; the weights come from `read_attention` and
+`neighbor_attention`, which the layers call.
 
 `baseline_step` provides the drop-in ablation reasoners (plain graph
 convolution, graph convolution fused with the controller, self-attention,
@@ -306,38 +309,37 @@ def pair_logits(
 
 
 def read_attention(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
-    """Read weights over each graph's nodes, [B, 1, K]; rows sum to 1."""
+    """Read weights over each graph's nodes, [..., 1, K]; rows sum to 1."""
     p = params["read"]
     scores = pair_logits(controller, nodes, p["attn_w1"], p["attn_b"], p["attn_w2"], p["attn_v"])
     return tt.softmax(scores, axis=-1)
 
 
 def read_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
-    """Batched read of controllers [B, 1, D] over nodes [B, K, D]; returns the new controllers."""
+    """Batched read of controllers [..., 1, D] over nodes [..., K, D]; returns the new controllers."""
     p = params["read"]
     content = tt.matmul(read_attention(controller, nodes, params), nodes)
     return gated_update(controller, ((controller, p["wq"]), (content, p["wr"])), p["b"])
 
 
 def neighbor_attention(nodes: Tensor, params: dict) -> Tensor:
-    """Each node's weights over the other nodes, [B, K, K]; zero diagonal, rows sum to 1."""
+    """Each node's weights over the other nodes, [..., K, K]; zero diagonal, rows sum to 1."""
     p = params["write"]
-    if nodes.shape[1] == 1:
+    if nodes.shape[-2] == 1:
         raise ValueError("a lone node has no neighbours to attend to")
     weights = (p[name] for name in ("mlp_w1_target", "mlp_b1", "mlp_w1_source", "mlp_w2"))
-    return tt.softmax(pair_logits(nodes, nodes, *weights, mask_self=True), axis=2)
+    return tt.softmax(pair_logits(nodes, nodes, *weights, mask_self=True), axis=-1)
 
 
 def neighbor_context(nodes: Tensor, params: dict) -> Tensor:
-    """Attention-pooled neighbours of every node, [B, K, D]; zero for a lone node."""
-    B, K, D = nodes.shape
-    if K == 1:
-        return Tensor(np.zeros((B, 1, D), dtype=nodes.dtype))
+    """Attention-pooled neighbours of every node, [..., K, D]; zero for a lone node."""
+    if nodes.shape[-2] == 1:
+        return Tensor(np.zeros(nodes.shape, dtype=nodes.dtype))
     return tt.matmul(neighbor_attention(nodes, params), nodes)
 
 
 def write_batch(controller: Tensor, nodes: Tensor, params: dict) -> Tensor:
-    """Batched write of nodes [B, K, D] under controllers [B, 1, D]; returns the new nodes."""
+    """Batched write of nodes [..., K, D] under controllers [..., 1, D]; returns the new nodes."""
     p = params["write"]
     context = neighbor_context(nodes, params)
     terms = ((nodes, p["wv"]), (controller, p["wq"]), (context, p["wc"]))
@@ -373,10 +375,10 @@ def baseline_params(kind: str, dim: int) -> list:
 
 
 def _neighbor_mean(nodes: Tensor) -> Tensor:
-    B, K, D = nodes.shape
+    K = nodes.shape[-2]
     if K == 1:
-        return Tensor(np.zeros((B, 1, D), dtype=nodes.dtype))
-    total = tt.tsum(nodes, axis=1, keepdims=True)
+        return Tensor(np.zeros(nodes.shape, dtype=nodes.dtype))
+    total = tt.tsum(nodes, axis=-2, keepdims=True)
     return (total - nodes) * (1.0 / (K - 1))
 
 
@@ -388,19 +390,18 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict) ->
     self_attention residual single-head attention over the node set.
     memory_network per-node gated update from the controller; no edges.
     """
-    B, K, D = nodes.shape
     if kind == "gcn":
         neigh = _neighbor_mean(nodes)
         return tt.tanh(tt.linear(neigh, params["w"], params["b"]))
     if kind == "gcn_fusion":
-        ext = tt.concat([nodes, tt.broadcast_to(controller, (B, K, D))], axis=-1)
+        ext = tt.concat([nodes, tt.broadcast_to(controller, nodes.shape)], axis=-1)
         neigh = _neighbor_mean(ext)
         return tt.tanh(tt.linear(neigh, params["w"], params["b"]))
     if kind == "self_attention":
         q = tt.linear(nodes, params["wq"])
         k = tt.linear(nodes, params["wk"])
         v = tt.linear(nodes, params["wv"])
-        scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(D))
+        scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(nodes.shape[-1]))
         attn = tt.softmax(scores, axis=-1)
         return nodes + tt.matmul(attn, v)
     if kind == "memory_network":

@@ -1,23 +1,26 @@
 """Object-to-frame orchestration of the dual-space reasoning pipeline.
 
 Every tensor carries a leading sample axis S: a group of S same-shape
-samples runs as one batch.  At object level every frame is an independent
-graph over its K objects, so the level runs B = S·T graphs, each controlled
-by its sample's sentence; at frame level each video is one graph over its T
-frame vectors, B = S.  Both levels run the same dual-space pass: reason
-over visual nodes, enhance the semantic nodes with visual evidence, reason
-over semantic nodes, then map the result back into visual space.  Object
-nodes are then collapsed per frame by a query-guided attention (visual),
-scored by the graph memory's `pair_logits` with the sentence as the one
-target, and average pooling (semantic), giving frames [S, T, D].
+samples runs as one batch.  The graph layers read the last two axes as one
+graph and every leading axis as independent graphs, so each level hands
+them its tensors as they are.  At object level the nodes [S, T, K, D] are
+S·T graphs, one per frame over its K objects, each controlled by its
+sample's sentence; at frame level the frames [S, T, D] are S graphs, one
+per video over its T frame vectors.  Both levels run the same dual-space
+pass: reason over visual nodes, enhance the semantic nodes with visual
+evidence, reason over semantic nodes, then map the result back into visual
+space.  Object nodes are then collapsed per frame by a query-guided
+attention (visual), scored by the graph memory's `pair_logits` with the
+sentence as the one target, and average pooling (semantic), giving frames
+[S, T, D].
 
 The sentences [S, 1, D] are the frame level's controllers; the object level
-broadcasts them into [S·T, 1, D] when it holds a reasoner that reads a
-controller (`data.CONTROLLER_KINDS`).  The graph switches act only
-through the parameters: `level_params` declares "visual" for
-`use_visual_graph` and "semantic" for `use_semantic_graph`, both only when
-`reasoning_steps > 0`, and "cross" for `use_semantic_graph` at any step
-count; a level runs each reasoner and hop exactly when it holds it.
+broadcasts them into [S, T, 1, D], one row per frame, when it holds a
+reasoner that reads a controller (`data.CONTROLLER_KINDS`).  The graph
+switches act only through the parameters: `level_params` declares "visual"
+for `use_visual_graph` and "semantic" for `use_semantic_graph`, both only
+when `reasoning_steps > 0`, and "cross" for `use_semantic_graph` at any
+step count; a level runs each reasoner and hop exactly when it holds it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def _dual_space_pass(
     level_params: dict,
     config: ModelConfig,
 ):
-    """Level body over visual/semantic [B, K, D] under controllers [B, 1, D]
+    """Level body over visual/semantic [..., K, D] under controllers [..., 1, D]
     (None when the level's reasoner reads none)."""
     kind, steps = config.reasoner_kind, config.reasoning_steps
     cross = level_params.get("cross")
@@ -90,21 +93,14 @@ def object_level_pass(
 ):
     """Per-frame object graphs over encoded [S,T,K,D] with sentences [S,1,D];
     returns (visual_nodes [S,T,K,D], semantic_nodes [S,T,K,D])."""
-    S, T, K, D = encoded.visual.shape
+    S, T, _, D = encoded.visual.shape
     # Per-frame controllers only for a reasoner that reads them.
     controller = None
     if config.reasoner_kind in CONTROLLER_KINDS and (
         "visual" in level_params or "semantic" in level_params
     ):
-        controller = tt.reshape(tt.broadcast_to(sentences, (S, T, D)), (S * T, 1, D))
-    visual, semantic = _dual_space_pass(
-        tt.reshape(encoded.visual, (S * T, K, D)),
-        tt.reshape(encoded.semantic, (S * T, K, D)),
-        controller,
-        level_params,
-        config,
-    )
-    return tt.reshape(visual, (S, T, K, D)), tt.reshape(semantic, (S, T, K, D))
+        controller = tt.broadcast_to(tt.reshape(sentences, (S, 1, 1, D)), (S, T, 1, D))
+    return _dual_space_pass(encoded.visual, encoded.semantic, controller, level_params, config)
 
 
 def frame_level_pass(

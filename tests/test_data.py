@@ -74,6 +74,8 @@ def test_video_sample_validation():
         VideoSample("v", np.zeros((2, 2, 5)), bad_boxes, np.zeros((2, 2, 3)))
     with pytest.raises(FormatError, match="NaN"):
         VideoSample("v", np.full((2, 2, 5), np.nan), np.zeros((2, 2, 4)), np.zeros((2, 2, 3)))
+    with pytest.raises(FormatError, match="^boxes: not an array of numbers "):
+        VideoSample("v", np.zeros((2, 2, 5)), "bad", np.zeros((2, 2, 3)))
 
 
 def make_boxes(T=2, K=2):
@@ -141,6 +143,9 @@ def test_query_sample_validation():
     assert q.word_dim == 8
     with pytest.raises(FormatError):
         QuerySample("q", np.zeros((0, 8)))
+    for tokens in ("abc", [[0.0, 1.0], [2.0]]):  # a string, a ragged list
+        with pytest.raises(FormatError, match="^token_embeddings: not an array of numbers "):
+            QuerySample("q", tokens)
 
 
 # -- frame quantization ----------------------------------------------------------

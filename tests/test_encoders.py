@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hvsarn.tensor as tt
-from hvsarn.data import QuerySample
+from hvsarn.data import ModelConfig, QuerySample
 from hvsarn.encoders import (
     InputDims,
     encode_query,
@@ -12,6 +12,7 @@ from hvsarn.encoders import (
     encoder_params,
     self_attention,
 )
+from hvsarn.model import build_model
 from hvsarn.params import flatten, init_params, xavier_uniform, zero_grads
 from hvsarn.recurrent import bigru_params, gru_params, gru_sequence
 from hvsarn.tensor import Tensor
@@ -337,11 +338,17 @@ def test_encode_video_casts_to_param_dtype():
     assert enc.visual.dtype == np.float32
 
 
+def encode_at_dims(video, query):
+    """`Model.encode` of one sample at DIMS: it checks the sample's widths before encoding."""
+    return build_model(ModelConfig(), DIMS).encode([(video, query)])
+
+
 def test_encode_video_dim_mismatch():
-    params = make_params()
-    video = make_video(T=2, K=2, d_in=9, d_sem=DIMS.semantic_dim)
-    with pytest.raises(ValueError, match="object_features"):
-        encode_video([video], params)
+    widths = (("feature_dim", 9, DIMS.semantic_dim), ("semantic_dim", DIMS.feature_dim, 7))
+    for field, d_in, d_sem in widths:
+        video = make_video(T=2, K=2, d_in=d_in, d_sem=d_sem)
+        with pytest.raises(ValueError, match=f"^sample v: {field} "):
+            encode_at_dims(video, make_query())
 
 
 # -- query encoder ------------------------------------------------------------------
@@ -397,7 +404,7 @@ def test_encode_query_node_count_grows_with_distinct_lengths_not_queries(built):
 
     assert nodes([4]) == nodes([4, 4, 4]) == nodes([4] * 8)
     one, two, three = nodes([4] * 6), nodes([4, 2] * 3), nodes([4, 2, 7] * 2)
-    # one self-attention, Bi-GRU and final-state slice per length
+    # one self-attention, Bi-GRU and final-state take per length
     assert two - one == three - two > 0
 
 
@@ -420,10 +427,10 @@ def test_encoder_head_divisibility_checked():
 
 
 def test_encode_query_token_dim_mismatch():
-    params = make_params()
     rng = np.random.default_rng(1)
-    with pytest.raises(ValueError, match="token dim"):
-        encode_query([QuerySample("q", rng.normal(size=(4, 6)))], params, heads=2)
+    video = make_video(T=2, K=2, d_in=DIMS.feature_dim, d_sem=DIMS.semantic_dim)
+    with pytest.raises(ValueError, match="^sample v: word_dim 6 != 8 of the model$"):
+        encode_at_dims(video, QuerySample("q", rng.normal(size=(4, 6))))
 
 
 def test_encoder_gradcheck():

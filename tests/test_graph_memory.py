@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import hvsarn.tensor as tt
+from hvsarn.cross_space import cross_attention, cross_space_params, enhance_batch
+from hvsarn.data import REASONER_KINDS
 from hvsarn.graph_memory import (
     BASELINE_KINDS,
     _BLOCK_BYTES,
@@ -840,3 +842,51 @@ def test_run_reasoner_dispatch():
     gm = init_params(graph_memory_params(4), rng, np.float64)
     nodes_out = run_reasoner("graph_memory", q, nodes, gm, 1)
     np.testing.assert_array_equal(nodes_out.data, reason_batch(q, nodes, gm, 1)[1].data)
+
+
+# -- leading axes ------------------------------------------------------------------
+
+
+def reasoner_call(kind):
+    return lambda c, n, o, p: run_reasoner(kind, c, n, p[kind], 2)
+
+
+# Each layer's call on (controllers, nodes, other nodes, params of every layer).
+GRAPH_LAYERS = {
+    "read_batch": lambda c, n, o, p: read_batch(c, n, p["graph_memory"]),
+    "write_batch": lambda c, n, o, p: write_batch(c, n, p["graph_memory"]),
+    "neighbor_context": lambda c, n, o, p: neighbor_context(n, p["graph_memory"]),
+    "cross_attention": lambda c, n, o, p: cross_attention(n, p["cross"]["v2s"]),
+    "enhance_batch": lambda c, n, o, p: enhance_batch(n, o, p["cross"]["v2s"]),
+    **{f"run_reasoner/{kind}": reasoner_call(kind) for kind in REASONER_KINDS},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("name", sorted(GRAPH_LAYERS))
+def test_graph_layers_run_over_leading_axes(name, K, dtype):
+    # nodes [S, T, K, D] under controllers [S, T, 1, D] are S·T independent
+    # graphs: the same bytes, forward and backward, as their [S·T, K, D] flattening
+    S, T, D = 2, 3, 4
+    spec = {"graph_memory": graph_memory_params(D), "cross": cross_space_params(D)}
+    spec.update((kind, baseline_params(kind, D)) for kind in BASELINE_KINDS)
+    rng = np.random.default_rng(K)
+    arrays = [rng.normal(size=(S, T, k, D)).astype(dtype) for k in (1, K, K)]
+
+    def run(shape_of):
+        params = with_drawn_biases(init_params(spec, np.random.default_rng(5), dtype), 5)
+        inputs = [Tensor(a.reshape(shape_of(a)), requires_grad=True) for a in arrays]
+        out = GRAPH_LAYERS[name](*inputs, params)
+        if out.requires_grad:
+            out.backward(np.random.default_rng(9).normal(size=out.shape).astype(dtype))
+        return out, [t.grad for t in inputs + list(flatten(params).values())]
+
+    out, grads = run(lambda a: a.shape)
+    flat_out, flat_grads = run(lambda a: (S * T,) + a.shape[2:])
+    assert out.shape == (S, T) + flat_out.shape[1:]
+    assert out.data.tobytes() == flat_out.data.tobytes()
+    for grad, flat_grad in zip(grads, flat_grads):  # C arrays: one byte order either way
+        assert (grad is None) == (flat_grad is None)
+        if grad is not None:
+            assert grad.size == flat_grad.size and grad.tobytes() == flat_grad.tobytes()
