@@ -92,7 +92,7 @@ def encode_video(samples: list[VideoSample], params: dict) -> EncodedVideo:
     dtype = _param_dtype(params)
 
     def stack(field: str) -> Tensor:
-        return Tensor(np.stack([getattr(v, field) for v in samples]).astype(dtype))
+        return Tensor(np.stack([getattr(v, field) for v in samples]).astype(dtype, copy=False))
 
     feats, boxes, sem = stack("object_features"), stack("boxes"), stack("semantic_embeddings")
     visual = tt.affine(
@@ -107,16 +107,17 @@ def self_attention(x: Tensor, params: dict, heads: int):
     *lead, n, dw = x.shape
     dh = dw // heads
 
-    def split(t: Tensor) -> Tensor:
-        return tt.swapaxes(tt.reshape(t, (*lead, n, heads, dh)), -3, -2)
+    def split(t: Tensor, destination: int) -> Tensor:
+        """[..., n, Dw] as heads, with its n axis moved to `destination`."""
+        return tt.moveaxis(tt.reshape(t, (*lead, n, heads, dh)), -3, destination)
 
-    q = split(tt.linear(x, params["wq"], params["bq"]))
+    q = split(tt.linear(x, params["wq"], params["bq"]), -2)  # [..., heads, n, dh]
     # No key bias: q . bk is the same for every key, so the softmax cancels it.
-    k = split(tt.linear(x, params["wk"]))
-    v = split(tt.linear(x, params["wv"], params["bv"]))
-    scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
+    k = split(tt.linear(x, params["wk"]), -1)  # [..., heads, dh, n]
+    v = split(tt.linear(x, params["wv"], params["bv"]), -2)
+    scores = tt.matmul(q, k) * (1.0 / np.sqrt(dh))
     attn = tt.softmax(scores, axis=-1)
-    pooled = tt.reshape(tt.swapaxes(tt.matmul(attn, v), -3, -2), (*lead, n, dw))
+    pooled = tt.reshape(tt.moveaxis(tt.matmul(attn, v), -3, -2), (*lead, n, dw))
     out = x + tt.linear(pooled, params["wo"], params["bo"])
     return out, attn
 
@@ -127,8 +128,8 @@ def encode_query(queries: list[QuerySample], params: dict, heads: int = 4) -> Te
     groups = group_by_shape([query.token_embeddings.shape for query in queries])
     finals = []
     for group in groups:
-        tokens = Tensor(np.stack([queries[i].token_embeddings for i in group]).astype(dtype))
-        attended, _ = self_attention(tokens, params["attn"], heads)
+        tokens = np.stack([queries[i].token_embeddings for i in group]).astype(dtype, copy=False)
+        attended, _ = self_attention(Tensor(tokens), params["attn"], heads)
         states = gru_sequence(attended, params["gru"])
         # One take of [S_n, 1, 2H]: the forward half at the last token, the backward at the first.
         n, width = states.shape[1:]

@@ -124,40 +124,25 @@ def write_metrics_tsv(path, named_reports: dict[str, MetricReport], grid=DEFAULT
 
 # -- ablation harness -------------------------------------------------------
 
-STANDARD_ABLATIONS: tuple[str, ...] = (
-    "full",
-    "object_level_only",
-    "frame_level_only",
-    "two_stream",
-    "no_visual_graph",
-    "no_semantic_graph",
-    "no_reasoning",
-) + BASELINE_KINDS
+# The config fields each named variant sets on top of its base configuration.
+ABLATIONS: dict[str, dict] = {
+    "full": {},
+    "object_level_only": {"use_frame_level": False},
+    "frame_level_only": {"use_object_level": False},
+    "two_stream": {"two_stream": True},
+    "no_visual_graph": {"use_visual_graph": False},
+    "no_semantic_graph": {"use_semantic_graph": False},
+    "no_reasoning": {"use_visual_graph": False, "use_semantic_graph": False},
+    **{kind: {"reasoner_kind": kind} for kind in BASELINE_KINDS},
+}
+STANDARD_ABLATIONS: tuple[str, ...] = tuple(ABLATIONS)
 
 
 def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
     """Derive one named variant from a base configuration."""
-    d = base.to_dict()
-    if name == "full":
-        pass
-    elif name == "object_level_only":
-        d["use_frame_level"] = False
-    elif name == "frame_level_only":
-        d["use_object_level"] = False
-    elif name == "two_stream":
-        d["two_stream"] = True
-    elif name == "no_visual_graph":
-        d["use_visual_graph"] = False
-    elif name == "no_semantic_graph":
-        d["use_semantic_graph"] = False
-    elif name == "no_reasoning":
-        d["use_visual_graph"] = False
-        d["use_semantic_graph"] = False
-    elif name in BASELINE_KINDS:
-        d["reasoner_kind"] = name
-    else:
+    if name not in ABLATIONS:
         raise ValueError(f"unknown ablation {name!r}; expected one of {STANDARD_ABLATIONS}")
-    return ModelConfig.from_dict(d)
+    return ModelConfig.from_dict({**base.to_dict(), **ABLATIONS[name]})
 
 
 def ablation_report(

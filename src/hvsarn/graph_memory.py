@@ -401,7 +401,7 @@ def baseline_step(kind: str, nodes: Tensor, controller: Tensor, params: dict) ->
         q = tt.linear(nodes, params["wq"])
         k = tt.linear(nodes, params["wk"])
         v = tt.linear(nodes, params["wv"])
-        scores = tt.matmul(q, tt.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(nodes.shape[-1]))
+        scores = tt.matmul(q, tt.moveaxis(k, -1, -2)) * (1.0 / np.sqrt(nodes.shape[-1]))
         attn = tt.softmax(scores, axis=-1)
         return nodes + tt.matmul(attn, v)
     if kind == "memory_network":

@@ -15,26 +15,27 @@ the backward direction's in the last H.  A direction's final state is a
 position of its states: the last for left-to-right, the first for
 right-to-left.  Each direction stores its weights in the layout the tape
 consumes: w = [Wz | Wr | Wh] [In, 3H], b = [bz | br | bh] [3H],
-u_zr = [Uz | Ur] [H, 2H] and u_g = Uh [H, H].  Its input terms come from its
-own [S, N, In] @ [In, 3H] projection on the tape.
+u_zr = [Uz | Ur] [H, 2H] and u_g = Uh [H, H].
 
-The two directions never read each other, so both recurrences are one tape
-node, with parents (both projections, both directions' u_zr and u_g), that
-steps them in one time loop.  The forward copies the projections once into a
-time-major buffer [N, 2, S, 1, 3H] that stores the backward direction
-reversed in time: step t advances the forward direction at position t and
-the backward direction at position N - 1 - t, reading one contiguous
-[2, S, 1, 3H] slab.  The recurrent products are [2, S, 1, H] @ [2, 1, H, .].
-The state keeps its row axis, so each sample and direction is a one-row
-matrix whatever S is: BLAS takes the same path for a sample alone as in a
-batch, and a sample's result does not depend on its batch companions.  The
-forward writes each step's states into a time-major states buffer and keeps
-the gate values only when the tape is on.
+The two directions never read each other, so the whole Bi-GRU is one tape
+node, with parents x and both directions' w, b, u_zr and u_g, that steps
+both in one time loop.  The forward forms each direction's input terms
+x @ w + b [S, N, 3H] with `tt.affine_sum` and copies them, one direction at
+a time, into a time-major buffer [N, 2, S, 1, 3H] that stores the backward
+direction reversed in time: step t advances the forward direction at
+position t and the backward direction at position N - 1 - t, reading one
+contiguous [2, S, 1, 3H] slab.  The recurrent products are
+[2, S, 1, H] @ [2, 1, H, .].  The state keeps its row axis, so each sample
+and direction is a one-row matrix whatever S is: BLAS takes the same path
+for a sample alone as in a batch, and a sample's result does not depend on
+its batch companions.  The forward writes each step's states into a
+time-major states buffer and keeps the gate values only when the tape is on.
 
 The backward is hand-written backpropagation through time: one reverse loop
 over the same layout carries dL/dh from step to step for both directions and
-writes each step's projection gradient.  Each projection then gets its
-[S, N, 3H] gradient in position order.  The u_zr and u_g gradients are one
+writes each step's input-term gradient.  Each direction's [S, N, 3H]
+gradient, in position order, goes to `tt.affine_backward`, which hands x, w
+and b theirs as an affine node would.  The u_zr and u_g gradients are one
 product per direction over all its rows, taken in (sample, position) order:
 the row order fixes the product's summation order, and this one matches a
 direction run on its own.
@@ -69,23 +70,21 @@ def _by_position(steps: np.ndarray, d: int) -> np.ndarray:
 def gru_sequence(x: Tensor, params: dict) -> Tensor:
     """Bi-GRU over x [S, N, In] with {"fwd", "bwd"} params; returns the states [S, N, 2H]."""
     directions = (params["fwd"], params["bwd"])
-    projs = [tt.linear(x, p["w"], p["b"]) for p in directions]
-    weights = [(p["u_zr"], p["u_g"]) for p in directions]
-    S, n, _ = projs[0].shape
-    hidden = weights[0][1].shape[0]
-    dtype = projs[0].dtype
+    S, n, _ = x.shape
+    hidden = directions[0]["u_g"].shape[0]
+    dtype = np.result_type(x.dtype, directions[0]["w"].dtype)
     proj = np.empty((n, 2, S, 1, 3 * hidden), dtype=dtype)
-    for d, p in enumerate(projs):
-        _by_position(proj, d)[...] = p.data
+    for d, p in enumerate(directions):
+        _by_position(proj, d)[...] = tt.affine_sum(((x.data, p["w"].data),), p["b"].data)
     proj_zr, proj_g = proj[..., : 2 * hidden], proj[..., 2 * hidden :]
-    u_zr = np.stack([u.data for u, _ in weights])[:, None]  # [2, 1, H, 2H]
-    u_g = np.stack([u.data for _, u in weights])[:, None]  # [2, 1, H, H]
-    parents = (*projs, *weights[0], *weights[1])
-    proj_nodes = [p._node for p in projs]
-    weight_nodes = [(zr._node, g._node) for zr, g in weights]
+    u_zr = np.stack([p["u_zr"].data for p in directions])[:, None]  # [2, 1, H, 2H]
+    u_g = np.stack([p["u_g"].data for p in directions])[:, None]  # [2, 1, H, H]
+    parents = (x,) + tuple(p[k] for p in directions for k in ("w", "b", "u_zr", "u_g"))
     keep = tt.records(parents)
     states = np.empty((n, 2, S, 1, hidden), dtype=dtype)
     if keep:
+        inputs = [(tt.affine_terms(((x, p["w"]),)), p["b"]._node) for p in directions]
+        weight_nodes = [(p["u_zr"]._node, p["u_g"]._node) for p in directions]
         zr_all = np.empty((n, 2, S, 1, 2 * hidden), dtype=dtype)
         g_all = np.empty_like(states)
     h = np.zeros((2, S, 1, hidden), dtype=dtype)
@@ -128,15 +127,14 @@ def gru_sequence(x: Tensor, params: dict) -> Tensor:
             carry = dh * dprev_dh[t] + dm * r[t] + dproj[t, ..., : 2 * hidden] @ u_zr_t
         m = r * h_prev
         rows = S * n
-        for d, (p, (w_zr, w_g)) in enumerate(zip(proj_nodes, weight_nodes)):
+        for d, ((saved, b_node), (w_zr, w_g)) in enumerate(zip(inputs, weight_nodes)):
             dproj_d = np.ascontiguousarray(_by_position(dproj, d))
-            if p is not None:
-                p._accumulate(dproj_d)
             if w_zr is not None:
                 h_rows = np.ascontiguousarray(_by_position(h_prev, d)).reshape(rows, hidden)
                 w_zr._accumulate(h_rows.T @ dproj_d[:, :, : 2 * hidden].reshape(rows, -1))
             if w_g is not None:
                 m_rows = np.ascontiguousarray(_by_position(m, d)).reshape(rows, hidden)
                 w_g._accumulate(m_rows.T @ dproj_d[:, :, 2 * hidden :].reshape(rows, hidden))
+            tt.affine_backward(dproj_d, saved, b_node)
 
     return Tensor._result(out, parents, backward)

@@ -4,7 +4,7 @@ Just enough tape machinery for the model in this package: add, neg and mul
 with broadcasting (plus division by a constant), batched matmul, `affine`
 (a sum of products with 2-D weights plus a bias, as one node; `linear` is
 its one-product case), tanh, stable (log-)softmax, sum/mean reductions,
-concat, indexing (`take`), and reshape/swapaxes/broadcast_to.
+concat, indexing (`take`), and reshape/moveaxis/broadcast_to.
 Dtype is inherited from the operands, so the same code runs in float32
 for training and float64 for finite-difference verification.
 
@@ -433,13 +433,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._result(a.data.reshape(shape), (a,), backward)
 
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+def moveaxis(a: Tensor, source: int, destination: int) -> Tensor:
     an = a._node
 
     def backward(g):
-        an._accumulate(np.swapaxes(g, ax1, ax2))
+        an._accumulate(np.moveaxis(g, destination, source))
 
-    return Tensor._result(np.swapaxes(a.data, ax1, ax2), (a,), backward)
+    return Tensor._result(np.moveaxis(a.data, source, destination), (a,), backward)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:

@@ -157,11 +157,27 @@ def test_take_overlapping_slices_and_repeated_index_share_one_gradient():
     fd_check(fn, x)
 
 
-def test_reshape_swapaxes_broadcast():
+def test_reshape_moveaxis_broadcast():
     x = RNG.normal(size=(2, 6))
     fd_check(lambda a: tt.reshape(a, (3, 4)), x)
-    fd_check(lambda a: tt.swapaxes(a, 0, 1), x)
     fd_check(lambda a: tt.broadcast_to(a, (4, 2, 6)), x)
+    # every move the model makes: the head splits (-2 -> -3), the key split
+    # (-3 -> -1), the head merge (-3 -> -2) and the baseline's key transpose
+    # (-1 -> -2); the probe makes each output position count differently
+    x = RNG.normal(size=(2, 3, 4, 5))
+    for source, destination in ((-2, -3), (-3, -1), (-3, -2), (-1, -2)):
+        probe = Tensor(RNG.normal(size=np.moveaxis(x, source, destination).shape))
+        fd_check(lambda a: tt.moveaxis(a, source, destination) * probe, x)
+
+
+def test_moveaxis_backward_moves_the_gradient_back():
+    # -3 -> -1 is not its own inverse: its backward must move -1 back to -3
+    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    y = tt.moveaxis(x, -3, -1)
+    assert y.shape == (3, 4, 2)
+    seed = RNG.normal(size=y.shape)
+    y.backward(seed)
+    assert x.grad.tobytes() == np.ascontiguousarray(np.moveaxis(seed, -1, -3)).tobytes()
 
 
 def test_linear_affine_and_vector_input(monkeypatch):
@@ -283,7 +299,7 @@ def test_shared_reads_get_the_composed_gradient_in_unshared_buffers(monkeypatch)
             pre = tt.add(tt.add(tt.matmul(x, w1), tt.matmul(x, w2)), b)
         h = tt.tanh(pre)
         s = tt.softmax(tt.add(h, h), axis=-1)
-        y = tt.matmul(s, tt.swapaxes(h, 1, 2))
+        y = tt.matmul(s, tt.moveaxis(h, 2, 1))
         tt.tsum(y * y).backward()
         check_no_shared_gradients()
         return [t.grad.tobytes() for t in leaves]
@@ -396,22 +412,22 @@ def check_gradient_buffers(monkeypatch):
 
 def test_gradient_buffers_are_c_arrays_of_their_outputs_shape(monkeypatch):
     # A node's gradient is a C array whatever its output's strides. The
-    # swapaxes output s reaches the loss only through takes, so its buffer
+    # moveaxis output s reaches the loss only through takes, so its buffer
     # is take's zero fill; the key transpose k keeps matmul's product.
     wrong, strided, kept = check_gradient_buffers(monkeypatch)
     x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
     w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
     y = tt.tanh(x)
-    s = tt.swapaxes(y, 0, 2)  # [4, 3, 2]
-    r = tt.matmul(tt.swapaxes(y, 1, 2), w)  # [2, 4, 3] @ [3, 2]
-    k = tt.swapaxes(tt.tanh(y), 1, 2)  # [2, 4, 3]
+    s = tt.moveaxis(y, 2, 0)  # [4, 2, 3]
+    r = tt.matmul(tt.moveaxis(y, 1, 2), w)  # [2, 4, 3] @ [3, 2]
+    k = tt.moveaxis(tt.tanh(y), 1, 2)  # [2, 4, 3]
     a = tt.matmul(y, k)  # [2, 3, 4] @ [2, 4, 3]
     c = tt.broadcast_to(y[:, :1], (5, 2, 3, 4))
     loss = tt.tsum(s[1:, :, :1] * 3.0) + tt.tsum(s[:2] * s[:2]) + tt.tsum(r * r) + tt.tsum(c * c)
     (loss + tt.tsum(a * a)).backward()
     assert wrong == []
-    assert {"swapaxes", "broadcast_to", "take"} <= strided
-    assert "swapaxes" in kept
+    assert {"moveaxis", "broadcast_to", "take"} <= strided
+    assert "moveaxis" in kept
     assert x.grad.flags.c_contiguous and w.grad.flags.c_contiguous
 
 

@@ -670,7 +670,7 @@ def test_every_gradient_buffer_is_a_c_array_of_its_outputs_shape(monkeypatch):
         config = ablation_config(ModelConfig(hidden_size=8, reasoning_steps=2), variant)
         batch_loss(build_model(config, InputDims.of(*samples[0]), np.float32), samples).backward()
     assert not wrong
-    assert {"swapaxes", "broadcast_to", "take"} <= strided
+    assert {"moveaxis", "broadcast_to", "take"} <= strided
 
 
 def test_the_tape_holds_well_under_its_node_outputs(monkeypatch):
